@@ -9,9 +9,8 @@ against the ideal orthogonal-state walk.
 
 __version__ = "0.1.0"
 
-from .coherent import (DickeVector, SiteIndexing, coherent_state,
-                       overlap_equator, overlap_modulus, site_state)
-from .su2 import (SmallDMatrix, SpinQuantum, cg_coefficient, cg_l0_family,
+from .coherent import SiteIndexing, coherent_state, overlap_modulus, site_state
+from .su2 import (SpinQuantum, cg_coefficient, cg_l0_family,
                   rotated_dicke_frame, rz_phases, small_d_matrix)
 from .walk import (CoinPulse, CoinWalkerState, DensityMatrix, WalkSchedule,
                    coin_unitary, conditional_shift, evolve, ideal_sigma,
@@ -22,10 +21,9 @@ from .wigner import (KernelWeights, NumericalInvariantError, PhiDistribution,
 
 __all__ = [
     "__version__",
-    "SpinQuantum", "SmallDMatrix", "cg_coefficient", "cg_l0_family",
+    "SpinQuantum", "cg_coefficient", "cg_l0_family",
     "small_d_matrix", "rz_phases", "rotated_dicke_frame",
-    "DickeVector", "SiteIndexing", "coherent_state", "site_state",
-    "overlap_modulus", "overlap_equator",
+    "SiteIndexing", "coherent_state", "site_state", "overlap_modulus",
     "CoinWalkerState", "CoinPulse", "WalkSchedule", "DensityMatrix",
     "coin_unitary", "conditional_shift", "step", "evolve", "reduce_walker",
     "initial_state", "ideal_walk", "ideal_sigma",

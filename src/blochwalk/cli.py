@@ -16,37 +16,28 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .coherent import SiteIndexing
 from .render import render_heatmap_svg
 from .su2 import SpinQuantum
-from .walk import (CoinPulse, WalkSchedule, evolve, ideal_sigma, ideal_walk,
-                   initial_state)
+from .walk import (CoinPulse, WalkSchedule, coin_unitary, evolve, ideal_sigma,
+                   ideal_walk, initial_state)
 from .wigner import (NumericalInvariantError, kernel_weights, marginal_phi,
                      sigma_from_marginal, wigner_grid)
 
-__all__ = ["RunConfig", "RunManifest", "ConfigError", "parse_config",
-           "run_experiment", "main"]
+__all__ = ["RunConfig", "ConfigError", "parse_config", "run_experiment",
+           "main"]
 
 ALL_OUTPUTS = ("wigner", "marginal", "sites", "sigma", "ideal")
 
-DEFAULTS = {
-    "sites": 6,
-    "spins": 50,
-    "steps": 2,
-    "coin": ("hadamard",),
-    "theta0": math.pi / 2.0,
-    "grid_theta": None,      # 2J + 2 when unset
-    "grid_phi": None,        # 8L when unset
-    "outputs": set(ALL_OUTPUTS),
-    "out": "out",
-    "svg": True,
-}
+# keys a --config file may set; each names the flag it stands for
+_CONFIG_KEYS = ("sites", "spins", "steps", "coin", "theta0", "grid-theta",
+               "grid-phi", "outputs", "out", "svg")
+_SVG_FLAGS = {"true": "--svg", "1": "--svg", "false": "--no-svg",
+              "0": "--no-svg"}
 
 
 class ConfigError(ValueError):
@@ -86,55 +77,48 @@ class RunConfig:
         }
 
 
-@dataclass
-class RunManifest:
-    config: dict
-    version: str
-    duration_seconds: float
-    normalization_residuals: list[float]
-    files: dict[str, str] = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "version": self.version,
-            "duration_seconds": self.duration_seconds,
-            "normalization_residuals": self.normalization_residuals,
-            "files": self.files,
-        }
-
-
 def _parse_coin(tokens) -> tuple:
     if len(tokens) == 1 and tokens[0] == "hadamard":
         return ("hadamard",)
     if len(tokens) == 4 and tokens[0] == "custom":
         try:
-            return ("custom",) + tuple(float(t) for t in tokens[1:])
+            h = tuple(float(t) for t in tokens[1:])
         except ValueError as exc:
             raise ConfigError(f"--coin custom: malformed number in "
                               f"{tokens[1:]!r}") from exc
+        if not all(math.isfinite(x) for x in h):
+            raise ConfigError(f"--coin custom: non-finite value in "
+                              f"{tokens[1:]!r}")
+        return ("custom",) + h
     raise ConfigError(
         f"--coin expects 'hadamard' or 'custom hx hy hz', got {tokens!r}")
 
 
-def _parse_outputs(text: str) -> set[str]:
+class _CoinAction(argparse.Action):
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, _parse_coin(values))
+
+
+def _parse_outputs(text: str) -> frozenset:
     parts = {p.strip() for p in text.split(",") if p.strip()}
     unknown = parts - set(ALL_OUTPUTS)
     if unknown:
-        raise ConfigError(f"unknown outputs {sorted(unknown)!r}; "
-                          f"valid: {','.join(ALL_OUTPUTS)}")
-    return parts
+        raise argparse.ArgumentTypeError(
+            f"unknown outputs {sorted(unknown)!r}; "
+            f"valid: {','.join(ALL_OUTPUTS)}")
+    return frozenset(parts)
 
 
-def _read_config_file(path: str) -> dict:
-    """Flat `key = value` file, same keys as the CLI flags."""
-    known = {"sites", "spins", "steps", "coin", "theta0", "grid-theta",
-             "grid-phi", "outputs", "out", "svg"}
-    values: dict = {}
+def _read_config_file(parser: argparse.ArgumentParser,
+                      path: str) -> argparse.Namespace:
+    """Flat `key = value` file; each line is parsed by `parser` as the flag
+    `--key value` (`svg = true|false` as `--svg` / `--no-svg`) into one
+    namespace, which the first line fills with every default."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    ns = argparse.Namespace()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -144,93 +128,91 @@ def _read_config_file(path: str) -> dict:
                               f"got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in known:
+        if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        dest = key.replace("-", "_")
+        if key == "coin":
+            tokens = ["--coin", *val.split()]
+        elif key == "svg":
+            # any other value reaches argparse as `--svg=VALUE`, an error
+            tokens = [_SVG_FLAGS.get(val.lower(), f"--svg={val}")]
+        else:
+            tokens = [f"--{key}={val}"]
         try:
-            if key in ("sites", "spins", "steps", "grid-theta", "grid-phi"):
-                values[dest] = int(val)
-            elif key == "theta0":
-                values[dest] = float(val)
-            elif key == "coin":
-                values[dest] = _parse_coin(val.split())
-            elif key == "outputs":
-                values[dest] = _parse_outputs(val)
-            elif key == "svg":
-                if val.lower() not in ("true", "false", "0", "1"):
-                    raise ValueError(val)
-                values[dest] = val.lower() in ("true", "1")
-            else:
-                values[dest] = val
-        except ValueError as exc:
-            raise ConfigError(
-                f"{path}:{lineno}: malformed value {val!r} for {key}") from exc
-    return values
+            parser.parse_args(tokens, ns)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: malformed value {val!r} "
+                              f"for {key}: {exc}") from exc
+    return ns
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises ConfigError instead of printing usage and exiting."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="blochwalk",
         description="Discrete-time quantum walk on the Bloch sphere")
-    p.add_argument("--sites", type=int, help="number of ring sites L")
-    p.add_argument("--spins", type=int, help="spins N in the walker cluster")
-    p.add_argument("--steps", type=int, help="walk steps k")
-    p.add_argument("--coin", nargs="+", metavar="SPEC",
+    p.add_argument("--sites", type=int, default=6,
+                   help="number of ring sites L")
+    p.add_argument("--spins", type=int, default=50,
+                   help="spins N in the walker cluster")
+    p.add_argument("--steps", type=int, default=2, help="walk steps k")
+    p.add_argument("--coin", nargs="+", metavar="SPEC", action=_CoinAction,
+                   default=("hadamard",),
                    help="'hadamard' or 'custom hx hy hz'")
-    p.add_argument("--theta0", type=float, help="walk latitude (radians)")
+    p.add_argument("--theta0", type=float, default=math.pi / 2.0,
+                   help="walk latitude (radians)")
     p.add_argument("--grid-theta", type=int, dest="grid_theta",
                    help="theta quadrature nodes (default 2J+2)")
     p.add_argument("--grid-phi", type=int, dest="grid_phi",
-                   help="phi grid points (default 8L)")
-    p.add_argument("--outputs", help="comma list of "
-                   + ",".join(ALL_OUTPUTS))
-    p.add_argument("--out", help="output directory (default ./out)")
+                   help="phi grid points (default: the smallest multiple "
+                        "of L above 2J, at least 8L)")
+    p.add_argument("--outputs", type=_parse_outputs,
+                   default=frozenset(ALL_OUTPUTS),
+                   help="comma list of " + ",".join(ALL_OUTPUTS))
+    p.add_argument("--out", default="out",
+                   help="output directory (default ./out)")
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--svg", dest="svg", action="store_true", default=None,
+    p.add_argument("--svg", dest="svg", action="store_true", default=True,
                    help="render Wigner heatmaps as SVG (default)")
-    p.add_argument("--no-svg", dest="svg", action="store_false", default=None)
+    p.add_argument("--no-svg", dest="svg", action="store_false")
     p.add_argument("--version", action="version", version=__version__)
     return p
 
 
 def parse_config(argv=None) -> RunConfig:
     """CLI flags override config-file keys override built-in defaults."""
-    ns = _build_parser().parse_args(argv)
-
-    merged = dict(DEFAULTS)
+    parser = _build_parser()
+    ns = parser.parse_args(argv)
     if ns.config is not None:
-        merged.update(_read_config_file(ns.config))
-    for key in ("sites", "spins", "steps", "theta0", "grid_theta",
-                "grid_phi", "out", "svg"):
-        val = getattr(ns, key)
-        if val is not None:
-            merged[key] = val
-    if ns.coin is not None:
-        merged["coin"] = _parse_coin(ns.coin)
-    if ns.outputs is not None:
-        merged["outputs"] = _parse_outputs(ns.outputs)
-    if isinstance(merged["coin"], (list, tuple)) and merged["coin"] \
-            and merged["coin"][0] not in ("hadamard", "custom"):
-        raise ConfigError(f"bad coin spec {merged['coin']!r}")
+        # argparse sets a default only on an attribute that is unset, so
+        # re-parsing the flags over the file's namespace gives the order
+        # flags > file > defaults
+        ns = parser.parse_args(argv, _read_config_file(parser, ns.config))
 
-    sites, spins, steps = merged["sites"], merged["spins"], merged["steps"]
+    sites, spins, steps = ns.sites, ns.spins, ns.steps
     if sites < 2:
         raise ConfigError(f"--sites must be >= 2, got {sites}")
     if spins < 1:
         raise ConfigError(f"--spins must be >= 1, got {spins}")
     if steps < 0:
         raise ConfigError(f"--steps must be >= 0, got {steps}")
-    theta0 = merged["theta0"]
-    if not 0.0 < theta0 < math.pi:
-        raise ConfigError(f"--theta0 must lie in (0, pi), got {theta0}")
-    grid_theta = merged["grid_theta"]
+    if not 0.0 < ns.theta0 < math.pi:
+        raise ConfigError(f"--theta0 must lie in (0, pi), got {ns.theta0}")
+    grid_theta = ns.grid_theta
     if grid_theta is None:
         grid_theta = spins + 2            # 2J + 2 with 2J = N
     if grid_theta < 2:
         raise ConfigError(f"--grid-theta must be >= 2, got {grid_theta}")
-    grid_phi = merged["grid_phi"]
+    grid_phi = ns.grid_phi
     if grid_phi is None:
-        grid_phi = 8 * sites
+        # n_phi > 2J integrates W exactly in phi; a multiple of L puts a
+        # node on every site center
+        grid_phi = max(8 * sites, sites * (spins // sites + 1))
     if grid_phi < sites:
         raise ConfigError(f"--grid-phi must be >= sites, got {grid_phi}")
 
@@ -241,11 +223,9 @@ def parse_config(argv=None) -> RunConfig:
             "only meaningful for short times", stacklevel=2)
 
     return RunConfig(
-        sites=sites, spins=spins, steps=steps,
-        coin=tuple(merged["coin"]), theta0=theta0,
-        grid_theta=grid_theta, grid_phi=grid_phi,
-        outputs=frozenset(merged["outputs"]),
-        out_dir=Path(merged["out"]), svg=bool(merged["svg"]),
+        sites=sites, spins=spins, steps=steps, coin=ns.coin,
+        theta0=ns.theta0, grid_theta=grid_theta, grid_phi=grid_phi,
+        outputs=ns.outputs, out_dir=Path(ns.out), svg=ns.svg,
     )
 
 
@@ -308,11 +288,12 @@ def _sha256(path: Path) -> str:
 # Experiment runner
 # ---------------------------------------------------------------------------
 
-def run_experiment(config: RunConfig) -> RunManifest:
+def run_experiment(config: RunConfig) -> dict:
     """Evolve the walk and write every requested artifact.
 
     Deterministic: identical configs produce byte-identical CSV/SVG files
-    and identical checksums in the manifest.
+    and identical checksums in the manifest.  Returns the manifest that is
+    written to manifest.json.
     """
     start = time.monotonic()
     out = config.out_dir
@@ -328,12 +309,8 @@ def run_experiment(config: RunConfig) -> RunManifest:
 
     ideal = None
     if need_ideal:
-        coin2 = np.array([[1, 1], [1, -1]]) / math.sqrt(2.0) \
-            if config.coin[0] == "hadamard" else None
-        if coin2 is None:
-            from .walk import coin_unitary
-            coin2 = coin_unitary(config.pulse())
-        ideal = ideal_walk(config.sites, config.steps, coin2)
+        ideal = ideal_walk(config.sites, config.steps,
+                           coin_unitary(config.pulse()))
 
     written: list[Path] = []
     residuals: list[float] = []
@@ -348,7 +325,7 @@ def run_experiment(config: RunConfig) -> RunManifest:
                            weights)
         residual = abs(grid.normalization() - 1.0)
         residuals.append(residual)
-        if residual > 1e-4:
+        if not residual <= 1e-4:
             raise NumericalInvariantError(
                 f"step {k}: Wigner normalization off by {residual:.2e} "
                 f"at resolution ({config.grid_theta}, {config.grid_phi})")
@@ -389,15 +366,15 @@ def run_experiment(config: RunConfig) -> RunManifest:
                             header="k,site_index,phi,P")
             written.append(p)
 
-        manifest = RunManifest(
-            config=config.as_dict(),
-            version=__version__,
-            duration_seconds=round(time.monotonic() - start, 3),
-            normalization_residuals=residuals,
-            files={p.name: _sha256(p) for p in sorted(written)},
-        )
+        manifest = {
+            "config": config.as_dict(),
+            "version": __version__,
+            "duration_seconds": round(time.monotonic() - start, 3),
+            "normalization_residuals": residuals,
+            "files": {p.name: _sha256(p) for p in sorted(written)},
+        }
         (out / "manifest.json").write_text(
-            json.dumps(manifest.as_dict(), sort_keys=True, indent=2) + "\n",
+            json.dumps(manifest, sort_keys=True, indent=2) + "\n",
             newline="\n")
     except OSError as exc:
         raise OSError(f"failed writing outputs: {exc}") from exc
@@ -419,8 +396,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"blochwalk: I/O error: {exc}", file=sys.stderr)
         return 4
-    print(f"wrote {len(manifest.files)} files to {config.out_dir} "
-          f"in {manifest.duration_seconds}s")
+    print(f"wrote {len(manifest['files'])} files to {config.out_dir} "
+          f"in {manifest['duration_seconds']}s")
     return 0
 
 

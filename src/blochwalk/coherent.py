@@ -8,36 +8,18 @@ the Bloch sphere (default: the equator), each site being the coherent state
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .su2 import SpinQuantum, lnfact
 
 __all__ = [
-    "DickeVector",
     "SiteIndexing",
     "coherent_state",
     "site_state",
     "overlap_modulus",
-    "overlap_equator",
 ]
-
-
-@dataclass(frozen=True)
-class DickeVector:
-    """Walker state: complex amplitudes over |J,m>, m = J .. -J."""
-
-    spin: SpinQuantum
-    amplitudes: np.ndarray = field(repr=False)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def inner(self, other: "DickeVector") -> complex:
-        """<self|other>."""
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 @dataclass(frozen=True)
@@ -72,8 +54,9 @@ class SiteIndexing:
         return self.wrap(n) * self.delta_phi
 
 
-def coherent_state(spin: SpinQuantum, theta: float, phi: float) -> DickeVector:
-    """Spin coherent state |theta, phi> expanded over the Dicke basis.
+def coherent_state(spin: SpinQuantum, theta: float, phi: float) -> np.ndarray:
+    """Spin coherent state |theta, phi>: complex amplitudes over the Dicke
+    basis |J,m>, m = J .. -J.
 
     Amplitude on |J,m> is sqrt(C(2J, J-m)) cos^{J+m}(t/2) sin^{J-m}(t/2)
     e^{i(J-m)phi}; the binomial factor is evaluated in the log domain so the
@@ -96,11 +79,10 @@ def coherent_state(spin: SpinQuantum, theta: float, phi: float) -> DickeVector:
     with np.errstate(invalid="ignore"):
         log_mag += np.where(exp_cos > 0, exp_cos * log_c, 0.0)
         log_mag += np.where(exp_sin > 0, exp_sin * log_s, 0.0)
-    amps = np.exp(log_mag) * np.exp(1j * k * phi)
-    return DickeVector(spin, amps)
+    return np.exp(log_mag) * np.exp(1j * k * phi)
 
 
-def site_state(indexing: SiteIndexing, spin: SpinQuantum, n: int) -> DickeVector:
+def site_state(indexing: SiteIndexing, spin: SpinQuantum, n: int) -> np.ndarray:
     """Walker site state |phi_n> = |theta0, n * delta_phi>, n wrapped."""
     return coherent_state(spin, indexing.theta0, indexing.phi(n))
 
@@ -118,15 +100,3 @@ def overlap_modulus(spin: SpinQuantum, theta1: float, phi1: float,
         return 1.0
     return math.exp((spin.two_j / 2.0) * math.log(half))
 
-
-def overlap_equator(m: int, n: int, indexing: SiteIndexing,
-                    spin: SpinQuantum) -> float:
-    """|<phi_m|phi_n>| = [(cos((m-n) dphi) + 1)/2]^J on the equator."""
-    if abs(indexing.theta0 - math.pi / 2.0) > 1e-12:
-        raise ValueError("equator overlap formula requires theta0 = pi/2")
-    half = (math.cos((m - n) * indexing.delta_phi) + 1.0) / 2.0
-    if half <= 0.0:
-        return 0.0
-    if half >= 1.0:
-        return 1.0
-    return math.exp((spin.two_j / 2.0) * math.log(half))

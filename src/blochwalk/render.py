@@ -35,8 +35,7 @@ def _color(value: float, vmax: float) -> str:
 
 
 def render_heatmap_svg(grid: WignerGrid, path,
-                       indexing: SiteIndexing | None = None,
-                       width: int = 720, height: int = 400) -> None:
+                       indexing: SiteIndexing | None = None) -> None:
     """Write an SVG heatmap of W(theta, phi).
 
     phi runs left to right over [-pi, pi), theta top to bottom over [0, pi];
@@ -44,6 +43,7 @@ def render_heatmap_svg(grid: WignerGrid, path,
     interference fringes stand out.  When a site ring is given, phi ticks
     are drawn at the site centers n * delta_phi.
     """
+    width, height = 720, 400
     margin_l, margin_r, margin_t, margin_b = 50, 20, 16, 36
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b

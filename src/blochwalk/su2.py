@@ -8,19 +8,18 @@ quantum numbers ever happens.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "SpinQuantum",
-    "LogFactorialTable",
     "lnfact",
     "cg_coefficient",
     "cg_l0_family",
-    "SmallDMatrix",
     "small_d_matrix",
     "rz_phases",
     "rotated_dicke_frame",
@@ -51,40 +50,26 @@ class SpinQuantum:
         return (self.two_j - 2.0 * np.arange(self.dim)) / 2.0
 
 
-class LogFactorialTable:
-    """Cumulative table of ln(n!), grown on demand.
-
-    Built by sequential accumulation of ln(n) so adjacent differences
-    reproduce ln(n) to machine precision.
-    """
-
-    def __init__(self, n_max: int = 64):
-        self.values = np.concatenate(
-            ([0.0], np.cumsum(np.log(np.arange(1, n_max + 1))))
-        )
-
-    def extend(self, n_max: int) -> None:
-        n0 = len(self.values) - 1
-        if n_max <= n0:
-            return
-        tail = np.cumsum(np.log(np.arange(n0 + 1, n_max + 1))) + self.values[-1]
-        self.values = np.concatenate((self.values, tail))
-
-    def __call__(self, n):
-        return self.values[n]
-
-
 _lnfact_lock = threading.Lock()
-_lnfact_table = LogFactorialTable(256)
+# ln(n!) for n = 0 .. len - 1, accumulated from ln(n) so adjacent differences
+# reproduce ln(n) to machine precision.
+_lnfact_values = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, 257)))))
 
 
 def lnfact(n):
     """ln(n!) for scalar or integer-array n (shared, lock-guarded table)."""
+    global _lnfact_values
     top = int(np.max(n))
-    if top >= len(_lnfact_table.values):
+    if top >= len(_lnfact_values):
         with _lnfact_lock:
-            _lnfact_table.extend(max(top, 2 * len(_lnfact_table.values)))
-    return _lnfact_table(n)
+            n0 = len(_lnfact_values) - 1
+            n_max = max(top, 2 * len(_lnfact_values))
+            # continue from the last stored entry rather than re-summing the
+            # whole table, so existing entries keep their exact values
+            tail = (np.cumsum(np.log(np.arange(n0 + 1, n_max + 1)))
+                    + _lnfact_values[-1])
+            _lnfact_values = np.concatenate((_lnfact_values, tail))
+    return _lnfact_values[n]
 
 
 def _check_jm(two_j: int, two_m: int, name: str) -> None:
@@ -194,17 +179,10 @@ def cg_l0_family(two_j: int, two_m: int) -> np.ndarray:
 # Wigner small-d rotation matrices
 # ---------------------------------------------------------------------------
 
-_jy_lock = threading.Lock()
-_jy_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _jy_eigensystem(two_j: int):
     """Eigenvectors of J_y in the Dicke basis; eigenvalues snapped to the
     exact m grid.  Cached per two_j (read-only after construction)."""
-    with _jy_lock:
-        hit = _jy_cache.get(two_j)
-    if hit is not None:
-        return hit
     dim = two_j + 1
     m = (two_j - 2.0 * np.arange(dim)) / 2.0
     j = two_j / 2.0
@@ -214,39 +192,22 @@ def _jy_eigensystem(two_j: int):
     jy = (jplus - jplus.conj().T) / 2.0j
     eigvals, eigvecs = np.linalg.eigh(jy)
     eigvals = np.round(2.0 * eigvals) / 2.0
-    entry = (eigvals, eigvecs)
-    with _jy_lock:
-        _jy_cache[two_j] = entry
-    return entry
+    return eigvals, eigvecs
 
 
-@dataclass(frozen=True)
-class SmallDMatrix:
-    """Real rotation matrix d^j_{m',m}(beta) = <j m'| exp(-i beta J_y) |j m>,
-    rows and columns both ordered m = J .. -J."""
-
-    two_j: int
-    beta: float
-    entries: np.ndarray = field(repr=False)
-
-    def __matmul__(self, other):
-        if isinstance(other, SmallDMatrix):
-            return self.entries @ other.entries
-        return self.entries @ other
-
-
-def small_d_matrix(spin: SpinQuantum, beta: float) -> SmallDMatrix:
-    """d^j(beta) via the eigendecomposition of J_y.
+def small_d_matrix(spin: SpinQuantum, beta: float) -> np.ndarray:
+    """d^j(beta) via the eigendecomposition of J_y: the real rotation matrix
+    d^j_{m',m}(beta) = <j m'| exp(-i beta J_y) |j m>, rows and columns both
+    ordered m = J .. -J.
 
     Overflow-free and accurate to ~1e-13 per entry for two_j <= 200; the
     direct Wigner sum formula cancels catastrophically there.
     """
     if beta == 0.0:
-        return SmallDMatrix(spin.two_j, 0.0, np.eye(spin.dim))
+        return np.eye(spin.dim)
     eigvals, eigvecs = _jy_eigensystem(spin.two_j)
     phases = np.exp(-1j * beta * eigvals)
-    entries = ((eigvecs * phases) @ eigvecs.conj().T).real
-    return SmallDMatrix(spin.two_j, float(beta), entries)
+    return ((eigvecs * phases) @ eigvecs.conj().T).real
 
 
 def rz_phases(spin: SpinQuantum, alpha: float) -> np.ndarray:
@@ -258,5 +219,4 @@ def rotated_dicke_frame(spin: SpinQuantum, theta: float, phi: float) -> np.ndarr
     """Unitary whose column m is the rotated Dicke state |j,m;d> with
     d = (sin t cos p, sin t sin p, cos t): U = diag(e^{-i phi m}) d^j(theta).
     """
-    d = small_d_matrix(spin, theta)
-    return rz_phases(spin, phi)[:, None] * d.entries
+    return rz_phases(spin, phi)[:, None] * small_d_matrix(spin, theta)

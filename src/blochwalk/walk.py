@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coherent import DickeVector, SiteIndexing, site_state
+from .coherent import SiteIndexing, site_state
 from .su2 import SpinQuantum, rz_phases
 
 __all__ = [
@@ -30,9 +30,6 @@ __all__ = [
     "initial_state",
     "ideal_walk",
     "ideal_sigma",
-    "aligned_site_state",
-    "step1_reference",
-    "step2_reference",
 ]
 
 
@@ -117,10 +114,10 @@ def coin_unitary(pulse: CoinPulse) -> np.ndarray:
     ])
 
 
-def initial_state(indexing: SiteIndexing, spin: SpinQuantum, site: int = 0,
+def initial_state(indexing: SiteIndexing, spin: SpinQuantum,
                   coin: tuple[complex, complex] = (1.0, 0.0)) -> CoinWalkerState:
-    """|phi_site> (x) (coin_up, coin_down); defaults to |phi_0> (x) |up>."""
-    w = site_state(indexing, spin, site).amplitudes
+    """|phi_0> (x) (coin_up, coin_down), normalized; the coin defaults to |up>."""
+    w = site_state(indexing, spin, 0)
     cu, cd = coin
     scale = math.sqrt(abs(cu) ** 2 + abs(cd) ** 2)
     return CoinWalkerState(spin, (cu / scale) * w, (cd / scale) * w)
@@ -167,10 +164,9 @@ def reduce_walker(state: CoinWalkerState) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 
 def ideal_walk(sites: int, steps: int, coin: np.ndarray,
-               start_site: int = 0,
                coin_state: tuple[complex, complex] = (1.0, 0.0)
                ) -> list[np.ndarray]:
-    """Exact unitary walk with orthogonal site states.
+    """Exact unitary walk with orthogonal site states, starting at site 0.
 
     Returns one probability array per step (0..steps), each over the
     balanced site range of SiteIndexing(sites).site_numbers (ascending).
@@ -183,7 +179,7 @@ def ideal_walk(sites: int, steps: int, coin: np.ndarray,
     amp = np.zeros((sites, 2), dtype=complex)   # indexed by site mod L
     cu, cd = coin_state
     scale = math.sqrt(abs(cu) ** 2 + abs(cd) ** 2)
-    amp[start_site % sites] = (cu / scale, cd / scale)
+    amp[0] = (cu / scale, cd / scale)
 
     order = indexing.site_numbers % sites       # balanced order -> mod-L rows
     probs = [(np.abs(amp[order]) ** 2).sum(axis=1)]
@@ -207,40 +203,3 @@ def ideal_sigma(probabilities: np.ndarray, indexing: SiteIndexing) -> float:
     second = float(p @ (phi * phi))
     return math.sqrt(max(0.0, second - mean * mean))
 
-
-# ---------------------------------------------------------------------------
-# Closed-form references for the first two Hadamard steps
-# ---------------------------------------------------------------------------
-
-def aligned_site_state(indexing: SiteIndexing, spin: SpinQuantum,
-                       n: int) -> DickeVector:
-    """Site state in the rotation-aligned gauge R_z(n dphi)|phi_0>.
-
-    Differs from site_state by the global phase e^{-i J n dphi}; this is the
-    gauge in which the conditional shift maps site n to site n+1 with no
-    extra phase, and in which the two-step closed form below holds exactly.
-    """
-    base = site_state(indexing, spin, n)
-    phase = np.exp(-1j * spin.j * n * indexing.delta_phi)
-    return DickeVector(spin, phase * base.amplitudes)
-
-
-def step1_reference(indexing: SiteIndexing, spin: SpinQuantum) -> DensityMatrix:
-    """rho_w after one Hadamard step: (|phi_1><phi_1| + |phi_-1><phi_-1|)/2."""
-    p1 = site_state(indexing, spin, 1).amplitudes
-    m1 = site_state(indexing, spin, -1).amplitudes
-    rho = 0.5 * (np.outer(p1, p1.conj()) + np.outer(m1, m1.conj()))
-    return DensityMatrix(spin, rho)
-
-
-def step2_reference(indexing: SiteIndexing, spin: SpinQuantum) -> DensityMatrix:
-    """rho_w after two Hadamard steps:
-    (|phi_2>+|phi_0>)(<phi_2|+<phi_0|)/4 + (|phi_0>-|phi_-2>)(h.c.)/4,
-    with the sites taken in the rotation-aligned gauge."""
-    a2 = aligned_site_state(indexing, spin, 2).amplitudes
-    a0 = aligned_site_state(indexing, spin, 0).amplitudes
-    am2 = aligned_site_state(indexing, spin, -2).amplitudes
-    plus = a2 + a0
-    minus = a0 - am2
-    rho = 0.25 * (np.outer(plus, plus.conj()) + np.outer(minus, minus.conj()))
-    return DensityMatrix(spin, rho)

@@ -10,8 +10,8 @@ matmuls instead of n_theta * n_phi frame constructions.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -53,25 +53,15 @@ class KernelWeights:
     delta: np.ndarray = field(repr=False)
 
 
-_weights_lock = threading.Lock()
-_weights_cache: dict[int, KernelWeights] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def kernel_weights(spin: SpinQuantum) -> KernelWeights:
     """Delta_{j,m} = sum_l (2l+1)/(2j+1) <j m; l 0 | j m>, l = 0 .. 2j."""
-    with _weights_lock:
-        hit = _weights_cache.get(spin.two_j)
-    if hit is not None:
-        return hit
     tj = spin.two_j
     lcoef = (2.0 * np.arange(tj + 1) + 1.0) / (tj + 1.0)
     delta = np.empty(spin.dim)
     for i, two_m in enumerate(range(tj, -tj - 1, -2)):
         delta[i] = math.fsum(lcoef * cg_l0_family(tj, two_m))
-    result = KernelWeights(spin, delta)
-    with _weights_lock:
-        _weights_cache[spin.two_j] = result
-    return result
+    return KernelWeights(spin, delta)
 
 
 def wigner_at(rho: DensityMatrix, theta: float, phi: float,
@@ -109,31 +99,18 @@ class WignerGrid:
                      * self.phi_spacing)
 
 
-_dstack_lock = threading.Lock()
-_dstack_cache: dict[tuple[int, int], tuple] = {}
-_DSTACK_KEEP = 2
-
-
+# Two entries bound the memory: each stack holds n_theta * (2J+1)^2 floats.
+@functools.lru_cache(maxsize=2)
 def _theta_frame_stack(two_j: int, n_theta: int):
     """(theta_nodes, GL weights, d-matrix stack) for one (j, resolution)."""
-    key = (two_j, n_theta)
-    with _dstack_lock:
-        hit = _dstack_cache.get(key)
-    if hit is not None:
-        return hit
     x, w = np.polynomial.legendre.leggauss(n_theta)
     theta = np.arccos(x[::-1])          # ascending theta in (0, pi)
     w = w[::-1].copy()
     spin = SpinQuantum(two_j)
     stack = np.empty((n_theta, two_j + 1, two_j + 1))
     for i, t in enumerate(theta):
-        stack[i] = small_d_matrix(spin, float(t)).entries
-    entry = (theta, w, stack)
-    with _dstack_lock:
-        while len(_dstack_cache) >= _DSTACK_KEEP:
-            _dstack_cache.pop(next(iter(_dstack_cache)))
-        _dstack_cache[key] = entry
-    return entry
+        stack[i] = small_d_matrix(spin, float(t))
+    return theta, w, stack
 
 
 def _state_vectors(state) -> tuple[SpinQuantum, np.ndarray, np.ndarray]:
@@ -162,13 +139,7 @@ def wigner_grid(state, resolution: tuple[int, int],
     than 1e-4 (resolution too low for this j).
     """
     n_theta, n_phi = resolution
-    if isinstance(state, CoinWalkerState):
-        spin = state.spin
-    elif isinstance(state, DensityMatrix):
-        spin = state.spin
-    else:
-        raise TypeError(f"expected CoinWalkerState or DensityMatrix, "
-                        f"got {type(state).__name__}")
+    spin, vecs, coefs = _state_vectors(state)
     if n_theta < 2:
         raise ValueError("need at least 2 theta nodes")
     if weights is None:
@@ -176,7 +147,6 @@ def wigner_grid(state, resolution: tuple[int, int],
     if weights.spin.two_j != spin.two_j:
         raise ValueError("state and kernel weights disagree on j")
 
-    spin, vecs, coefs = _state_vectors(state)
     theta, w_theta, dstack = _theta_frame_stack(spin.two_j, n_theta)
     phi = -math.pi + 2.0 * math.pi * np.arange(n_phi) / n_phi
 
@@ -206,7 +176,7 @@ def wigner_grid(state, resolution: tuple[int, int],
 
     grid = WignerGrid(spin, theta, w_theta, phi, values)
     residual = abs(grid.normalization() - 1.0)
-    if residual > 1e-4:
+    if not residual <= 1e-4:
         warnings.warn(
             f"Wigner grid normalization off by {residual:.2e}; increase the "
             f"grid resolution (n_theta >= 2J+2 and n_phi > 2J recommended)",

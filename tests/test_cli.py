@@ -33,7 +33,7 @@ def test_default_configuration():
     assert (cfg.sites, cfg.spins, cfg.steps) == (6, 50, 2)
     assert cfg.coin == ("hadamard",)
     assert cfg.theta0 == pytest.approx(math.pi / 2.0)
-    assert (cfg.grid_theta, cfg.grid_phi) == (52, 48)
+    assert (cfg.grid_theta, cfg.grid_phi) == (52, 54)
     assert cfg.outputs == frozenset(ALL_OUTPUTS)
     assert cfg.out_dir == Path("out")
     assert cfg.svg is True
@@ -102,6 +102,10 @@ def test_config_file_errors(tmp_path):
     ["--outputs", "wigner,plasma"],
     ["--coin", "bogus"],
     ["--coin", "custom", "1", "x", "0"],
+    ["--coin", "custom", "nan", "0", "0"],
+    ["--coin", "custom", "inf", "0", "0"],
+    ["--spins", "many"],
+    ["--no-such-flag"],
 ])
 def test_bad_arguments_exit_2(argv, capsys):
     assert main(argv) == 2
@@ -221,6 +225,12 @@ def test_low_resolution_exits_3(tmp_path, capsys):
         warnings.simplefilter("ignore")
         assert main(argv) == 3
     assert "invariant" in capsys.readouterr().err
+
+
+def test_default_resolution_is_valid_at_large_spin(tmp_path):
+    argv = ["--sites", "6", "--spins", "200", "--steps", "0",
+            "--outputs", "sites", "--no-svg", "--out", str(tmp_path / "n200")]
+    assert main(argv) == 0
 
 
 def test_unwritable_output_exits_4(tmp_path, capsys):

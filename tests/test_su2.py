@@ -136,7 +136,7 @@ def test_d_matrix_spin_half_analytic():
     beta = 0.7
     c, s = math.cos(beta / 2.0), math.sin(beta / 2.0)
     d = small_d_matrix(SpinQuantum(1), beta)
-    assert np.abs(d.entries - [[c, -s], [s, c]]).max() < 1e-14
+    assert np.abs(d - [[c, -s], [s, c]]).max() < 1e-14
 
 
 def test_d_matrix_spin_one_analytic():
@@ -149,12 +149,12 @@ def test_d_matrix_spin_one_analytic():
         [(1 - c) / 2, r, (1 + c) / 2],
     ])
     d = small_d_matrix(SpinQuantum(2), beta)
-    assert np.abs(d.entries - expect).max() < 1e-14
+    assert np.abs(d - expect).max() < 1e-14
 
 
 def test_d_matrix_identity_at_zero_is_exact():
     d = small_d_matrix(SpinQuantum(7), 0.0)
-    assert np.array_equal(d.entries, np.eye(8))
+    assert np.array_equal(d, np.eye(8))
 
 
 @pytest.mark.parametrize("two_j", [2, 10, 100])
@@ -163,13 +163,13 @@ def test_d_matrix_composition(two_j):
     a, b = 0.61, 1.97
     lhs = small_d_matrix(spin, a) @ small_d_matrix(spin, b)
     rhs = small_d_matrix(spin, a + b)
-    assert np.abs(lhs - rhs.entries).max() < 1e-10
+    assert np.abs(lhs - rhs).max() < 1e-10
 
 
 @pytest.mark.parametrize("two_j", [4, 41, 200])
 def test_d_matrix_orthogonality_and_symmetry(two_j):
     spin = SpinQuantum(two_j)
-    d = small_d_matrix(spin, 2.1).entries
+    d = small_d_matrix(spin, 2.1)
     assert np.abs(d @ d.T - np.eye(spin.dim)).max() < 1e-10
     # d_{m',m} = (-1)^{m'-m} d_{m,m'}
     k = np.arange(spin.dim)
@@ -179,17 +179,10 @@ def test_d_matrix_orthogonality_and_symmetry(two_j):
 
 @pytest.mark.parametrize("beta", [1e-3, math.pi / 2.0, math.pi - 1e-3])
 def test_d_matrix_finite_at_large_j(beta):
-    d = small_d_matrix(SpinQuantum(200), beta).entries
+    d = small_d_matrix(SpinQuantum(200), beta)
     assert np.isfinite(d).all()
     assert np.abs(d).max() <= 1.0 + 1e-12
     assert np.abs((d * d).sum(axis=1) - 1.0).max() < 1e-11
-
-
-def test_d_matrix_matmul_with_array():
-    spin = SpinQuantum(3)
-    d = small_d_matrix(spin, 0.4)
-    v = np.arange(4.0)
-    assert np.allclose(d @ v, d.entries @ v)
 
 
 # ---------------------------------------------------------------------------
@@ -229,5 +222,5 @@ def test_rotated_frame_top_column_is_coherent_state():
     spin = SpinQuantum(31)
     theta, phi = 1.9, 0.8
     col = rotated_dicke_frame(spin, theta, phi)[:, 0]
-    amps = coherent_state(spin, theta, phi).amplitudes
+    amps = coherent_state(spin, theta, phi)
     assert np.abs(col * np.exp(1j * spin.j * phi) - amps).max() < 1e-12

@@ -105,12 +105,30 @@ def test_grid_normalization_along_the_walk():
         assert grid.normalization() == pytest.approx(1.0, abs=1e-10)
 
 
-def test_pure_state_path_matches_density_path():
-    _, spin, states = _evolved(6, 30, 2)
-    res = (32, 48)
+@pytest.mark.parametrize("sites,two_j,theta0,h", [
+    (6, 30, math.pi / 2.0, None),
+    (6, 31, math.pi / 2.0, None),
+    (2, 20, math.pi / 2.0, None),
+    (3, 21, math.pi / 2.0, None),
+    (6, 30, 0.05, None),
+    (5, 24, 1.1,
+     tuple(np.random.default_rng(2022).uniform(-math.pi, math.pi, 3))),
+], ids=["equator", "half-integer-j", "two-sites", "three-sites", "near-pole",
+        "random-pulse"])
+def test_pure_state_path_matches_density_path(sites, two_j, theta0, h):
+    idx = SiteIndexing(sites, theta0)
+    spin = SpinQuantum(two_j)
+    pulse = CoinPulse.hadamard() if h is None else CoinPulse(h)
+    states = evolve(initial_state(idx, spin), pulse,
+                    WalkSchedule.site_aligned(idx, 2))
+    res = (two_j + 2, max(8 * sites, sites * (two_j // sites + 1)))
     direct = wigner_grid(states[2], res)
     via_rho = wigner_grid(reduce_walker(states[2]), res)
     assert np.abs(direct.values - via_rho.values).max() < 1e-10
+    for grid in (direct, via_rho):
+        assert grid.normalization() == pytest.approx(1.0, abs=1e-10)
+        site_sum = marginal_phi(grid, idx).site_probabilities.sum()
+        assert site_sum == pytest.approx(1.0, abs=1e-12)
 
 
 def test_grid_of_maximally_mixed_state_is_constant():
