@@ -238,12 +238,18 @@ def _fmt(x: float) -> str:
 
 
 def write_wigner_csv(grid, path) -> None:
-    lines = ["theta,phi,weight_theta,W"]
-    for i, (t, w) in enumerate(zip(grid.theta_nodes, grid.theta_weights)):
-        row = grid.values[i]
-        for p, val in zip(grid.phi_nodes, row):
-            lines.append(",".join((_fmt(t), _fmt(p), _fmt(w), _fmt(val))))
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    """One `theta,phi,weight_theta,W` line per cell, written a theta row at a
+    time: phi is formatted once per column, theta and the weight once per
+    row, and one %-format fills in the row's W fields."""
+    phis = [_fmt(p) + "," for p in grid.phi_nodes]
+    with open(path, "w", newline="\n") as fh:
+        fh.write("theta,phi,weight_theta,W\n")
+        for t, w, row in zip(grid.theta_nodes, grid.theta_weights,
+                             grid.values):
+            t_, w_ = _fmt(t) + ",", _fmt(w) + ","
+            # t_ phi_0 w_ W_0 \n t_ phi_1 w_ W_1 \n ... t_ phi_last w_ W_last \n
+            template = t_ + f"{w_}%.12e\n{t_}".join(phis) + f"{w_}%.12e\n"
+            fh.write(template % tuple(row.tolist()))
 
 
 def write_marginal_csv(dist, indexing: SiteIndexing, path) -> None:

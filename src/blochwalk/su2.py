@@ -168,7 +168,7 @@ def cg_l0_family(two_j: int, two_m: int) -> np.ndarray:
     signs = np.where(ls % 2 == 0, 1.0, -1.0) * s_jm
     coeffs = signs * math.sqrt(two_j + 1.0) * h
     # self-check: l = 0 coupling is the identity
-    if abs(coeffs[0] - 1.0) > 1e-9:
+    if not abs(coeffs[0] - 1.0) <= 1e-9:
         raise ArithmeticError(
             f"CG recursion lost accuracy at two_j={two_j}, two_m={two_m}: "
             f"c_0 = {coeffs[0]!r}")

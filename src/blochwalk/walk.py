@@ -87,13 +87,13 @@ class DensityMatrix:
 
     def validate(self, eig_tol: float = 1e-10) -> None:
         h_err = np.abs(self.entries - self.entries.conj().T).max()
-        if h_err > 1e-12:
+        if not h_err <= 1e-12:
             raise ValueError(f"density matrix not Hermitian ({h_err:.2e})")
         tr_err = abs(self.entries.trace() - 1.0)
-        if tr_err > 1e-10:
+        if not tr_err <= 1e-10:
             raise ValueError(f"density matrix trace off by {tr_err:.2e}")
         lo = np.linalg.eigvalsh(self.entries).min()
-        if lo < -eig_tol:
+        if not lo >= -eig_tol:
             raise ValueError(f"density matrix has eigenvalue {lo:.2e}")
 
     def purity(self) -> float:
@@ -196,7 +196,7 @@ def ideal_sigma(probabilities: np.ndarray, indexing: SiteIndexing) -> float:
     """sqrt(<phi^2> - <phi>^2) over unwrapped phi_n = n * delta_phi."""
     p = np.asarray(probabilities, dtype=float)
     total = p.sum()
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise ValueError(f"probabilities sum to {total!r}, not 1")
     phi = indexing.site_numbers * indexing.delta_phi
     mean = float(p @ phi)

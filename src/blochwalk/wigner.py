@@ -71,9 +71,10 @@ def wigner_at(rho: DensityMatrix, theta: float, phi: float,
         raise ValueError("density matrix and kernel weights disagree on j")
     frame = rotated_dicke_frame(rho.spin, theta, phi)
     diag = np.einsum("im,ik,km->m", frame.conj(), rho.entries, frame)
-    if np.abs(diag.imag).max() > 1e-8:
+    residue = np.abs(diag.imag).max()
+    if not residue <= 1e-8:
         raise NumericalInvariantError(
-            f"kernel trace has imaginary residue {np.abs(diag.imag).max():.2e}; "
+            f"kernel trace has imaginary residue {residue:.2e}; "
             "the density matrix is likely not Hermitian")
     return float(weights.delta @ diag.real)
 
@@ -238,7 +239,7 @@ def sigma_from_marginal(dist: PhiDistribution,
         total = dist.site_probabilities.sum()
     else:
         total = float(dist.density.sum()) * dist.phi_spacing
-    if abs(total - 1.0) > 1e-4:
+    if not abs(total - 1.0) <= 1e-4:
         raise ValueError(f"marginal integrates to {total!r}, not 1")
     mean = phi_moment(dist, 1, use_site_bins) / total
     second = phi_moment(dist, 2, use_site_bins) / total

@@ -3,10 +3,13 @@
 Everything here is built from first principles (ladder operators, closed
 forms for low-rank couplings, ordinary least squares) without touching the
 implementation paths under test.  The closed-form walk references at the
-end take their site states from `site_state` and check the evolution.
+end take their site states from `site_state` and check the evolution.  The
+per-cell Wigner CSV and SVG writers last in the file are the byte-for-byte
+references for the row-at-a-time emitters.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -91,3 +94,107 @@ def step2_reference(indexing: SiteIndexing, spin: SpinQuantum) -> DensityMatrix:
     minus = a0 - am2
     rho = 0.25 * (np.outer(plus, plus.conj()) + np.outer(minus, minus.conj()))
     return DensityMatrix(spin, rho)
+
+
+# ---------------------------------------------------------------------------
+# Per-cell references for the Wigner CSV and SVG emitters
+# ---------------------------------------------------------------------------
+
+# diverging blue -> white -> red anchors (negative, zero, positive)
+_NEG = (33, 102, 172)
+_MID = (247, 247, 247)
+_POS = (178, 24, 43)
+
+
+def _lerp(a, b, t: float) -> tuple[int, int, int]:
+    return tuple(int(round(a[i] + (b[i] - a[i]) * t)) for i in range(3))
+
+
+def _color(value: float, vmax: float) -> str:
+    if vmax <= 0.0:
+        r, g, b = _MID
+    else:
+        t = max(-1.0, min(1.0, value / vmax))
+        if t >= 0.0:
+            r, g, b = _lerp(_MID, _POS, t)
+        else:
+            r, g, b = _lerp(_MID, _NEG, -t)
+    return f"#{r:02x}{g:02x}{b:02x}"
+
+
+def render_heatmap_svg_per_cell(grid, path, indexing=None) -> None:
+    """The heatmap SVG built one cell at a time, colour by `_color`."""
+    width, height = 720, 400
+    margin_l, margin_r, margin_t, margin_b = 50, 20, 16, 36
+    plot_w = width - margin_l - margin_r
+    plot_h = height - margin_t - margin_b
+    n_theta = len(grid.theta_nodes)
+    n_phi = len(grid.phi_nodes)
+    vmax = float(np.abs(grid.values).max())
+
+    # cell edges: uniform in phi; theta cells split midway between nodes
+    theta_edges = np.empty(n_theta + 1)
+    theta_edges[0] = 0.0
+    theta_edges[-1] = math.pi
+    theta_edges[1:-1] = 0.5 * (grid.theta_nodes[:-1] + grid.theta_nodes[1:])
+
+    out = []
+    out.append(
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">')
+    out.append(f'<rect width="{width}" height="{height}" fill="white"/>')
+
+    dx = plot_w / n_phi
+    for i in range(n_theta):
+        y0 = margin_t + plot_h * theta_edges[i] / math.pi
+        y1 = margin_t + plot_h * theta_edges[i + 1] / math.pi
+        row = grid.values[i]
+        for k in range(n_phi):
+            x0 = margin_l + k * dx
+            out.append(
+                f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{dx + 0.05:.2f}" '
+                f'height="{y1 - y0 + 0.05:.2f}" fill="{_color(row[k], vmax)}"/>')
+
+    # frame and axis labels
+    out.append(
+        f'<rect x="{margin_l}" y="{margin_t}" width="{plot_w}" '
+        f'height="{plot_h}" fill="none" stroke="black" stroke-width="1"/>')
+    out.append(
+        f'<text x="{margin_l + plot_w / 2:.1f}" y="{height - 6}" '
+        f'font-size="13" text-anchor="middle">phi (rad)</text>')
+    out.append(
+        f'<text x="14" y="{margin_t + plot_h / 2:.1f}" font-size="13" '
+        f'text-anchor="middle" transform="rotate(-90 14 '
+        f'{margin_t + plot_h / 2:.1f})">theta (rad)</text>')
+
+    if indexing is not None:
+        for n in indexing.site_numbers:
+            phi_n = n * indexing.delta_phi
+            if not -math.pi <= phi_n < math.pi:
+                continue
+            x = margin_l + plot_w * (phi_n + math.pi) / (2.0 * math.pi)
+            y = margin_t + plot_h
+            out.append(
+                f'<line x1="{x:.2f}" y1="{y}" x2="{x:.2f}" y2="{y + 5}" '
+                f'stroke="black" stroke-width="1"/>')
+            out.append(
+                f'<text x="{x:.2f}" y="{y + 17}" font-size="10" '
+                f'text-anchor="middle">{int(n)}</text>')
+
+    out.append(
+        f'<text x="{margin_l}" y="{margin_t - 4}" font-size="11">'
+        f'W range +/- {vmax:.6e}</text>')
+    out.append("</svg>")
+
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(out) + "\n")
+
+
+def write_wigner_csv_per_field(grid, path) -> None:
+    """The Wigner CSV built one `%.12e` field at a time."""
+    lines = ["theta,phi,weight_theta,W"]
+    for i, (t, w) in enumerate(zip(grid.theta_nodes, grid.theta_weights)):
+        row = grid.values[i]
+        for p, val in zip(grid.phi_nodes, row):
+            lines.append(",".join("%.12e" % x for x in (t, p, w, val)))
+    Path(path).write_text("\n".join(lines) + "\n", newline="\n")

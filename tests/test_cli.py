@@ -2,8 +2,11 @@
 
 import csv
 import hashlib
+import importlib
+import importlib.util
 import json
 import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -239,3 +242,24 @@ def test_unwritable_output_exits_4(tmp_path, capsys):
     argv = _tiny_args(blocker)
     assert main(argv) == 4
     assert "I/O error" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# benchmark instrumentation
+# ---------------------------------------------------------------------------
+
+def test_benchmark_tracer_bindings_resolve(monkeypatch):
+    """Every function the traced benchmark wraps still exists where its caller
+    looks it up, so renaming a layer function cannot silently drop its spans
+    from `perfbench/run.py --trace 1`."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    bindings = (tracer.CLI_BINDINGS + tracer.SCAN_BINDINGS
+                + tracer.INNER_BINDINGS)
+    assert bindings
+    for module_name, attr, _ in bindings:
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"

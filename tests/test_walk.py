@@ -155,6 +155,13 @@ def test_density_matrix_validation_rejects_bad_input():
         DensityMatrix(spin, bad).validate()                       # Hermiticity
 
 
+def test_density_matrix_validation_rejects_nan():
+    from blochwalk import DensityMatrix
+    with pytest.raises(ValueError, match="nan"):
+        DensityMatrix(SpinQuantum(2),
+                      np.full((3, 3), math.nan + 0j)).validate()
+
+
 # ---------------------------------------------------------------------------
 # ideal orthogonal-state walk
 # ---------------------------------------------------------------------------
@@ -214,3 +221,9 @@ def test_ideal_sigma_rejects_unnormalized():
     idx = SiteIndexing(6)
     with pytest.raises(ValueError):
         ideal_sigma(np.full(6, 0.1), idx)
+
+
+def test_ideal_sigma_rejects_nan():
+    idx = SiteIndexing(6)
+    with pytest.raises(ValueError, match="nan"):
+        ideal_sigma(np.full(6, math.nan), idx)

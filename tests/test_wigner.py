@@ -94,6 +94,13 @@ def test_wigner_at_flags_non_hermitian_input():
                   kernel_weights(spin))
 
 
+def test_wigner_at_flags_nan_input():
+    spin = SpinQuantum(2)
+    bad = np.full((3, 3), math.nan, dtype=complex)
+    with pytest.raises(NumericalInvariantError, match="nan"):
+        wigner_at(DensityMatrix(spin, bad), 1.1, 0.4, kernel_weights(spin))
+
+
 # ---------------------------------------------------------------------------
 # Wigner grids
 # ---------------------------------------------------------------------------
@@ -244,6 +251,15 @@ def test_sigma_rejects_unnormalized_marginal():
                            np.full(6, 0.01))
     with pytest.raises(ValueError):
         sigma_from_marginal(dist)
+
+
+@pytest.mark.parametrize("use_site_bins", [False, True])
+def test_sigma_rejects_nan_marginal(use_site_bins):
+    nodes = -math.pi + 2.0 * math.pi * np.arange(24) / 24.0
+    dist = PhiDistribution(nodes, np.full(24, math.nan), np.arange(-2, 4),
+                           np.full(6, math.nan))
+    with pytest.raises(ValueError, match="nan"):
+        sigma_from_marginal(dist, use_site_bins)
 
 
 def test_tv_distance_basics():
