@@ -10,13 +10,13 @@ error, 3 numerical-invariant violation, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
 import sys
 import time
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -32,6 +32,9 @@ __all__ = ["RunConfig", "ConfigError", "parse_config", "run_experiment",
            "main"]
 
 ALL_OUTPUTS = ("wigner", "marginal", "sites", "sigma", "ideal")
+GRID_OUTPUTS = frozenset({"wigner", "marginal", "sites", "sigma"})
+# a run whose estimated working set exceeds this is refused up front
+MAX_RUN_BYTES = 2 * 1024 ** 3
 
 # keys a --config file may set; each names the flag it stands for
 _CONFIG_KEYS = ("sites", "spins", "steps", "coin", "theta0", "grid-theta",
@@ -44,7 +47,7 @@ class ConfigError(ValueError):
     """Bad flag, config key or value; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     sites: int
     spins: int
@@ -54,7 +57,7 @@ class RunConfig:
     grid_theta: int
     grid_phi: int
     outputs: frozenset
-    out_dir: Path
+    out: Path
     svg: bool
 
     def pulse(self) -> CoinPulse:
@@ -63,18 +66,8 @@ class RunConfig:
         return CoinPulse(tuple(self.coin[1:]))
 
     def as_dict(self) -> dict:
-        return {
-            "sites": self.sites,
-            "spins": self.spins,
-            "steps": self.steps,
-            "coin": list(self.coin),
-            "theta0": self.theta0,
-            "grid_theta": self.grid_theta,
-            "grid_phi": self.grid_phi,
-            "outputs": sorted(self.outputs),
-            "out": str(self.out_dir),
-            "svg": self.svg,
-        }
+        return {**dataclasses.asdict(self), "coin": list(self.coin),
+                "outputs": sorted(self.outputs), "out": str(self.out)}
 
 
 def _parse_coin(tokens) -> tuple:
@@ -82,14 +75,15 @@ def _parse_coin(tokens) -> tuple:
         return ("hadamard",)
     if len(tokens) == 4 and tokens[0] == "custom":
         try:
-            h = tuple(float(t) for t in tokens[1:])
+            hx, hy, hz = (float(t) for t in tokens[1:])
         except ValueError as exc:
             raise ConfigError(f"--coin custom: malformed number in "
                               f"{tokens[1:]!r}") from exc
-        if not all(math.isfinite(x) for x in h):
-            raise ConfigError(f"--coin custom: non-finite value in "
+        # |h|^2 as coin_unitary forms it: NaN, inf and overflow all fail
+        if not math.isfinite(hx * hx + hy * hy + hz * hz):
+            raise ConfigError(f"--coin custom: |h|^2 is not finite for "
                               f"{tokens[1:]!r}")
-        return ("custom",) + h
+        return ("custom", hx, hy, hz)
     raise ConfigError(
         f"--coin expects 'hadamard' or 'custom hx hy hz', got {tokens!r}")
 
@@ -184,6 +178,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _estimated_bytes(config: RunConfig) -> int:
+    """Rough peak memory of the run: the evolved states, the ideal walk
+    and its temporaries, the sites/ideal CSV rows held in memory (about
+    160 bytes a row) and, when a grid output is asked for, the d-matrix
+    stack plus one grid's working arrays."""
+    dim, rows = config.spins + 1, (config.steps + 1) * config.sites
+    total = (config.steps + 1) * 2 * (16 * dim + 128)   # states
+    total += 128 * config.sites + 8 * rows              # ideal walk
+    total += 160 * rows * len(config.outputs & {"sites", "ideal"})
+    if config.outputs & GRID_OUTPUTS:
+        total += 8 * config.grid_theta * dim * dim       # d-stack
+        total += 64 * config.grid_theta * config.grid_phi  # W, colours
+        total += 112 * dim * config.grid_phi             # phase blocks
+    return total
+
+
 def parse_config(argv=None) -> RunConfig:
     """CLI flags override config-file keys override built-in defaults."""
     parser = _build_parser()
@@ -222,11 +232,18 @@ def parse_config(argv=None) -> RunConfig:
             "the reported standard deviation uses unwrapped angles and is "
             "only meaningful for short times", stacklevel=2)
 
-    return RunConfig(
+    config = RunConfig(
         sites=sites, spins=spins, steps=steps, coin=ns.coin,
         theta0=ns.theta0, grid_theta=grid_theta, grid_phi=grid_phi,
-        outputs=ns.outputs, out_dir=Path(ns.out), svg=ns.svg,
+        outputs=ns.outputs, out=Path(ns.out), svg=ns.svg,
     )
+    need = _estimated_bytes(config)
+    if need > MAX_RUN_BYTES:
+        raise ConfigError(
+            f"the run needs about {need / 2 ** 30:.1f} GiB of memory, above "
+            f"the {MAX_RUN_BYTES / 2 ** 30:.0f} GiB limit; lower --spins, "
+            "--steps, --sites or the grid resolution")
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -253,18 +270,18 @@ def write_wigner_csv(grid, path) -> None:
 
 
 def write_marginal_csv(dist, indexing: SiteIndexing, path) -> None:
+    """One `phi,P,site_index,site_prob` line per phi node; the site fields
+    are filled only on the node at a site center."""
     lines = ["phi,P,site_index,site_prob"]
-    dphi = indexing.delta_phi
+    nearest, frac = indexing.nearest_site(dist.phi_nodes)
+    sites = indexing.wrap(nearest).tolist()
     offset = int(dist.site_numbers[0])
-    for p, rho in zip(dist.phi_nodes, dist.density):
-        u = p / dphi
-        n = round(u)
-        if abs(u - n) < 1e-9:           # bin-center row
-            n = indexing.wrap(n)
-            lines.append(",".join((_fmt(p), _fmt(rho), str(n),
-                                   _fmt(dist.site_probabilities[n - offset]))))
-        else:
-            lines.append(",".join((_fmt(p), _fmt(rho), "", "")))
+    for p, rho, n, centered in zip(dist.phi_nodes, dist.density, sites,
+                                   abs(frac) < 1e-9):
+        site = ("", "")
+        if centered:
+            site = (str(n), _fmt(dist.site_probabilities[n - offset]))
+        lines.append(",".join((_fmt(p), _fmt(rho)) + site))
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
@@ -286,10 +303,6 @@ def write_sites_csv(per_step, indexing: SiteIndexing, path,
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # Experiment runner
 # ---------------------------------------------------------------------------
@@ -302,7 +315,7 @@ def run_experiment(config: RunConfig) -> dict:
     written to manifest.json.
     """
     start = time.monotonic()
-    out = config.out_dir
+    out = config.out
     out.mkdir(parents=True, exist_ok=True)
 
     indexing = SiteIndexing(config.sites, config.theta0)
@@ -310,7 +323,7 @@ def run_experiment(config: RunConfig) -> dict:
     schedule = WalkSchedule.site_aligned(indexing, config.steps)
     states = evolve(initial_state(indexing, spin), config.pulse(), schedule)
 
-    need_grids = bool(config.outputs & {"wigner", "marginal", "sites", "sigma"})
+    need_grids = bool(config.outputs & GRID_OUTPUTS)
     need_ideal = bool(config.outputs & {"ideal", "sigma"})
 
     ideal = None
@@ -377,7 +390,8 @@ def run_experiment(config: RunConfig) -> dict:
             "version": __version__,
             "duration_seconds": round(time.monotonic() - start, 3),
             "normalization_residuals": residuals,
-            "files": {p.name: _sha256(p) for p in sorted(written)},
+            "files": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                      for p in sorted(written)},
         }
         (out / "manifest.json").write_text(
             json.dumps(manifest, sort_keys=True, indent=2) + "\n",
@@ -402,7 +416,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"blochwalk: I/O error: {exc}", file=sys.stderr)
         return 4
-    print(f"wrote {len(manifest['files'])} files to {config.out_dir} "
+    print(f"wrote {len(manifest['files'])} files to {config.out} "
           f"in {manifest['duration_seconds']}s")
     return 0
 

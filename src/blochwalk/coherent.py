@@ -37,12 +37,19 @@ class SiteIndexing:
     def delta_phi(self) -> float:
         return 2.0 * math.pi / self.sites
 
-    def wrap(self, n: int) -> int:
-        """Site index wrapped into the balanced range (-L/2, L/2]."""
+    def wrap(self, n):
+        """Site index (int or integer array) wrapped into the balanced range
+        (-L/2, L/2]."""
         r = n % self.sites
-        if 2 * r > self.sites:
-            r -= self.sites
-        return r
+        return r - self.sites * (2 * r > self.sites)
+
+    def nearest_site(self, phi):
+        """Unwrapped nearest site number of each angle, and the angle's
+        offset from that site center in units of delta_phi.  Ties round to
+        even, as round() does."""
+        u = np.asarray(phi) / self.delta_phi
+        n = np.rint(u)
+        return n.astype(int), u - n
 
     @property
     def site_numbers(self) -> np.ndarray:

@@ -1,5 +1,6 @@
-"""Core SU(2) numerics: Dicke-basis bookkeeping, Clebsch-Gordan coefficients
-and Wigner rotation matrices, stable up to two_j = 200 and beyond.
+"""Core SU(2) numerics: Dicke-basis bookkeeping, the <j m; l 0 | j m>
+Clebsch-Gordan family and Wigner rotation matrices, stable up to two_j = 200
+and beyond.
 
 All angular momenta and projections are passed as doubled integers (two_j,
 two_m) so half-integer spins are exact and no floating-point comparison of
@@ -18,11 +19,9 @@ import numpy as np
 __all__ = [
     "SpinQuantum",
     "lnfact",
-    "cg_coefficient",
     "cg_l0_family",
     "small_d_matrix",
     "rz_phases",
-    "rotated_dicke_frame",
 ]
 
 
@@ -82,55 +81,6 @@ def _check_jm(two_j: int, two_m: int, name: str) -> None:
                          f"(two_j={two_j}, two_m={two_m})")
 
 
-def cg_coefficient(two_j1: int, two_m1: int, two_j2: int, two_m2: int,
-                   two_J: int, two_M: int) -> float:
-    """Clebsch-Gordan coefficient <j1 m1; j2 m2 | J M>, Condon-Shortley sign.
-
-    Racah sum with all factorials in the log domain and compensated
-    summation of the signed terms.  Returns 0 when M != m1 + m2 or the
-    triangle inequality fails; raises on invalid quantum numbers.
-    """
-    _check_jm(two_j1, two_m1, "j1/m1")
-    _check_jm(two_j2, two_m2, "j2/m2")
-    _check_jm(two_J, two_M, "J/M")
-    if two_M != two_m1 + two_m2:
-        return 0.0
-    if two_J > two_j1 + two_j2 or two_J < abs(two_j1 - two_j2):
-        return 0.0
-    if (two_j1 + two_j2 + two_J) % 2:
-        return 0.0
-
-    a = (two_j1 + two_j2 - two_J) // 2
-    b = (two_j1 - two_j2 + two_J) // 2
-    c = (-two_j1 + two_j2 + two_J) // 2
-    per = (two_j1 + two_j2 + two_J) // 2 + 1
-    log_pre = 0.5 * (
-        math.log(two_J + 1.0)
-        + lnfact(a) + lnfact(b) + lnfact(c) - lnfact(per)
-        + lnfact((two_J + two_M) // 2) + lnfact((two_J - two_M) // 2)
-        + lnfact((two_j1 - two_m1) // 2) + lnfact((two_j1 + two_m1) // 2)
-        + lnfact((two_j2 - two_m2) // 2) + lnfact((two_j2 + two_m2) // 2)
-    )
-
-    k_min = max(0, (two_j2 - two_J - two_m1) // 2, (two_j1 + two_m2 - two_J) // 2)
-    k_max = min(a, (two_j1 - two_m1) // 2, (two_j2 + two_m2) // 2)
-    if k_max < k_min:
-        return 0.0
-    k = np.arange(k_min, k_max + 1)
-    log_den = (
-        lnfact(k) + lnfact(a - k)
-        + lnfact((two_j1 - two_m1) // 2 - k)
-        + lnfact((two_j2 + two_m2) // 2 - k)
-        + lnfact((two_J - two_j2 + two_m1) // 2 + k)
-        + lnfact((two_J - two_j1 - two_m2) // 2 + k)
-    )
-    logs = log_pre - log_den
-    peak = logs.max()
-    signs = np.where(k % 2 == 0, 1.0, -1.0)
-    total = math.fsum(signs * np.exp(logs - peak))
-    return total * math.exp(peak)
-
-
 def cg_l0_family(two_j: int, two_m: int) -> np.ndarray:
     """All coefficients <j m; l 0 | j m> for l = 0 .. 2j at once.
 
@@ -182,7 +132,7 @@ def cg_l0_family(two_j: int, two_m: int) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _jy_eigensystem(two_j: int):
     """Eigenvectors of J_y in the Dicke basis; eigenvalues snapped to the
-    exact m grid.  Cached per two_j (read-only after construction)."""
+    exact m grid.  Cached per two_j; both arrays are read-only."""
     dim = two_j + 1
     m = (two_j - 2.0 * np.arange(dim)) / 2.0
     j = two_j / 2.0
@@ -192,6 +142,7 @@ def _jy_eigensystem(two_j: int):
     jy = (jplus - jplus.conj().T) / 2.0j
     eigvals, eigvecs = np.linalg.eigh(jy)
     eigvals = np.round(2.0 * eigvals) / 2.0
+    eigvals.flags.writeable = eigvecs.flags.writeable = False
     return eigvals, eigvecs
 
 
@@ -213,10 +164,3 @@ def small_d_matrix(spin: SpinQuantum, beta: float) -> np.ndarray:
 def rz_phases(spin: SpinQuantum, alpha: float) -> np.ndarray:
     """Diagonal of R_z(alpha) = exp(-i alpha J_z): e^{-i alpha m}, m = J..-J."""
     return np.exp(-1j * alpha * spin.m_values)
-
-
-def rotated_dicke_frame(spin: SpinQuantum, theta: float, phi: float) -> np.ndarray:
-    """Unitary whose column m is the rotated Dicke state |j,m;d> with
-    d = (sin t cos p, sin t sin p, cos t): U = diag(e^{-i phi m}) d^j(theta).
-    """
-    return rz_phases(spin, phi)[:, None] * small_d_matrix(spin, theta)

@@ -41,11 +41,6 @@ class CoinWalkerState:
     up: np.ndarray = field(repr=False)
     down: np.ndarray = field(repr=False)
 
-    @property
-    def norm(self) -> float:
-        return math.sqrt(float(np.vdot(self.up, self.up).real
-                               + np.vdot(self.down, self.down).real))
-
 
 @dataclass(frozen=True)
 class CoinPulse:
@@ -62,11 +57,10 @@ class CoinPulse:
 
 @dataclass(frozen=True)
 class WalkSchedule:
-    """Per-step rotation angle kappa*T and step count on a given site ring."""
+    """Per-step rotation angle kappa*T and step count."""
 
     kappa_T: float
     steps: int
-    indexing: SiteIndexing
 
     def __post_init__(self):
         if self.steps < 0:
@@ -75,7 +69,7 @@ class WalkSchedule:
     @classmethod
     def site_aligned(cls, indexing: SiteIndexing, steps: int) -> "WalkSchedule":
         """kappa*T = delta_phi = 2 pi / L: one site per step."""
-        return cls(indexing.delta_phi, steps, indexing)
+        return cls(indexing.delta_phi, steps)
 
 
 @dataclass(frozen=True)
@@ -85,7 +79,7 @@ class DensityMatrix:
     spin: SpinQuantum
     entries: np.ndarray = field(repr=False)
 
-    def validate(self, eig_tol: float = 1e-10) -> None:
+    def validate(self) -> None:
         h_err = np.abs(self.entries - self.entries.conj().T).max()
         if not h_err <= 1e-12:
             raise ValueError(f"density matrix not Hermitian ({h_err:.2e})")
@@ -93,11 +87,8 @@ class DensityMatrix:
         if not tr_err <= 1e-10:
             raise ValueError(f"density matrix trace off by {tr_err:.2e}")
         lo = np.linalg.eigvalsh(self.entries).min()
-        if not lo >= -eig_tol:
+        if not lo >= -1e-10:
             raise ValueError(f"density matrix has eigenvalue {lo:.2e}")
-
-    def purity(self) -> float:
-        return float(np.vdot(self.entries, self.entries).real)
 
 
 def coin_unitary(pulse: CoinPulse) -> np.ndarray:
@@ -171,11 +162,9 @@ def ideal_walk(sites: int, steps: int, coin: np.ndarray,
     Returns one probability array per step (0..steps), each over the
     balanced site range of SiteIndexing(sites).site_numbers (ascending).
     """
-    if sites < 2:
-        raise ValueError(f"need at least 2 sites, got {sites}")
+    indexing = SiteIndexing(sites)      # raises for fewer than 2 sites
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    indexing = SiteIndexing(sites)
     amp = np.zeros((sites, 2), dtype=complex)   # indexed by site mod L
     cu, cd = coin_state
     scale = math.sqrt(abs(cu) ** 2 + abs(cd) ** 2)

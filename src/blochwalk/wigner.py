@@ -1,5 +1,6 @@
 """SU(2) Wigner function on a spherical grid via the Stratonovich-Weyl
-kernel, with the azimuthal marginal, site-binned probabilities and moments.
+kernel, with the azimuthal marginal, its site-binned probabilities and its
+spread.
 
 Grid layout: Gauss-Legendre nodes in cos(theta) (exact for the degree-2J
 polynomial that W is in cos theta) crossed with a uniform phi grid on
@@ -18,20 +19,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coherent import SiteIndexing
-from .su2 import SpinQuantum, cg_l0_family, rotated_dicke_frame, small_d_matrix
+from .su2 import SpinQuantum, cg_l0_family, small_d_matrix
 from .walk import CoinWalkerState, DensityMatrix
 
 __all__ = [
     "NumericalInvariantError",
-    "KernelWeights",
     "WignerGrid",
     "PhiDistribution",
     "kernel_weights",
-    "wigner_at",
     "wigner_grid",
     "marginal_phi",
     "sigma_from_marginal",
-    "phi_moment",
     "tv_distance",
 ]
 
@@ -40,47 +38,33 @@ class NumericalInvariantError(RuntimeError):
     """A numerical identity that should hold to tolerance was violated."""
 
 
-@dataclass(frozen=True)
-class KernelWeights:
-    """Stratonovich-Weyl kernel eigenvalues Delta_{j,m}, indexed m = J..-J.
+@functools.lru_cache(maxsize=None)
+def kernel_weights(spin: SpinQuantum) -> np.ndarray:
+    """Stratonovich-Weyl kernel eigenvalues (read-only), indexed m = J..-J:
+    Delta_{j,m} = sum_l (2l+1)/(2j+1) <j m; l 0 | j m>, l = 0 .. 2j.
 
     They sum to 1 (only the l = 0 coupling survives the m-sum) but are not
     symmetric under m -> -m: flipping m flips the sign of every odd-l
     coupling, e.g. (1 +/- sqrt 3)/2 for spin 1/2.
     """
-
-    spin: SpinQuantum
-    delta: np.ndarray = field(repr=False)
-
-
-@functools.lru_cache(maxsize=None)
-def kernel_weights(spin: SpinQuantum) -> KernelWeights:
-    """Delta_{j,m} = sum_l (2l+1)/(2j+1) <j m; l 0 | j m>, l = 0 .. 2j."""
     tj = spin.two_j
     lcoef = (2.0 * np.arange(tj + 1) + 1.0) / (tj + 1.0)
     delta = np.empty(spin.dim)
     for i, two_m in enumerate(range(tj, -tj - 1, -2)):
         delta[i] = math.fsum(lcoef * cg_l0_family(tj, two_m))
-    return KernelWeights(spin, delta)
+    delta.flags.writeable = False       # cached: callers share this array
+    return delta
 
 
-def wigner_at(rho: DensityMatrix, theta: float, phi: float,
-              weights: KernelWeights) -> float:
-    """W(theta, phi) = sum_m Delta_{j,m} <j,m;d| rho |j,m;d>."""
-    if rho.spin.two_j != weights.spin.two_j:
-        raise ValueError("density matrix and kernel weights disagree on j")
-    frame = rotated_dicke_frame(rho.spin, theta, phi)
-    diag = np.einsum("im,ik,km->m", frame.conj(), rho.entries, frame)
-    residue = np.abs(diag.imag).max()
-    if not residue <= 1e-8:
-        raise NumericalInvariantError(
-            f"kernel trace has imaginary residue {residue:.2e}; "
-            "the density matrix is likely not Hermitian")
-    return float(weights.delta @ diag.real)
+class _PhiNodes:
+    @property
+    def phi_spacing(self) -> float:
+        """Cell width of the uniform phi grid on [-pi, pi)."""
+        return 2.0 * math.pi / len(self.phi_nodes)
 
 
 @dataclass(frozen=True)
-class WignerGrid:
+class WignerGrid(_PhiNodes):
     """W sampled on theta quadrature nodes x phi grid."""
 
     spin: SpinQuantum
@@ -88,10 +72,6 @@ class WignerGrid:
     theta_weights: np.ndarray     # Gauss-Legendre weights in cos(theta)
     phi_nodes: np.ndarray         # uniform on [-pi, pi)
     values: np.ndarray = field(repr=False)   # (n_theta, n_phi)
-
-    @property
-    def phi_spacing(self) -> float:
-        return 2.0 * math.pi / len(self.phi_nodes)
 
     def normalization(self) -> float:
         """(2J+1)/(4 pi) * discretized integral of W over the sphere."""
@@ -103,7 +83,8 @@ class WignerGrid:
 # Two entries bound the memory: each stack holds n_theta * (2J+1)^2 floats.
 @functools.lru_cache(maxsize=2)
 def _theta_frame_stack(two_j: int, n_theta: int):
-    """(theta_nodes, GL weights, d-matrix stack) for one (j, resolution)."""
+    """(theta_nodes, GL weights, d-matrix stack) for one (j, resolution),
+    all read-only."""
     x, w = np.polynomial.legendre.leggauss(n_theta)
     theta = np.arccos(x[::-1])          # ascending theta in (0, pi)
     w = w[::-1].copy()
@@ -111,6 +92,8 @@ def _theta_frame_stack(two_j: int, n_theta: int):
     stack = np.empty((n_theta, two_j + 1, two_j + 1))
     for i, t in enumerate(theta):
         stack[i] = small_d_matrix(spin, float(t))
+    for a in (theta, w, stack):
+        a.flags.writeable = False       # cached: every grid shares these
     return theta, w, stack
 
 
@@ -129,7 +112,7 @@ def _state_vectors(state) -> tuple[SpinQuantum, np.ndarray, np.ndarray]:
 
 
 def wigner_grid(state, resolution: tuple[int, int],
-                weights: KernelWeights | None = None) -> WignerGrid:
+                weights: np.ndarray | None = None) -> WignerGrid:
     """Evaluate W on the product grid for a pure composite state or a
     density matrix.
 
@@ -145,7 +128,7 @@ def wigner_grid(state, resolution: tuple[int, int],
         raise ValueError("need at least 2 theta nodes")
     if weights is None:
         weights = kernel_weights(spin)
-    if weights.spin.two_j != spin.two_j:
+    if weights.shape != (spin.dim,):
         raise ValueError("state and kernel weights disagree on j")
 
     theta, w_theta, dstack = _theta_frame_stack(spin.two_j, n_theta)
@@ -172,7 +155,7 @@ def wigner_grid(state, resolution: tuple[int, int],
                 .reshape(spin.dim, -1, 2)
             prob = amps[..., 0] ** 2 + amps[..., 1] ** 2
             prob = prob.reshape(spin.dim, len(c), n_phi)
-            row += weights.delta @ (prob * c[None, :, None]).sum(axis=1)
+            row += weights @ (prob * c[None, :, None]).sum(axis=1)
         values[i] = row
 
     grid = WignerGrid(spin, theta, w_theta, phi, values)
@@ -186,7 +169,7 @@ def wigner_grid(state, resolution: tuple[int, int],
 
 
 @dataclass(frozen=True)
-class PhiDistribution:
+class PhiDistribution(_PhiNodes):
     """Azimuthal marginal P(phi) plus its site-binned probabilities."""
 
     phi_nodes: np.ndarray
@@ -194,55 +177,39 @@ class PhiDistribution:
     site_numbers: np.ndarray
     site_probabilities: np.ndarray
 
-    @property
-    def phi_spacing(self) -> float:
-        return 2.0 * math.pi / len(self.phi_nodes)
-
 
 def marginal_phi(grid: WignerGrid, indexing: SiteIndexing) -> PhiDistribution:
     """P(phi) = (2J+1)/(4 pi) * integral of W sin(theta) d(theta), plus the
-    probability of each site bin [phi_n - dphi/2, phi_n + dphi/2)."""
+    probability of each site bin [phi_n - dphi/2, phi_n + dphi/2).
+
+    A node exactly on a bin edge gives half its mass to each of the two
+    bins; every other node gives all of it to its nearest site.
+    """
     density = ((grid.spin.two_j + 1) / (4.0 * math.pi)
                * grid.theta_weights @ grid.values)
     sites = indexing.site_numbers
-    dphi = indexing.delta_phi
-    width = grid.phi_spacing
-    site_prob = np.zeros(len(sites))
-    offset = int(sites[0])
-    for p, rho in zip(grid.phi_nodes, density):
-        u = p / dphi
-        nearest = round(u)
-        frac = u - nearest
-        if abs(abs(frac) - 0.5) < 1e-9:
-            # node exactly on a bin edge: split between the two bins
-            other = indexing.wrap(nearest + (1 if frac > 0 else -1))
-            site_prob[indexing.wrap(nearest) - offset] += 0.5 * rho * width
-            site_prob[other - offset] += 0.5 * rho * width
-        else:
-            site_prob[indexing.wrap(nearest) - offset] += rho * width
+    nearest, frac = indexing.nearest_site(grid.phi_nodes)
+    edge = np.abs(np.abs(frac) - 0.5) < 1e-9
+    other = nearest + np.where(frac > 0, 1, -1)
+    mass = density * grid.phi_spacing
+    half = 0.5 * density * grid.phi_spacing
+    # (nearest, other) per node in node order, so each bin sums its masses in
+    # the order of the nodes; non-edge nodes pad `other` with 0.0
+    bins = indexing.wrap(np.stack([nearest, other], axis=1)) - sites[0]
+    masses = np.stack([np.where(edge, half, mass),
+                       np.where(edge, half, 0.0)], axis=1)
+    site_prob = np.bincount(bins.ravel(), masses.ravel(), len(sites))
     return PhiDistribution(grid.phi_nodes, density, sites, site_prob)
 
 
-def phi_moment(dist: PhiDistribution, order: int,
-               use_site_bins: bool = False) -> float:
-    """<phi^order> from the density (default) or the site-binned masses."""
-    if use_site_bins:
-        phi = dist.site_numbers * (2.0 * math.pi / len(dist.site_numbers))
-        return float(dist.site_probabilities @ phi ** order)
-    return float(dist.density @ dist.phi_nodes ** order) * dist.phi_spacing
-
-
-def sigma_from_marginal(dist: PhiDistribution,
-                        use_site_bins: bool = False) -> float:
-    """sqrt(<phi^2> - <phi>^2) on phi in [-pi, pi)."""
-    if use_site_bins:
-        total = dist.site_probabilities.sum()
-    else:
-        total = float(dist.density.sum()) * dist.phi_spacing
+def sigma_from_marginal(dist: PhiDistribution) -> float:
+    """sqrt(<phi^2> - <phi>^2) of the density on phi in [-pi, pi)."""
+    d, phi, width = dist.density, dist.phi_nodes, dist.phi_spacing
+    total = float(d.sum()) * width
     if not abs(total - 1.0) <= 1e-4:
         raise ValueError(f"marginal integrates to {total!r}, not 1")
-    mean = phi_moment(dist, 1, use_site_bins) / total
-    second = phi_moment(dist, 2, use_site_bins) / total
+    mean = float(d @ phi) * width / total
+    second = float(d @ (phi * phi)) * width / total
     return math.sqrt(max(0.0, second - mean * mean))
 
 

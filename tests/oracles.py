@@ -1,11 +1,12 @@
 """Independent oracles used by the tests.
 
 Everything here is built from first principles (ladder operators, closed
-forms for low-rank couplings, ordinary least squares) without touching the
-implementation paths under test.  The closed-form walk references at the
-end take their site states from `site_state` and check the evolution.  The
-per-cell Wigner CSV and SVG writers last in the file are the byte-for-byte
-references for the row-at-a-time emitters.
+forms for low-rank couplings, the Racah sum, pointwise kernel traces,
+ordinary least squares) without touching the implementation paths under
+test.  The closed-form walk references take their site states from
+`site_state` and check the evolution.  The per-cell Wigner CSV and SVG
+writers and the per-node site binning last in the file are the
+byte-for-byte references for the vectorized emitters and `marginal_phi`.
 """
 
 import math
@@ -13,7 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from blochwalk import DensityMatrix, SiteIndexing, SpinQuantum, site_state
+from blochwalk import (DensityMatrix, NumericalInvariantError, PhiDistribution,
+                       SiteIndexing, SpinQuantum, rz_phases, site_state,
+                       small_d_matrix)
+from blochwalk.su2 import _check_jm, lnfact
 
 
 def angular_momentum_matrices(two_j: int):
@@ -45,6 +49,78 @@ def cg_l2_closed_form(two_j: int, two_m: int) -> float:
     m = two_m / 2.0
     return (3.0 * m * m - j * (j + 1.0)) / math.sqrt(
         (2.0 * j - 1.0) * j * (j + 1.0) * (2.0 * j + 3.0))
+
+
+def cg_coefficient(two_j1: int, two_m1: int, two_j2: int, two_m2: int,
+                   two_J: int, two_M: int) -> float:
+    """Clebsch-Gordan coefficient <j1 m1; j2 m2 | J M>, Condon-Shortley sign.
+
+    Racah sum with all factorials in the log domain and compensated
+    summation of the signed terms.  Returns 0 when M != m1 + m2 or the
+    triangle inequality fails; raises on invalid quantum numbers.
+    """
+    _check_jm(two_j1, two_m1, "j1/m1")
+    _check_jm(two_j2, two_m2, "j2/m2")
+    _check_jm(two_J, two_M, "J/M")
+    if two_M != two_m1 + two_m2:
+        return 0.0
+    if two_J > two_j1 + two_j2 or two_J < abs(two_j1 - two_j2):
+        return 0.0
+    if (two_j1 + two_j2 + two_J) % 2:
+        return 0.0
+
+    a = (two_j1 + two_j2 - two_J) // 2
+    b = (two_j1 - two_j2 + two_J) // 2
+    c = (-two_j1 + two_j2 + two_J) // 2
+    per = (two_j1 + two_j2 + two_J) // 2 + 1
+    log_pre = 0.5 * (
+        math.log(two_J + 1.0)
+        + lnfact(a) + lnfact(b) + lnfact(c) - lnfact(per)
+        + lnfact((two_J + two_M) // 2) + lnfact((two_J - two_M) // 2)
+        + lnfact((two_j1 - two_m1) // 2) + lnfact((two_j1 + two_m1) // 2)
+        + lnfact((two_j2 - two_m2) // 2) + lnfact((two_j2 + two_m2) // 2)
+    )
+
+    k_min = max(0, (two_j2 - two_J - two_m1) // 2, (two_j1 + two_m2 - two_J) // 2)
+    k_max = min(a, (two_j1 - two_m1) // 2, (two_j2 + two_m2) // 2)
+    if k_max < k_min:
+        return 0.0
+    k = np.arange(k_min, k_max + 1)
+    log_den = (
+        lnfact(k) + lnfact(a - k)
+        + lnfact((two_j1 - two_m1) // 2 - k)
+        + lnfact((two_j2 + two_m2) // 2 - k)
+        + lnfact((two_J - two_j2 + two_m1) // 2 + k)
+        + lnfact((two_J - two_j1 - two_m2) // 2 + k)
+    )
+    logs = log_pre - log_den
+    peak = logs.max()
+    signs = np.where(k % 2 == 0, 1.0, -1.0)
+    total = math.fsum(signs * np.exp(logs - peak))
+    return total * math.exp(peak)
+
+
+def rotated_dicke_frame(spin: SpinQuantum, theta: float, phi: float) -> np.ndarray:
+    """Unitary whose column m is the rotated Dicke state |j,m;d> with
+    d = (sin t cos p, sin t sin p, cos t): U = diag(e^{-i phi m}) d^j(theta).
+    """
+    return rz_phases(spin, phi)[:, None] * small_d_matrix(spin, theta)
+
+
+def wigner_at(rho: DensityMatrix, theta: float, phi: float,
+              weights: np.ndarray) -> float:
+    """W(theta, phi) = sum_m Delta_{j,m} <j,m;d| rho |j,m;d>, one point at a
+    time from the rotated Dicke frame."""
+    if weights.shape != (rho.spin.dim,):
+        raise ValueError("density matrix and kernel weights disagree on j")
+    frame = rotated_dicke_frame(rho.spin, theta, phi)
+    diag = np.einsum("im,ik,km->m", frame.conj(), rho.entries, frame)
+    residue = np.abs(diag.imag).max()
+    if not residue <= 1e-8:
+        raise NumericalInvariantError(
+            f"kernel trace has imaginary residue {residue:.2e}; "
+            "the density matrix is likely not Hermitian")
+    return float(weights @ diag.real)
 
 
 def linear_fit_r2(x, y):
@@ -197,4 +273,47 @@ def write_wigner_csv_per_field(grid, path) -> None:
         row = grid.values[i]
         for p, val in zip(grid.phi_nodes, row):
             lines.append(",".join("%.12e" % x for x in (t, p, w, val)))
+    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+
+
+# ---------------------------------------------------------------------------
+# Node-by-node references for the site binning
+# ---------------------------------------------------------------------------
+
+def marginal_phi_per_node(grid, indexing: SiteIndexing) -> PhiDistribution:
+    """The marginal with each phi node binned on its own: a node on a bin
+    edge adds half its mass to each neighbouring bin, nearest first."""
+    density = ((grid.spin.two_j + 1) / (4.0 * math.pi)
+               * grid.theta_weights @ grid.values)
+    sites = indexing.site_numbers
+    dphi = indexing.delta_phi
+    width = grid.phi_spacing
+    site_prob = np.zeros(len(sites))
+    offset = int(sites[0])
+    for p, rho in zip(grid.phi_nodes, density):
+        u = p / dphi
+        nearest = round(u)
+        frac = u - nearest
+        if abs(abs(frac) - 0.5) < 1e-9:
+            other = indexing.wrap(nearest + (1 if frac > 0 else -1))
+            site_prob[indexing.wrap(nearest) - offset] += 0.5 * rho * width
+            site_prob[other - offset] += 0.5 * rho * width
+        else:
+            site_prob[indexing.wrap(nearest) - offset] += rho * width
+    return PhiDistribution(grid.phi_nodes, density, sites, site_prob)
+
+
+def write_marginal_csv_per_row(dist, indexing: SiteIndexing, path) -> None:
+    """The marginal CSV with each row's bin-center test done on its own."""
+    lines = ["phi,P,site_index,site_prob"]
+    dphi = indexing.delta_phi
+    offset = int(dist.site_numbers[0])
+    for p, rho in zip(dist.phi_nodes, dist.density):
+        u = p / dphi
+        n = round(u)
+        fields = ["%.12e" % p, "%.12e" % rho, "", ""]
+        if abs(u - n) < 1e-9:           # bin-center row
+            n = indexing.wrap(n)
+            fields[2:] = str(n), "%.12e" % dist.site_probabilities[n - offset]
+        lines.append(",".join(fields))
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")

@@ -126,11 +126,11 @@ def test_criterion_4_wigner_normalization(ballistic_run):
 
 def test_criterion_5_kernel_sanity():
     w = kernel_weights(SpinQuantum(1))
-    err_half = max(abs(w.delta[0] - (1.0 + math.sqrt(3.0)) / 2.0),
-                   abs(w.delta[1] - (1.0 - math.sqrt(3.0)) / 2.0))
+    err_half = max(abs(w[0] - (1.0 + math.sqrt(3.0)) / 2.0),
+                   abs(w[1] - (1.0 - math.sqrt(3.0)) / 2.0))
     worst_sum = 0.0
     for two_j in (1, 2, 3, 5, 10, 20, 41, 100, 150, 200):
-        s = math.fsum(kernel_weights(SpinQuantum(two_j)).delta)
+        s = math.fsum(kernel_weights(SpinQuantum(two_j)))
         worst_sum = max(worst_sum, abs(s - 1.0))
     _report(5, "kernel weights sanity",
             err_half < 1e-12 and worst_sum < 1e-10,

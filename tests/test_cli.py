@@ -38,7 +38,7 @@ def test_default_configuration():
     assert cfg.theta0 == pytest.approx(math.pi / 2.0)
     assert (cfg.grid_theta, cfg.grid_phi) == (52, 54)
     assert cfg.outputs == frozenset(ALL_OUTPUTS)
-    assert cfg.out_dir == Path("out")
+    assert cfg.out == Path("out")
     assert cfg.svg is True
 
 
@@ -107,12 +107,36 @@ def test_config_file_errors(tmp_path):
     ["--coin", "custom", "1", "x", "0"],
     ["--coin", "custom", "nan", "0", "0"],
     ["--coin", "custom", "inf", "0", "0"],
+    ["--coin", "custom", "1e308", "1e308", "0"],
+    ["--coin", "custom", "1e200", "0", "0"],
     ["--spins", "many"],
     ["--no-such-flag"],
 ])
 def test_bad_arguments_exit_2(argv, capsys):
     assert main(argv) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--sites", "1000000000", "--outputs", "ideal"],
+    ["--steps", "100000000", "--outputs", "ideal"],
+    ["--spins", "1000"],
+    ["--spins", "100", "--grid-theta", "1000000"],
+])
+def test_oversized_runs_exit_2(argv, tmp_path, capsys):
+    # refused from the size estimate, before anything is allocated
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main([*argv, "--out", str(tmp_path / "big")]) == 2
+    assert "GiB" in capsys.readouterr().err
+    assert not (tmp_path / "big").exists()
+
+
+def test_size_limit_admits_the_ballistic_run():
+    _parse(["--sites", "40", "--spins", "200", "--steps", "9"])
+    _parse(["--spins", "600"])
+    with pytest.raises(ConfigError, match="GiB"):
+        _parse(["--spins", "700"])
 
 
 def test_wraparound_warning():

@@ -1,17 +1,20 @@
-"""Clebsch-Gordan coefficients, rotation matrices and the Dicke frame."""
+"""Clebsch-Gordan coefficients, rotation matrices and the Dicke frame.
+
+The Racah-sum `cg_coefficient` and the `rotated_dicke_frame` are oracles in
+`tests/oracles.py`; their checks here vouch for them as references for
+`cg_l0_family` and the Wigner grid."""
 
 import math
 
 import numpy as np
 import pytest
 
-from blochwalk import (SpinQuantum, cg_coefficient, cg_l0_family,
-                       coherent_state, rotated_dicke_frame, rz_phases,
+from blochwalk import (SpinQuantum, cg_l0_family, coherent_state, rz_phases,
                        small_d_matrix)
 from blochwalk.su2 import lnfact
 
-from oracles import (angular_momentum_matrices, cg_l1_closed_form,
-                     cg_l2_closed_form)
+from oracles import (angular_momentum_matrices, cg_coefficient,
+                     cg_l1_closed_form, cg_l2_closed_form, rotated_dicke_frame)
 
 
 # ---------------------------------------------------------------------------

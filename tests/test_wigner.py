@@ -7,10 +7,14 @@ import pytest
 
 from blochwalk import (CoinPulse, DensityMatrix, NumericalInvariantError,
                        PhiDistribution, SiteIndexing, SpinQuantum,
-                       WalkSchedule, cg_l0_family, coherent_state, evolve,
+                       WalkSchedule, cg_l0_family, evolve, ideal_sigma,
                        initial_state, kernel_weights, marginal_phi,
-                       phi_moment, reduce_walker, sigma_from_marginal,
-                       tv_distance, wigner_at, wigner_grid)
+                       reduce_walker, sigma_from_marginal, tv_distance,
+                       wigner_grid)
+from blochwalk.su2 import _jy_eigensystem
+from blochwalk.wigner import _theta_frame_stack
+
+from oracles import wigner_at
 
 
 def _evolved(sites, two_j, steps):
@@ -27,16 +31,14 @@ def _evolved(sites, two_j, steps):
 
 def test_kernel_weights_spin_half_closed_form():
     w = kernel_weights(SpinQuantum(1))
-    assert w.delta[0] == pytest.approx((1.0 + math.sqrt(3.0)) / 2.0,
-                                       abs=1e-12)
-    assert w.delta[1] == pytest.approx((1.0 - math.sqrt(3.0)) / 2.0,
-                                       abs=1e-12)
+    assert w[0] == pytest.approx((1.0 + math.sqrt(3.0)) / 2.0, abs=1e-12)
+    assert w[1] == pytest.approx((1.0 - math.sqrt(3.0)) / 2.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("two_j", [1, 2, 3, 8, 41, 100, 200])
 def test_kernel_weights_sum_to_one(two_j):
     w = kernel_weights(SpinQuantum(two_j))
-    assert math.fsum(w.delta) == pytest.approx(1.0, abs=1e-10)
+    assert math.fsum(w) == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("two_j,two_m", [(1, 1), (4, 2), (9, 5), (20, 14)])
@@ -50,7 +52,7 @@ def test_projection_flip_alternates_coupling_signs(two_j, two_m):
 
 
 # ---------------------------------------------------------------------------
-# pointwise Wigner values
+# pointwise Wigner values (the `wigner_at` oracle)
 # ---------------------------------------------------------------------------
 
 def test_maximally_mixed_state_is_flat():
@@ -74,7 +76,7 @@ def test_top_dicke_state_peaks_at_north_pole(two_j):
     # at the north pole the rotated frame is the Dicke basis itself,
     # so W(0, .) is exactly the top kernel weight
     assert wigner_at(DensityMatrix(spin, rho), 0.0, 0.3, w) \
-        == pytest.approx(w.delta[0], abs=1e-12)
+        == pytest.approx(w[0], abs=1e-12)
 
 
 def test_wigner_at_rejects_mismatched_weights():
@@ -138,6 +140,29 @@ def test_pure_state_path_matches_density_path(sites, two_j, theta0, h):
         assert site_sum == pytest.approx(1.0, abs=1e-12)
 
 
+def test_grid_matches_pointwise_oracle():
+    idx, spin, states = _evolved(6, 20, 2)
+    rho = reduce_walker(states[2])
+    grid = wigner_grid(states[2], (22, 30))
+    w = kernel_weights(spin)
+    for i, k in [(0, 0), (5, 7), (11, 15), (21, 29)]:
+        point = wigner_at(rho, grid.theta_nodes[i], grid.phi_nodes[k], w)
+        assert grid.values[i, k] == pytest.approx(point, abs=1e-12)
+
+
+def test_cached_arrays_are_read_only():
+    spin = SpinQuantum(10)
+    rho = DensityMatrix(spin, np.eye(spin.dim, dtype=complex) / spin.dim)
+    grid = wigner_grid(rho, (12, 24))
+    cached = (grid.theta_nodes, grid.theta_weights, kernel_weights(spin),
+              *_theta_frame_stack(10, 12), *_jy_eigensystem(10))
+    for a in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+    assert wigner_grid(rho, (12, 24)).normalization() \
+        == pytest.approx(1.0, abs=1e-12)
+
+
 def test_grid_of_maximally_mixed_state_is_constant():
     spin = SpinQuantum(10)
     rho = DensityMatrix(spin, np.eye(spin.dim, dtype=complex) / spin.dim)
@@ -189,7 +214,7 @@ def test_grid_input_validation():
 
 
 # ---------------------------------------------------------------------------
-# azimuthal marginal, site bins, moments
+# azimuthal marginal, site bins, spread
 # ---------------------------------------------------------------------------
 
 def test_initial_state_mass_sits_in_home_bin():
@@ -231,16 +256,17 @@ def test_initial_packet_width_scales_as_inverse_sqrt_spins():
 def test_symmetric_distribution_has_zero_mean():
     idx, spin, states = _evolved(6, 50, 1)
     dist = marginal_phi(wigner_grid(states[1], (52, 48)), idx)
-    assert phi_moment(dist, 1) == pytest.approx(0.0, abs=1e-8)
-    assert phi_moment(dist, 1, use_site_bins=True) \
-        == pytest.approx(0.0, abs=1e-8)
+    density_mean = float(dist.density @ dist.phi_nodes) * dist.phi_spacing
+    site_mean = dist.site_probabilities @ (dist.site_numbers * idx.delta_phi)
+    assert density_mean == pytest.approx(0.0, abs=1e-8)
+    assert site_mean == pytest.approx(0.0, abs=1e-8)
 
 
 def test_site_binned_sigma_agrees_with_density_sigma():
     idx, spin, states = _evolved(6, 200, 1)
     dist = marginal_phi(wigner_grid(states[1], (202, 240)), idx)
     dense = sigma_from_marginal(dist)
-    binned = sigma_from_marginal(dist, use_site_bins=True)
+    binned = ideal_sigma(dist.site_probabilities, idx)
     assert binned == pytest.approx(idx.delta_phi, abs=1e-3)
     assert abs(dense - binned) < 0.05 * dense
 
@@ -253,13 +279,12 @@ def test_sigma_rejects_unnormalized_marginal():
         sigma_from_marginal(dist)
 
 
-@pytest.mark.parametrize("use_site_bins", [False, True])
-def test_sigma_rejects_nan_marginal(use_site_bins):
+def test_sigma_rejects_nan_marginal():
     nodes = -math.pi + 2.0 * math.pi * np.arange(24) / 24.0
     dist = PhiDistribution(nodes, np.full(24, math.nan), np.arange(-2, 4),
                            np.full(6, math.nan))
     with pytest.raises(ValueError, match="nan"):
-        sigma_from_marginal(dist, use_site_bins)
+        sigma_from_marginal(dist)
 
 
 def test_tv_distance_basics():
