@@ -32,9 +32,14 @@ __all__ = ["RunConfig", "ConfigError", "parse_config", "run_experiment",
            "main"]
 
 ALL_OUTPUTS = ("wigner", "marginal", "sites", "sigma", "ideal")
-GRID_OUTPUTS = frozenset({"wigner", "marginal", "sites", "sigma"})
+# outputs that need the walker's exact azimuthal marginal; only `wigner`
+# builds grids
+KERNEL_OUTPUTS = frozenset({"wigner", "marginal", "sites", "sigma"})
 # a run whose estimated working set exceeds this is refused up front
 MAX_RUN_BYTES = 2 * 1024 ** 3
+# the kernel weights' CG recursion starts from a stretched coupling of about
+# 2^-N, which leaves the normal doubles near N = 1020
+MAX_KERNEL_SPINS = 1000
 
 # keys a --config file may set; each names the flag it stands for
 _CONFIG_KEYS = ("sites", "spins", "steps", "coin", "theta0", "grid-theta",
@@ -161,10 +166,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta0", type=float, default=math.pi / 2.0,
                    help="walk latitude (radians)")
     p.add_argument("--grid-theta", type=int, dest="grid_theta",
-                   help="theta quadrature nodes (default 2J+2)")
+                   help="theta nodes of the Wigner grid (default 2J+2)")
     p.add_argument("--grid-phi", type=int, dest="grid_phi",
-                   help="phi grid points (default: the smallest multiple "
-                        "of L above 2J, at least 8L)")
+                   help="phi nodes of the Wigner grid and the marginal "
+                        "CSV (default: the smallest multiple of L above 2J, "
+                        "at least 8L)")
     p.add_argument("--outputs", type=_parse_outputs,
                    default=frozenset(ALL_OUTPUTS),
                    help="comma list of " + ",".join(ALL_OUTPUTS))
@@ -181,13 +187,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def _estimated_bytes(config: RunConfig) -> int:
     """Rough peak memory of the run: the evolved states, the ideal walk
     and its temporaries, the sites/ideal CSV rows held in memory (about
-    160 bytes a row) and, when a grid output is asked for, the d-matrix
-    stack plus one grid's working arrays."""
+    160 bytes a row), when the marginal is needed the theta kernel K with
+    its complex temporaries and the phase tables of the phi-node and
+    site-bin sums and, when `wigner` is asked for, the d-matrix stack plus
+    one grid's working arrays."""
     dim, rows = config.spins + 1, (config.steps + 1) * config.sites
     total = (config.steps + 1) * 2 * (16 * dim + 128)   # states
     total += 128 * config.sites + 8 * rows              # ideal walk
     total += 160 * rows * len(config.outputs & {"sites", "ideal"})
-    if config.outputs & GRID_OUTPUTS:
+    if config.outputs & KERNEL_OUTPUTS:
+        total += 6 * 16 * dim * dim                      # K build, K o rho
+        total += 48 * dim * (config.grid_phi + config.sites)  # phases
+    if "wigner" in config.outputs:
         total += 8 * config.grid_theta * dim * dim       # d-stack
         total += 64 * config.grid_theta * config.grid_phi  # W, colours
         total += 112 * dim * config.grid_phi             # phase blocks
@@ -237,6 +248,10 @@ def parse_config(argv=None) -> RunConfig:
         theta0=ns.theta0, grid_theta=grid_theta, grid_phi=grid_phi,
         outputs=ns.outputs, out=Path(ns.out), svg=ns.svg,
     )
+    if config.outputs & KERNEL_OUTPUTS and spins > MAX_KERNEL_SPINS:
+        raise ConfigError(
+            f"--spins above {MAX_KERNEL_SPINS} is supported only with "
+            f"--outputs ideal (got {spins})")
     need = _estimated_bytes(config)
     if need > MAX_RUN_BYTES:
         raise ConfigError(
@@ -323,7 +338,7 @@ def run_experiment(config: RunConfig) -> dict:
     schedule = WalkSchedule.site_aligned(indexing, config.steps)
     states = evolve(initial_state(indexing, spin), config.pulse(), schedule)
 
-    need_grids = bool(config.outputs & GRID_OUTPUTS)
+    need_marginal = bool(config.outputs & KERNEL_OUTPUTS)
     need_ideal = bool(config.outputs & {"ideal", "sigma"})
 
     ideal = None
@@ -335,22 +350,31 @@ def run_experiment(config: RunConfig) -> dict:
     residuals: list[float] = []
     sigma_rows = []
     site_rows = []
-    weights = kernel_weights(spin) if need_grids else None
+    weights = kernel_weights(spin) if "wigner" in config.outputs else None
 
     for k, state in enumerate(states):
-        if not need_grids:
+        if not need_marginal:
             break
-        grid = wigner_grid(state, (config.grid_theta, config.grid_phi),
-                           weights)
-        residual = abs(grid.normalization() - 1.0)
-        residuals.append(residual)
+        dist = marginal_phi(state, indexing, config.grid_phi)
+        residual = abs(dist.total - 1.0)
         if not residual <= 1e-4:
             raise NumericalInvariantError(
-                f"step {k}: Wigner normalization off by {residual:.2e} "
-                f"at resolution ({config.grid_theta}, {config.grid_phi})")
+                f"step {k}: azimuthal marginal integrates to "
+                f"{dist.total!r}, not 1")
+        grid = None
+        if "wigner" in config.outputs:
+            grid = wigner_grid(state, (config.grid_theta, config.grid_phi),
+                               weights)
+            grid_residual = abs(grid.normalization() - 1.0)
+            if not grid_residual <= 1e-4:
+                raise NumericalInvariantError(
+                    f"step {k}: Wigner normalization off by "
+                    f"{grid_residual:.2e} at resolution "
+                    f"({config.grid_theta}, {config.grid_phi})")
+            residual = max(residual, grid_residual)
+        residuals.append(residual)
         try:
-            dist = marginal_phi(grid, indexing)
-            if "wigner" in config.outputs:
+            if grid is not None:
                 p = out / f"wigner_k{k}.csv"
                 write_wigner_csv(grid, p)
                 written.append(p)

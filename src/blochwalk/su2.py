@@ -36,10 +36,6 @@ class SpinQuantum:
             raise ValueError(f"two_j must be non-negative, got {self.two_j}")
 
     @property
-    def j(self) -> float:
-        return self.two_j / 2.0
-
-    @property
     def dim(self) -> int:
         return self.two_j + 1
 

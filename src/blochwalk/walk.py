@@ -79,17 +79,6 @@ class DensityMatrix:
     spin: SpinQuantum
     entries: np.ndarray = field(repr=False)
 
-    def validate(self) -> None:
-        h_err = np.abs(self.entries - self.entries.conj().T).max()
-        if not h_err <= 1e-12:
-            raise ValueError(f"density matrix not Hermitian ({h_err:.2e})")
-        tr_err = abs(self.entries.trace() - 1.0)
-        if not tr_err <= 1e-10:
-            raise ValueError(f"density matrix trace off by {tr_err:.2e}")
-        lo = np.linalg.eigvalsh(self.entries).min()
-        if not lo >= -1e-10:
-            raise ValueError(f"density matrix has eigenvalue {lo:.2e}")
-
 
 def coin_unitary(pulse: CoinPulse) -> np.ndarray:
     """exp(-i h.sigma/2) = cos(h/2) I - i sin(h/2) (h/|h|).sigma."""

@@ -1,12 +1,21 @@
-"""SU(2) Wigner function on a spherical grid via the Stratonovich-Weyl
-kernel, with the azimuthal marginal, its site-binned probabilities and its
-spread.
+"""SU(2) Wigner function via the Stratonovich-Weyl kernel, and the exact
+azimuthal marginal with its site-binned probabilities and its spread.
 
-Grid layout: Gauss-Legendre nodes in cos(theta) (exact for the degree-2J
-polynomial that W is in cos theta) crossed with a uniform phi grid on
-[-pi, pi).  Evaluation precomputes one d-matrix per theta node and lets phi
-enter only through diagonal phases, so a full grid costs n_theta dense
-matmuls instead of n_theta * n_phi frame constructions.
+The marginal never goes through a grid.  Integrating W sin(theta) over
+theta for every state reduces, once per spin, to one state-independent
+real symmetric matrix K (`_theta_kernel`, closed form from the J_y
+eigensystem); each state's P(phi) is then a trigonometric polynomial whose
+harmonics are diagonal sums of K o rho, and the site bins and the spread are
+closed-form sums over those harmonics.
+
+The grid serves `wigner` output only: Gauss-Legendre nodes in cos(theta)
+crossed with a uniform phi grid on [-pi, pi).  The cos-theta rule is exact
+only for the even-q harmonics of W (q = m - m'), which are polynomials of
+degree 2J in cos theta; an odd-q harmonic carries a factor sin theta and
+converges only algebraically in n_theta.  Evaluation precomputes one
+d-matrix per theta node and lets phi enter only through diagonal phases, so
+a full grid costs n_theta dense matmuls instead of n_theta * n_phi frame
+constructions.
 """
 
 from __future__ import annotations
@@ -19,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coherent import SiteIndexing
-from .su2 import SpinQuantum, cg_l0_family, small_d_matrix
-from .walk import CoinWalkerState, DensityMatrix
+from .su2 import SpinQuantum, _jy_eigensystem, cg_l0_family, small_d_matrix
+from .walk import CoinWalkerState, DensityMatrix, reduce_walker
 
 __all__ = [
     "NumericalInvariantError",
@@ -56,15 +65,13 @@ def kernel_weights(spin: SpinQuantum) -> np.ndarray:
     return delta
 
 
-class _PhiNodes:
-    @property
-    def phi_spacing(self) -> float:
-        """Cell width of the uniform phi grid on [-pi, pi)."""
-        return 2.0 * math.pi / len(self.phi_nodes)
+def _phi_nodes(n_phi: int) -> np.ndarray:
+    """n_phi uniform nodes on [-pi, pi)."""
+    return -math.pi + 2.0 * math.pi * np.arange(n_phi) / n_phi
 
 
 @dataclass(frozen=True)
-class WignerGrid(_PhiNodes):
+class WignerGrid:
     """W sampled on theta quadrature nodes x phi grid."""
 
     spin: SpinQuantum
@@ -72,6 +79,12 @@ class WignerGrid(_PhiNodes):
     theta_weights: np.ndarray     # Gauss-Legendre weights in cos(theta)
     phi_nodes: np.ndarray         # uniform on [-pi, pi)
     values: np.ndarray = field(repr=False)   # (n_theta, n_phi)
+    state: object = field(repr=False)        # the state W was built from
+
+    @property
+    def phi_spacing(self) -> float:
+        """Cell width of the uniform phi grid on [-pi, pi)."""
+        return 2.0 * math.pi / len(self.phi_nodes)
 
     def normalization(self) -> float:
         """(2J+1)/(4 pi) * discretized integral of W over the sphere."""
@@ -97,18 +110,50 @@ def _theta_frame_stack(two_j: int, n_theta: int):
     return theta, w, stack
 
 
+@functools.lru_cache(maxsize=None)
+def _theta_kernel(spin: SpinQuantum) -> np.ndarray:
+    """K[a, b] = integral_0^pi sin(t) sum_m Delta_m d_am(t) d_bm(t) dt,
+    read-only.
+
+    With J_y = V diag(lam) V^+, d(t) = V e^{-i lam t} V^+ is real, so
+    K = V (M o F) V^+ with M = V^+ diag(Delta) V and F_kl = f(lam_k - lam_l),
+    f(n) = integral_0^pi sin(t) e^{-i n t} dt: 2/(1 - n^2) for even n,
+    -i n pi/2 for n = +-1 and 0 otherwise (lam_k - lam_l is an integer).
+    """
+    lam, v = _jy_eigensystem(spin.two_j)
+    n = lam[:, None] - lam[None, :]
+    f = np.zeros(n.shape, dtype=complex)
+    even = n % 2 == 0
+    f[even] = 2.0 / (1.0 - n[even] ** 2)
+    odd_one = np.abs(n) == 1
+    f[odd_one] = -0.5j * math.pi * n[odd_one]
+    m = (v.conj().T * kernel_weights(spin)) @ v
+    kernel = ((v @ (m * f)) @ v.conj().T).real
+    kernel.flags.writeable = False      # cached: every marginal shares it
+    return kernel
+
+
+def _density(state) -> tuple[SpinQuantum, np.ndarray]:
+    """The walker's density matrix: rho = |up><up| + |down><down| for a
+    pure composite state."""
+    if isinstance(state, CoinWalkerState):
+        return state.spin, reduce_walker(state).entries
+    if isinstance(state, DensityMatrix):
+        return state.spin, state.entries
+    raise TypeError(f"expected CoinWalkerState or DensityMatrix, "
+                    f"got {type(state).__name__}")
+
+
 def _state_vectors(state) -> tuple[SpinQuantum, np.ndarray, np.ndarray]:
     """Decompose the input into weighted vectors: rho = sum_r c_r v_r v_r^+."""
     if isinstance(state, CoinWalkerState):
         vecs = np.stack([state.up, state.down], axis=1)
         coefs = np.array([1.0, 1.0])
         return state.spin, vecs, coefs
-    if isinstance(state, DensityMatrix):
-        evals, evecs = np.linalg.eigh(state.entries)
-        keep = np.abs(evals) > 1e-13
-        return state.spin, evecs[:, keep], evals[keep]
-    raise TypeError(f"expected CoinWalkerState or DensityMatrix, "
-                    f"got {type(state).__name__}")
+    spin, rho = _density(state)
+    evals, evecs = np.linalg.eigh(rho)
+    keep = np.abs(evals) > 1e-13
+    return spin, evecs[:, keep], evals[keep]
 
 
 def wigner_grid(state, resolution: tuple[int, int],
@@ -132,7 +177,7 @@ def wigner_grid(state, resolution: tuple[int, int],
         raise ValueError("state and kernel weights disagree on j")
 
     theta, w_theta, dstack = _theta_frame_stack(spin.two_j, n_theta)
-    phi = -math.pi + 2.0 * math.pi * np.arange(n_phi) / n_phi
+    phi = _phi_nodes(n_phi)
 
     # <j,m;d(theta,phi)|v> = sum_m' d_{m',m}(theta) e^{i phi m'} v_{m'}
     phases = np.exp(1j * np.outer(spin.m_values, phi))      # (dim, n_phi)
@@ -158,7 +203,7 @@ def wigner_grid(state, resolution: tuple[int, int],
             row += weights @ (prob * c[None, :, None]).sum(axis=1)
         values[i] = row
 
-    grid = WignerGrid(spin, theta, w_theta, phi, values)
+    grid = WignerGrid(spin, theta, w_theta, phi, values, state)
     residual = abs(grid.normalization() - 1.0)
     if not residual <= 1e-4:
         warnings.warn(
@@ -169,47 +214,82 @@ def wigner_grid(state, resolution: tuple[int, int],
 
 
 @dataclass(frozen=True)
-class PhiDistribution(_PhiNodes):
-    """Azimuthal marginal P(phi) plus its site-binned probabilities."""
+class PhiDistribution:
+    """Azimuthal marginal P(phi) = sum_{|q| <= 2J} p_q e^{i q phi}: its
+    harmonics p_q (q = 0 .. 2J; p_{-q} = conj(p_q)), P on the phi nodes and
+    the site-binned probabilities."""
 
     phi_nodes: np.ndarray
     density: np.ndarray
     site_numbers: np.ndarray
     site_probabilities: np.ndarray
+    harmonics: np.ndarray = field(repr=False)
+
+    @property
+    def total(self) -> float:
+        """Integral of P over [-pi, pi): 2 pi p_0."""
+        return 2.0 * math.pi * float(self.harmonics[0].real)
 
 
-def marginal_phi(grid: WignerGrid, indexing: SiteIndexing) -> PhiDistribution:
-    """P(phi) = (2J+1)/(4 pi) * integral of W sin(theta) d(theta), plus the
-    probability of each site bin [phi_n - dphi/2, phi_n + dphi/2).
+def _diagonal_sums(a: np.ndarray) -> np.ndarray:
+    """sum_i a[i, i+q] for q = 0 .. n-1.  With the rows of `a` laid end to
+    end in rows of n+1, a[i, i+q] falls in column q; triu clears the
+    entries that would wrap in from the lower triangle."""
+    n = len(a)
+    flat = np.concatenate((np.triu(a).ravel(), np.zeros(n, a.dtype)))
+    return flat.reshape(n, n + 1).sum(axis=0)[:n]
 
-    A node exactly on a bin edge gives half its mass to each of the two
-    bins; every other node gives all of it to its nearest site.
+
+def _root_sum(k: np.ndarray, period: int, terms: np.ndarray) -> np.ndarray:
+    """2 Re sum_{q>=1} terms_q e^{2 pi i q k / period} at each integer k,
+    gathered from one table of the period's roots of unity."""
+    q = np.arange(1, len(terms) + 1)
+    roots = np.exp(2j * math.pi * np.arange(period) / period)
+    return 2.0 * (roots[np.outer(k, q) % period] @ terms).real
+
+
+def marginal_phi(source, indexing: SiteIndexing,
+                 n_phi: int | None = None) -> PhiDistribution:
+    """Exact P(phi) = (2J+1)/(4 pi) * integral of W sin(theta) d(theta) of a
+    state (pure composite or density matrix) on n_phi uniform nodes, or of
+    the state a WignerGrid was built from on the grid's phi nodes, plus the
+    probability of each site bin [phi_n - pi/L, phi_n + pi/L).
+
+    p_q = (2J+1)/(4 pi) * sum_a K[a, a+q] rho[a, a+q] (K: `_theta_kernel`),
+    and a bin integrates e^{iq phi} to e^{iq phi_n} 2 sin(q pi/L)/q.
     """
-    density = ((grid.spin.two_j + 1) / (4.0 * math.pi)
-               * grid.theta_weights @ grid.values)
+    if isinstance(source, WignerGrid):
+        source, n_phi = source.state, len(source.phi_nodes)
+    elif n_phi is None:
+        raise ValueError("n_phi is required unless the source is a grid")
+    spin, rho = _density(source)
+    p = (spin.dim / (4.0 * math.pi)) * _diagonal_sums(
+        _theta_kernel(spin) * rho)
+
+    q = np.arange(1, spin.dim)
+    half = math.pi / indexing.sites
     sites = indexing.site_numbers
-    nearest, frac = indexing.nearest_site(grid.phi_nodes)
-    edge = np.abs(np.abs(frac) - 0.5) < 1e-9
-    other = nearest + np.where(frac > 0, 1, -1)
-    mass = density * grid.phi_spacing
-    half = 0.5 * density * grid.phi_spacing
-    # (nearest, other) per node in node order, so each bin sums its masses in
-    # the order of the nodes; non-edge nodes pad `other` with 0.0
-    bins = indexing.wrap(np.stack([nearest, other], axis=1)) - sites[0]
-    masses = np.stack([np.where(edge, half, mass),
-                       np.where(edge, half, 0.0)], axis=1)
-    site_prob = np.bincount(bins.ravel(), masses.ravel(), len(sites))
-    return PhiDistribution(grid.phi_nodes, density, sites, site_prob)
+    # node j sits at -pi + 2 pi j / n_phi, and e^{-i q pi} = (-1)^q
+    density = p[0].real + _root_sum(np.arange(n_phi), n_phi,
+                                    np.where(q % 2, -1.0, 1.0) * p[1:])
+    site_prob = 2.0 * half * p[0].real + _root_sum(
+        sites, indexing.sites, p[1:] * 2.0 * np.sin(q * half) / q)
+    return PhiDistribution(_phi_nodes(n_phi), density, sites, site_prob, p)
 
 
 def sigma_from_marginal(dist: PhiDistribution) -> float:
-    """sqrt(<phi^2> - <phi>^2) of the density on phi in [-pi, pi)."""
-    d, phi, width = dist.density, dist.phi_nodes, dist.phi_spacing
-    total = float(d.sum()) * width
+    """sqrt(<phi^2> - <phi>^2) of P on phi in [-pi, pi), in closed form:
+    over that interval e^{iq phi} integrates against phi to
+    -2 pi i (-1)^q / q and against phi^2 to 4 pi (-1)^q / q^2."""
+    total = dist.total
     if not abs(total - 1.0) <= 1e-4:
         raise ValueError(f"marginal integrates to {total!r}, not 1")
-    mean = float(d @ phi) * width / total
-    second = float(d @ (phi * phi)) * width / total
+    p = dist.harmonics
+    q = np.arange(1, len(p))
+    alt = np.where(q % 2, -1.0, 1.0)
+    mean = 4.0 * math.pi * float(alt / q @ p[1:].imag) / total
+    second = (2.0 * math.pi ** 3 / 3.0 * float(p[0].real)
+              + 8.0 * math.pi * float(alt / (q * q) @ p[1:].real)) / total
     return math.sqrt(max(0.0, second - mean * mean))
 
 

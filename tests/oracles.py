@@ -4,18 +4,21 @@ Everything here is built from first principles (ladder operators, closed
 forms for low-rank couplings, the Racah sum, pointwise kernel traces,
 ordinary least squares) without touching the implementation paths under
 test.  The closed-form walk references take their site states from
-`site_state` and check the evolution.  The per-cell Wigner CSV and SVG
-writers and the per-node site binning last in the file are the
-byte-for-byte references for the vectorized emitters and `marginal_phi`.
+`site_state` and check the evolution.  The theta Gauss-Legendre kernel and
+the grid-quadrature marginal are the references for the exact marginal; the
+per-cell Wigner CSV and SVG writers and the per-node site binning last in
+the file are the byte-for-byte references for the vectorized emitters and
+the grid marginal's binning.
 """
 
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from blochwalk import (DensityMatrix, NumericalInvariantError, PhiDistribution,
-                       SiteIndexing, SpinQuantum, rz_phases, site_state,
+from blochwalk import (DensityMatrix, NumericalInvariantError, SiteIndexing,
+                       SpinQuantum, kernel_weights, rz_phases, site_state,
                        small_d_matrix)
 from blochwalk.su2 import _check_jm, lnfact
 
@@ -123,6 +126,21 @@ def wigner_at(rho: DensityMatrix, theta: float, phi: float,
     return float(weights @ diag.real)
 
 
+def validate_density_matrix(rho: DensityMatrix) -> None:
+    """Raise ValueError unless rho is Hermitian, unit trace and positive
+    semidefinite (each check fails on NaN)."""
+    entries = rho.entries
+    h_err = np.abs(entries - entries.conj().T).max()
+    if not h_err <= 1e-12:
+        raise ValueError(f"density matrix not Hermitian ({h_err:.2e})")
+    tr_err = abs(entries.trace() - 1.0)
+    if not tr_err <= 1e-10:
+        raise ValueError(f"density matrix trace off by {tr_err:.2e}")
+    lo = np.linalg.eigvalsh(entries).min()
+    if not lo >= -1e-10:
+        raise ValueError(f"density matrix has eigenvalue {lo:.2e}")
+
+
 def linear_fit_r2(x, y):
     """Least-squares line fit; returns (slope, intercept, R^2)."""
     x = np.asarray(x, dtype=float)
@@ -147,7 +165,7 @@ def aligned_site_state(indexing: SiteIndexing, spin: SpinQuantum,
     extra phase, and in which the two-step closed form below holds exactly.
     """
     base = site_state(indexing, spin, n)
-    phase = np.exp(-1j * spin.j * n * indexing.delta_phi)
+    phase = np.exp(-1j * (spin.two_j / 2.0) * n * indexing.delta_phi)
     return phase * base
 
 
@@ -277,12 +295,81 @@ def write_wigner_csv_per_field(grid, path) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Quadrature references for the exact marginal
+# ---------------------------------------------------------------------------
+
+def theta_kernel_gl(spin: SpinQuantum, n_nodes: int | None = None):
+    """K[a, b] = integral_0^pi sin(t) sum_m Delta_m d_am(t) d_bm(t) dt by
+    Gauss-Legendre in theta itself (not in cos theta) from `small_d_matrix`.
+
+    The integrand is a trigonometric polynomial of degree 2J + 1, so the
+    rule converges geometrically; max(2N + 4, 64) nodes by default, since
+    2N + 4 alone is still off by 8e-7 at 2J = 1.
+    """
+    if n_nodes is None:
+        n_nodes = max(2 * spin.two_j + 4, 64)
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    theta = 0.5 * math.pi * (x + 1.0)
+    w = 0.5 * math.pi * w
+    delta = kernel_weights(spin)
+    kernel = np.zeros((spin.dim, spin.dim))
+    for t, wt in zip(theta, w):
+        d = small_d_matrix(spin, float(t))
+        kernel += (wt * math.sin(t)) * ((d * delta) @ d.T)
+    return kernel
+
+
+@dataclass(frozen=True)
+class GridMarginal:
+    """The azimuthal marginal of a Wigner grid, node by node."""
+
+    phi_nodes: np.ndarray
+    density: np.ndarray
+    site_numbers: np.ndarray
+    site_probabilities: np.ndarray
+
+    @property
+    def phi_spacing(self) -> float:
+        return 2.0 * math.pi / len(self.phi_nodes)
+
+
+def grid_marginal(grid, indexing: SiteIndexing) -> GridMarginal:
+    """P(phi) as the cos-theta Gauss-Legendre sum of the grid, and the site
+    bins as the rectangle rule over the phi nodes: a node on a bin edge
+    gives half its mass to each of the two bins, every other node all of it
+    to its nearest site (vectorized with one bincount over interleaved
+    (nearest, other) pairs, so each bin sums in node order)."""
+    density = ((grid.spin.two_j + 1) / (4.0 * math.pi)
+               * grid.theta_weights @ grid.values)
+    sites = indexing.site_numbers
+    nearest, frac = indexing.nearest_site(grid.phi_nodes)
+    edge = np.abs(np.abs(frac) - 0.5) < 1e-9
+    other = nearest + np.where(frac > 0, 1, -1)
+    mass = density * grid.phi_spacing
+    half = 0.5 * density * grid.phi_spacing
+    bins = indexing.wrap(np.stack([nearest, other], axis=1)) - sites[0]
+    masses = np.stack([np.where(edge, half, mass),
+                       np.where(edge, half, 0.0)], axis=1)
+    site_prob = np.bincount(bins.ravel(), masses.ravel(), len(sites))
+    return GridMarginal(grid.phi_nodes, density, sites, site_prob)
+
+
+def grid_sigma(dist: GridMarginal) -> float:
+    """sqrt(<phi^2> - <phi>^2) of the density by the rectangle rule."""
+    d, phi, width = dist.density, dist.phi_nodes, dist.phi_spacing
+    total = float(d.sum()) * width
+    mean = float(d @ phi) * width / total
+    second = float(d @ (phi * phi)) * width / total
+    return math.sqrt(max(0.0, second - mean * mean))
+
+
+# ---------------------------------------------------------------------------
 # Node-by-node references for the site binning
 # ---------------------------------------------------------------------------
 
-def marginal_phi_per_node(grid, indexing: SiteIndexing) -> PhiDistribution:
-    """The marginal with each phi node binned on its own: a node on a bin
-    edge adds half its mass to each neighbouring bin, nearest first."""
+def marginal_phi_per_node(grid, indexing: SiteIndexing) -> GridMarginal:
+    """The grid marginal with each phi node binned on its own: a node on a
+    bin edge adds half its mass to each neighbouring bin, nearest first."""
     density = ((grid.spin.two_j + 1) / (4.0 * math.pi)
                * grid.theta_weights @ grid.values)
     sites = indexing.site_numbers
@@ -300,7 +387,7 @@ def marginal_phi_per_node(grid, indexing: SiteIndexing) -> PhiDistribution:
             site_prob[other - offset] += 0.5 * rho * width
         else:
             site_prob[indexing.wrap(nearest) - offset] += rho * width
-    return PhiDistribution(grid.phi_nodes, density, sites, site_prob)
+    return GridMarginal(grid.phi_nodes, density, sites, site_prob)
 
 
 def write_marginal_csv_per_row(dist, indexing: SiteIndexing, path) -> None:

@@ -238,3 +238,26 @@ def test_criterion_10_cli_determinism(tmp_path):
     _report(10, "CLI determinism", same,
             f"{len(list(out_a.iterdir()))} artifacts byte-compared across "
             f"two identical runs")
+
+
+def test_criterion_11_convergence_at_forty_sites():
+    # The paper's claim that more spins remove the nonorthogonality, tested
+    # at L = 40 where criterion 7 can only check the leakage: N = 800 gives
+    # r = sqrt(N) pi / L = 2.22, the r at which criterion 7 asserts
+    # TV < 0.05 for L = 20. No grid is built: the exact marginal needs the
+    # N = 800 kernel weights and theta kernel only.
+    start = time.monotonic()
+    sites, two_j = 40, 800
+    idx = SiteIndexing(sites)
+    sched = WalkSchedule.site_aligned(idx, 9)
+    state = evolve(initial_state(idx, SpinQuantum(two_j)),
+                   CoinPulse.hadamard(), sched)[9]
+    dist = marginal_phi(state, idx, sites * (two_j // sites + 1))
+    tv = tv_distance(dist.site_probabilities,
+                     ideal_walk(sites, 9, HADAMARD)[9])
+    r, leak = _wrong_parity_leakage(sites, two_j)
+    elapsed = time.monotonic() - start
+    _report(11, "convergence at L = 40", r >= 2.2 and tv < 0.05,
+            f"TV(coherent, ideal) at k=9: L={sites}, N={two_j}, r={r:.2f}: "
+            f"{tv:.4f} (required < 0.05; erfc(r/sqrt2) = {leak:.4f}), "
+            f"{elapsed:.1f} s")

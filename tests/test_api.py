@@ -25,3 +25,9 @@ def test_removed_names_are_not_exported():
         assert name not in blochwalk.__all__
         assert not hasattr(blochwalk, name), name
         assert all(not hasattr(m, name) for m in MODULES), name
+
+
+def test_test_only_members_are_gone():
+    # checks and aliases that only the tests used live in `oracles` now
+    assert not hasattr(blochwalk.DensityMatrix, "validate")
+    assert not hasattr(blochwalk.SpinQuantum, "j")

@@ -1,5 +1,6 @@
-"""Site binning: `marginal_phi` and `write_marginal_csv` give the same bits
-and bytes as the node-by-node references in `oracles`."""
+"""Site binning: the vectorized grid marginal in `oracles` gives the same
+bits as its node-by-node reference, and `write_marginal_csv` the same bytes
+as its per-row reference, for both the exact and the grid marginal."""
 
 import dataclasses
 import math
@@ -10,7 +11,8 @@ import pytest
 from blochwalk import (CoinPulse, SiteIndexing, SpinQuantum, WalkSchedule,
                        evolve, initial_state, marginal_phi, wigner_grid)
 from blochwalk.cli import write_marginal_csv
-from oracles import marginal_phi_per_node, write_marginal_csv_per_row
+from oracles import (grid_marginal, marginal_phi_per_node,
+                     write_marginal_csv_per_row)
 
 
 def _grid(sites, two_j, steps, n_phi):
@@ -54,7 +56,7 @@ def case(request):
 
 def test_site_probabilities_match_per_node_reference(case):
     idx, grid = case
-    new = marginal_phi(grid, idx).site_probabilities
+    new = grid_marginal(grid, idx).site_probabilities
     ref = marginal_phi_per_node(grid, idx).site_probabilities
     assert np.array_equal(new, ref)
     assert new.tobytes() == ref.tobytes()
@@ -62,18 +64,18 @@ def test_site_probabilities_match_per_node_reference(case):
 
 def test_marginal_csv_matches_per_row_reference(case, tmp_path):
     idx, grid = case
-    dist = marginal_phi(grid, idx)
-    write_marginal_csv(dist, idx, tmp_path / "new.csv")
-    write_marginal_csv_per_row(dist, idx, tmp_path / "ref.csv")
-    assert ((tmp_path / "new.csv").read_bytes()
-            == (tmp_path / "ref.csv").read_bytes())
+    for dist in (marginal_phi(grid, idx), grid_marginal(grid, idx)):
+        write_marginal_csv(dist, idx, tmp_path / "new.csv")
+        write_marginal_csv_per_row(dist, idx, tmp_path / "ref.csv")
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
 
 
 def test_marginal_csv_keeps_signed_zeros(tmp_path):
     # the density of a grid comes from a matmul, which never yields -0.0, so
     # half of the zero entries are flipped to -0.0 by hand
     idx, grid = _zero_columns()
-    dist = marginal_phi(grid, idx)
+    dist = grid_marginal(grid, idx)
     density = dist.density.copy()
     zeros = np.flatnonzero(density == 0.0)
     assert len(zeros) == 17 and not np.signbit(density[zeros]).any()

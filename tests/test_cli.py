@@ -1,6 +1,7 @@
 """Configuration parsing, artifact emission and exit-code behavior."""
 
 import csv
+import dataclasses
 import hashlib
 import importlib
 import importlib.util
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import blochwalk.cli as cli
 from blochwalk.cli import (ALL_OUTPUTS, ConfigError, main, parse_config,
                            run_experiment)
 
@@ -139,6 +141,32 @@ def test_size_limit_admits_the_ballistic_run():
         _parse(["--spins", "700"])
 
 
+def test_size_limit_charges_the_d_stack_to_wigner_output_only(tmp_path,
+                                                             capsys):
+    # the exact marginal needs O(N^2) memory, so statistics at N = 800 are
+    # admitted; a Wigner grid at that size is still refused, from the
+    # estimate alone
+    _parse(["--sites", "40", "--spins", "800", "--steps", "9",
+            "--outputs", "sites,sigma,ideal", "--no-svg"])
+    _parse(["--spins", "800", "--outputs", "marginal"])
+    out = tmp_path / "big"
+    assert main(["--spins", "800", "--outputs", "wigner",
+                 "--out", str(out)]) == 2
+    assert "GiB" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_spins_beyond_the_kernel_recursion_exit_2(tmp_path, capsys):
+    # kernel_weights would fail past N ~ 1040; refused before any work
+    _parse(["--sites", "40", "--spins", "1000", "--outputs", "sites"])
+    _parse(["--spins", "5000", "--outputs", "ideal"])
+    out = tmp_path / "big"
+    assert main(["--spins", "1600", "--outputs", "sites",
+                 "--out", str(out)]) == 2
+    assert "--spins above 1000" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_wraparound_warning():
     with pytest.warns(UserWarning, match="wrap-around"):
         parse_config(["--sites", "6", "--steps", "3", "--spins", "10"])
@@ -246,12 +274,38 @@ def test_output_selection_limits_files(tmp_path):
 
 def test_low_resolution_exits_3(tmp_path, capsys):
     argv = ["--sites", "6", "--spins", "100", "--steps", "0",
-            "--grid-phi", "6", "--outputs", "sigma",
+            "--grid-phi", "6", "--outputs", "wigner,sigma",
             "--out", str(tmp_path / "bad")]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert main(argv) == 3
     assert "invariant" in capsys.readouterr().err
+
+
+def test_unnormalized_marginal_exits_3(tmp_path, capsys, monkeypatch):
+    exact = cli.marginal_phi
+
+    def leaky(*args):
+        dist = exact(*args)
+        return dataclasses.replace(dist, harmonics=0.9 * dist.harmonics)
+
+    monkeypatch.setattr(cli, "marginal_phi", leaky)
+    assert main(_tiny_args(tmp_path / "bad", ["--outputs", "sites"])) == 3
+    assert "marginal integrates" in capsys.readouterr().err
+
+
+def test_statistics_runs_build_no_grid(tmp_path, monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("wigner_grid called")
+
+    monkeypatch.setattr(cli, "wigner_grid", no_grid)
+    out = tmp_path / "stats"
+    assert main(_tiny_args(out, ["--outputs", "marginal,sites,sigma,ideal",
+                                 "--grid-phi", "6"])) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    # one residual per step: the exact marginal's total-mass error
+    assert len(manifest["normalization_residuals"]) == 2
+    assert max(manifest["normalization_residuals"]) < 1e-12
 
 
 def test_default_resolution_is_valid_at_large_spin(tmp_path):

@@ -38,7 +38,7 @@ def test_lnfact_accepts_arrays():
 
 def test_spin_quantum_properties():
     spin = SpinQuantum(5)
-    assert spin.j == 2.5
+    assert spin.two_j == 5
     assert spin.dim == 6
     assert np.array_equal(spin.m_values, [2.5, 1.5, 0.5, -0.5, -1.5, -2.5])
 
@@ -226,4 +226,5 @@ def test_rotated_frame_top_column_is_coherent_state():
     theta, phi = 1.9, 0.8
     col = rotated_dicke_frame(spin, theta, phi)[:, 0]
     amps = coherent_state(spin, theta, phi)
-    assert np.abs(col * np.exp(1j * spin.j * phi) - amps).max() < 1e-12
+    phase = np.exp(0.5j * spin.two_j * phi)
+    assert np.abs(col * phase - amps).max() < 1e-12

@@ -10,7 +10,7 @@ from blochwalk import (CoinPulse, CoinWalkerState, SiteIndexing, SpinQuantum,
                        ideal_sigma, ideal_walk, initial_state, reduce_walker,
                        site_state, step)
 
-from oracles import step1_reference, step2_reference
+from oracles import step1_reference, step2_reference, validate_density_matrix
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
@@ -116,7 +116,7 @@ def test_reduced_product_state_is_pure():
     idx = SiteIndexing(6)
     spin = SpinQuantum(30)
     rho = reduce_walker(initial_state(idx, spin, coin=(1.0, 1.0)))
-    rho.validate()
+    validate_density_matrix(rho)
     assert _purity(rho) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -126,7 +126,7 @@ def test_one_step_density_matrix_matches_closed_form():
     sched = WalkSchedule.site_aligned(idx, 1)
     states = evolve(initial_state(idx, spin), CoinPulse.hadamard(), sched)
     rho = reduce_walker(states[1])
-    rho.validate()
+    validate_density_matrix(rho)
     ref = step1_reference(idx, spin)
     assert _frobenius(rho.entries, ref.entries) < 1e-12
 
@@ -147,7 +147,7 @@ def test_two_step_density_matrix_matches_closed_form():
     sched = WalkSchedule.site_aligned(idx, 2)
     states = evolve(initial_state(idx, spin), CoinPulse.hadamard(), sched)
     rho = reduce_walker(states[2])
-    rho.validate()
+    validate_density_matrix(rho)
     ref = step2_reference(idx, spin)
     assert _frobenius(rho.entries, ref.entries) < 1e-12
 
@@ -156,19 +156,20 @@ def test_density_matrix_validation_rejects_bad_input():
     from blochwalk import DensityMatrix
     spin = SpinQuantum(2)
     with pytest.raises(ValueError):
-        DensityMatrix(spin, np.diag([0.7, 0.2, 0.2])).validate()  # trace
+        validate_density_matrix(
+            DensityMatrix(spin, np.diag([0.7, 0.2, 0.2])))         # trace
     bad = np.zeros((3, 3), dtype=complex)
     bad[0, 1] = 1.0
     bad[0, 0] = 1.0
     with pytest.raises(ValueError):
-        DensityMatrix(spin, bad).validate()                       # Hermiticity
+        validate_density_matrix(DensityMatrix(spin, bad))         # Hermiticity
 
 
 def test_density_matrix_validation_rejects_nan():
     from blochwalk import DensityMatrix
     with pytest.raises(ValueError, match="nan"):
-        DensityMatrix(SpinQuantum(2),
-                      np.full((3, 3), math.nan + 0j)).validate()
+        validate_density_matrix(DensityMatrix(
+            SpinQuantum(2), np.full((3, 3), math.nan + 0j)))
 
 
 # ---------------------------------------------------------------------------

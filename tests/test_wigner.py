@@ -1,4 +1,5 @@
-"""Phase-space kernel weights, Wigner grids, marginals and site binning."""
+"""Phase-space kernel weights, the theta kernel, Wigner grids, the exact
+marginal, its site bins and its spread."""
 
 import math
 
@@ -12,9 +13,10 @@ from blochwalk import (CoinPulse, DensityMatrix, NumericalInvariantError,
                        reduce_walker, sigma_from_marginal, tv_distance,
                        wigner_grid)
 from blochwalk.su2 import _jy_eigensystem
-from blochwalk.wigner import _theta_frame_stack
+from blochwalk.wigner import _theta_frame_stack, _theta_kernel
 
-from oracles import wigner_at
+from oracles import (grid_marginal, grid_sigma, theta_kernel_gl,
+                     wigner_at)
 
 
 def _evolved(sites, two_j, steps):
@@ -49,6 +51,31 @@ def test_projection_flip_alternates_coupling_signs(two_j, two_m):
     minus = cg_l0_family(two_j, -two_m)
     signs = np.where(np.arange(two_j + 1) % 2 == 0, 1.0, -1.0)
     assert np.abs(minus - signs * plus).max() < 1e-11
+
+
+# ---------------------------------------------------------------------------
+# theta kernel K (closed form) against Gauss-Legendre in theta
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("two_j", [1, 2, 7, 30, 31, 80])
+def test_theta_kernel_matches_quadrature(two_j):
+    spin = SpinQuantum(two_j)
+    kernel = _theta_kernel(spin)
+    assert kernel.dtype == np.float64
+    assert np.abs(kernel - theta_kernel_gl(spin)).max() < 1e-13
+    assert np.abs(kernel - kernel.T).max() < 1e-14
+    # sum_m Delta_m = 1 and d(t) is orthogonal, so K_aa = integral sin t dt
+    # / (2J + 1) is 2/(2J + 1) for every a
+    assert np.abs(np.diag(kernel) * spin.dim / 2.0 - 1.0).max() < 1e-12
+
+
+@pytest.mark.parametrize("two_j", [1, 2, 30, 31])
+def test_theta_quadrature_has_converged(two_j):
+    # the oracle's default node count agrees with twice as many nodes
+    spin = SpinQuantum(two_j)
+    n = max(2 * two_j + 4, 64)
+    assert np.abs(theta_kernel_gl(spin, n)
+                  - theta_kernel_gl(spin, 2 * n)).max() < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +182,14 @@ def test_cached_arrays_are_read_only():
     rho = DensityMatrix(spin, np.eye(spin.dim, dtype=complex) / spin.dim)
     grid = wigner_grid(rho, (12, 24))
     cached = (grid.theta_nodes, grid.theta_weights, kernel_weights(spin),
-              *_theta_frame_stack(10, 12), *_jy_eigensystem(10))
+              _theta_kernel(spin), *_theta_frame_stack(10, 12),
+              *_jy_eigensystem(10))
     for a in cached:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0.0
     assert wigner_grid(rho, (12, 24)).normalization() \
+        == pytest.approx(1.0, abs=1e-12)
+    assert marginal_phi(rho, SiteIndexing(6), 24).total \
         == pytest.approx(1.0, abs=1e-12)
 
 
@@ -220,8 +250,9 @@ def test_grid_input_validation():
 def test_initial_state_mass_sits_in_home_bin():
     idx, spin, states = _evolved(6, 50, 0)
     dist = marginal_phi(wigner_grid(states[0], (52, 48)), idx)
-    total = dist.density.sum() * dist.phi_spacing
+    total = dist.density.sum() * (2.0 * math.pi / len(dist.phi_nodes))
     assert total == pytest.approx(1.0, abs=1e-8)
+    assert dist.total == pytest.approx(1.0, abs=1e-12)
     assert dist.site_probabilities[idx.site_numbers == 0][0] > 0.99
 
 
@@ -256,7 +287,8 @@ def test_initial_packet_width_scales_as_inverse_sqrt_spins():
 def test_symmetric_distribution_has_zero_mean():
     idx, spin, states = _evolved(6, 50, 1)
     dist = marginal_phi(wigner_grid(states[1], (52, 48)), idx)
-    density_mean = float(dist.density @ dist.phi_nodes) * dist.phi_spacing
+    density_mean = (float(dist.density @ dist.phi_nodes)
+                    * 2.0 * math.pi / len(dist.phi_nodes))
     site_mean = dist.site_probabilities @ (dist.site_numbers * idx.delta_phi)
     assert density_mean == pytest.approx(0.0, abs=1e-8)
     assert site_mean == pytest.approx(0.0, abs=1e-8)
@@ -271,20 +303,119 @@ def test_site_binned_sigma_agrees_with_density_sigma():
     assert abs(dense - binned) < 0.05 * dense
 
 
-def test_sigma_rejects_unnormalized_marginal():
+def _flat_distribution(p0):
+    """A PhiDistribution with P = p0 everywhere (harmonics p_0 only)."""
     nodes = -math.pi + 2.0 * math.pi * np.arange(24) / 24.0
-    dist = PhiDistribution(nodes, np.full(24, 0.01), np.arange(-2, 4),
-                           np.full(6, 0.01))
+    harmonics = np.zeros(11, dtype=complex)
+    harmonics[0] = p0
+    return PhiDistribution(nodes, np.full(24, p0), np.arange(-2, 4),
+                           np.full(6, p0 * math.pi / 3.0), harmonics)
+
+
+def test_flat_distribution_spread():
+    # the uniform density on [-pi, pi) has sigma = pi / sqrt 3
+    dist = _flat_distribution(1.0 / (2.0 * math.pi))
+    assert sigma_from_marginal(dist) == pytest.approx(math.pi / math.sqrt(3.0),
+                                                      abs=1e-14)
+
+
+def test_sigma_rejects_unnormalized_marginal():
     with pytest.raises(ValueError):
-        sigma_from_marginal(dist)
+        sigma_from_marginal(_flat_distribution(0.01))
 
 
 def test_sigma_rejects_nan_marginal():
-    nodes = -math.pi + 2.0 * math.pi * np.arange(24) / 24.0
-    dist = PhiDistribution(nodes, np.full(24, math.nan), np.arange(-2, 4),
-                           np.full(6, math.nan))
     with pytest.raises(ValueError, match="nan"):
-        sigma_from_marginal(dist)
+        sigma_from_marginal(_flat_distribution(math.nan))
+
+
+# ---------------------------------------------------------------------------
+# the exact marginal against quadrature
+# ---------------------------------------------------------------------------
+
+def _final_state(sites, two_j, steps, theta0=math.pi / 2.0):
+    idx = SiteIndexing(sites, theta0)
+    sched = WalkSchedule.site_aligned(idx, steps)
+    states = evolve(initial_state(idx, SpinQuantum(two_j)),
+                    CoinPulse.hadamard(), sched)
+    return idx, states[-1]
+
+
+def test_marginal_of_state_equals_marginal_of_its_grid():
+    idx, state = _final_state(7, 31, 3, 1.1)
+    grid = wigner_grid(state, (33, 56))
+    via_grid = marginal_phi(grid, idx)
+    direct = marginal_phi(state, idx, 56)
+    for name in ("phi_nodes", "density", "site_numbers",
+                 "site_probabilities", "harmonics"):
+        assert np.array_equal(getattr(via_grid, name), getattr(direct, name))
+    assert np.array_equal(direct.phi_nodes, grid.phi_nodes)
+
+
+def test_marginal_input_validation():
+    idx, state = _final_state(6, 10, 1)
+    with pytest.raises(ValueError, match="n_phi"):
+        marginal_phi(state, idx)
+    with pytest.raises(TypeError):
+        marginal_phi(np.eye(11), idx, 24)
+
+
+@pytest.mark.parametrize("sites,two_j,steps,theta0", [
+    (12, 30, 5, 0.3),
+    (7, 31, 3, 1.1),
+], ids=["theta0=0.3", "half-integer-j"])
+def test_grid_marginal_converges_to_exact(sites, two_j, steps, theta0):
+    # the grid's cos-theta rule misses the odd-q harmonics and its phi
+    # rectangle rule is first order for the bins and the spread, so both
+    # errors fall as n_theta and n_phi grow, towards the exact marginal
+    idx, state = _final_state(sites, two_j, steps, theta0)
+    n_phi = max(8 * sites, sites * (two_j // sites + 1))
+    exact = marginal_phi(state, idx, n_phi)
+    sigma = sigma_from_marginal(exact)
+    tvs, gaps = [], []
+    for scale in (1, 4, 16):
+        grid = wigner_grid(state, ((two_j + 2) * scale, n_phi * scale))
+        approx = grid_marginal(grid, idx)
+        tvs.append(tv_distance(approx.site_probabilities,
+                               exact.site_probabilities))
+        gaps.append(abs(grid_sigma(approx) - sigma))
+    assert tvs[0] > 5.0 * tvs[1] > 25.0 * tvs[2]
+    assert gaps[0] > 3.0 * gaps[1] > 9.0 * gaps[2]
+    assert tvs[2] < 2e-5 and gaps[2] < 5e-4
+
+
+@pytest.mark.parametrize("sites,two_j,steps,theta0", [
+    (12, 30, 5, 0.3),
+    (7, 31, 3, 1.1),
+    (2, 20, 1, math.pi / 2.0),
+], ids=["theta0=0.3", "half-integer-j", "two-sites"])
+def test_bins_and_spread_match_quadrature_of_the_harmonics(sites, two_j,
+                                                           steps, theta0):
+    # integrate P = sum_q p_q e^{iq phi} numerically over each bin and
+    # against phi, phi^2 on [-pi, pi): Gauss-Legendre is exact to rounding
+    # for these entire integrands at this node count
+    idx, state = _final_state(sites, two_j, steps, theta0)
+    dist = marginal_phi(state, idx, 64)
+    p = dist.harmonics
+    q = np.arange(1, len(p))
+
+    def density(phi):
+        return p[0].real + 2.0 * (np.exp(1j * np.outer(phi, q)) @ p[1:]).real
+
+    x, w = np.polynomial.legendre.leggauss(200)
+    phi = math.pi * x
+    dens, w = density(phi), math.pi * w
+    mean = float(w @ (phi * dens))
+    second = float(w @ (phi * phi * dens))
+    assert float(w @ dens) == pytest.approx(dist.total, abs=1e-13)
+    assert sigma_from_marginal(dist) \
+        == pytest.approx(math.sqrt(second - mean * mean), abs=1e-12)
+    half = math.pi / sites
+    for n, prob in zip(idx.site_numbers, dist.site_probabilities):
+        nodes = n * idx.delta_phi + half * x
+        integral = half * float(w @ density(nodes)) / math.pi
+        assert prob == pytest.approx(integral, abs=1e-13)
+    assert np.abs(dist.density - density(dist.phi_nodes)).max() < 1e-13
 
 
 def test_tv_distance_basics():
