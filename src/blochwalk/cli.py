@@ -25,6 +25,7 @@ from .render import render_heatmap_svg
 from .su2 import SpinQuantum
 from .walk import (CoinPulse, WalkSchedule, coin_unitary, evolve, ideal_sigma,
                    ideal_walk, initial_state)
+# unused here, but perfbench/tracer.py binds blochwalk.cli.kernel_weights
 from .wigner import (NumericalInvariantError, kernel_weights, marginal_phi,
                      sigma_from_marginal, wigner_grid)
 
@@ -189,8 +190,10 @@ def _estimated_bytes(config: RunConfig) -> int:
     and its temporaries, the sites/ideal CSV rows held in memory (about
     160 bytes a row), when the marginal is needed the theta kernel K with
     its complex temporaries and the phase tables of the phi-node and
-    site-bin sums and, when `wigner` is asked for, the d-matrix stack plus
-    one grid's working arrays."""
+    site-bin sums and, when `wigner` is asked for, the per-node kernel
+    stack, one theta chunk of K_i o rho with its copies, the grid's
+    harmonics and phase table, and one grid's phase sums, values and
+    colours."""
     dim, rows = config.spins + 1, (config.steps + 1) * config.sites
     total = (config.steps + 1) * 2 * (16 * dim + 128)   # states
     total += 128 * config.sites + 8 * rows              # ideal walk
@@ -199,9 +202,10 @@ def _estimated_bytes(config: RunConfig) -> int:
         total += 6 * 16 * dim * dim                      # K build, K o rho
         total += 48 * dim * (config.grid_phi + config.sites)  # phases
     if "wigner" in config.outputs:
-        total += 8 * config.grid_theta * dim * dim       # d-stack
-        total += 64 * config.grid_theta * config.grid_phi  # W, colours
-        total += 112 * dim * config.grid_phi             # phase blocks
+        total += 8 * config.grid_theta * dim * dim       # kernel stack
+        total += 48 * dim * dim                          # theta chunk
+        total += 32 * dim * (config.grid_theta + config.grid_phi)
+        total += 80 * config.grid_theta * config.grid_phi  # sums, W, colours
     return total
 
 
@@ -338,7 +342,6 @@ def run_experiment(config: RunConfig) -> dict:
     schedule = WalkSchedule.site_aligned(indexing, config.steps)
     states = evolve(initial_state(indexing, spin), config.pulse(), schedule)
 
-    need_marginal = bool(config.outputs & KERNEL_OUTPUTS)
     need_ideal = bool(config.outputs & {"ideal", "sigma"})
 
     ideal = None
@@ -350,49 +353,47 @@ def run_experiment(config: RunConfig) -> dict:
     residuals: list[float] = []
     sigma_rows = []
     site_rows = []
-    weights = kernel_weights(spin) if "wigner" in config.outputs else None
 
-    for k, state in enumerate(states):
-        if not need_marginal:
-            break
-        dist = marginal_phi(state, indexing, config.grid_phi)
-        residual = abs(dist.total - 1.0)
-        if not residual <= 1e-4:
-            raise NumericalInvariantError(
-                f"step {k}: azimuthal marginal integrates to "
-                f"{dist.total!r}, not 1")
-        grid = None
-        if "wigner" in config.outputs:
-            grid = wigner_grid(state, (config.grid_theta, config.grid_phi),
-                               weights)
-            grid_residual = abs(grid.normalization() - 1.0)
-            if not grid_residual <= 1e-4:
+    if config.outputs & KERNEL_OUTPUTS:
+        for k, state in enumerate(states):
+            dist = marginal_phi(state, indexing, config.grid_phi)
+            residual = abs(dist.total - 1.0)
+            if not residual <= 1e-4:
                 raise NumericalInvariantError(
-                    f"step {k}: Wigner normalization off by "
-                    f"{grid_residual:.2e} at resolution "
-                    f"({config.grid_theta}, {config.grid_phi})")
-            residual = max(residual, grid_residual)
-        residuals.append(residual)
-        try:
-            if grid is not None:
-                p = out / f"wigner_k{k}.csv"
-                write_wigner_csv(grid, p)
-                written.append(p)
-                if config.svg:
-                    p = out / f"wigner_k{k}.svg"
-                    render_heatmap_svg(grid, p, indexing)
+                    f"step {k}: azimuthal marginal integrates to "
+                    f"{dist.total!r}, not 1")
+            grid = None
+            if "wigner" in config.outputs:
+                grid = wigner_grid(state, (config.grid_theta, config.grid_phi))
+                grid_residual = abs(grid.normalization() - 1.0)
+                if not grid_residual <= 1e-4:
+                    raise NumericalInvariantError(
+                        f"step {k}: Wigner normalization off by "
+                        f"{grid_residual:.2e} at resolution "
+                        f"({config.grid_theta}, {config.grid_phi})")
+                residual = max(residual, grid_residual)
+            residuals.append(residual)
+            try:
+                if grid is not None:
+                    p = out / f"wigner_k{k}.csv"
+                    write_wigner_csv(grid, p)
                     written.append(p)
-            if "marginal" in config.outputs:
-                p = out / f"marginal_k{k}.csv"
-                write_marginal_csv(dist, indexing, p)
-                written.append(p)
-            if "sites" in config.outputs:
-                site_rows.append((k, dist.site_probabilities))
-            if "sigma" in config.outputs:
-                sigma_rows.append((k, sigma_from_marginal(dist),
-                                   ideal_sigma(ideal[k], indexing)))
-        except OSError as exc:
-            raise OSError(f"step {k}: failed writing outputs: {exc}") from exc
+                    if config.svg:
+                        p = out / f"wigner_k{k}.svg"
+                        render_heatmap_svg(grid, p, indexing)
+                        written.append(p)
+                if "marginal" in config.outputs:
+                    p = out / f"marginal_k{k}.csv"
+                    write_marginal_csv(dist, indexing, p)
+                    written.append(p)
+                if "sites" in config.outputs:
+                    site_rows.append((k, dist.site_probabilities))
+                if "sigma" in config.outputs:
+                    sigma_rows.append((k, sigma_from_marginal(dist),
+                                       ideal_sigma(ideal[k], indexing)))
+            except OSError as exc:
+                raise OSError(
+                    f"step {k}: failed writing outputs: {exc}") from exc
 
     try:
         if site_rows:

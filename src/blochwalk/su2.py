@@ -57,13 +57,14 @@ def lnfact(n):
     top = int(np.max(n))
     if top >= len(_lnfact_values):
         with _lnfact_lock:
-            n0 = len(_lnfact_values) - 1
-            n_max = max(top, 2 * len(_lnfact_values))
-            # continue from the last stored entry rather than re-summing the
-            # whole table, so existing entries keep their exact values
-            tail = (np.cumsum(np.log(np.arange(n0 + 1, n_max + 1)))
-                    + _lnfact_values[-1])
-            _lnfact_values = np.concatenate((_lnfact_values, tail))
+            # grow in fixed blocks (257 -> 515 -> 1031 -> ...), each summed on
+            # from the last stored entry, so the table's contents depend only
+            # on its length and never on which n were asked for first
+            while top >= len(_lnfact_values):
+                n0 = len(_lnfact_values)
+                tail = (np.cumsum(np.log(np.arange(n0, 2 * n0 + 1)))
+                        + _lnfact_values[-1])
+                _lnfact_values = np.concatenate((_lnfact_values, tail))
     return _lnfact_values[n]
 
 

@@ -1,21 +1,21 @@
 """SU(2) Wigner function via the Stratonovich-Weyl kernel, and the exact
 azimuthal marginal with its site-binned probabilities and its spread.
 
-The marginal never goes through a grid.  Integrating W sin(theta) over
-theta for every state reduces, once per spin, to one state-independent
-real symmetric matrix K (`_theta_kernel`, closed form from the J_y
-eigensystem); each state's P(phi) is then a trigonometric polynomial whose
-harmonics are diagonal sums of K o rho, and the site bins and the spread are
-closed-form sums over those harmonics.
+Both go through the same harmonics.  With K = d(theta) diag(Delta)
+d(theta)^T, W(theta, phi) = sum_{a,b} K[a, b] rho[a, b] e^{i q phi}
+(q = b - a), so each theta gives a trigonometric polynomial in phi whose
+harmonics are the diagonal sums of K o rho.  The marginal integrates W
+sin(theta) over theta first, which turns K into one state-independent real
+symmetric matrix (`_theta_kernel`, closed form from the J_y eigensystem);
+its site bins and spread are closed-form sums over the harmonics.
 
 The grid serves `wigner` output only: Gauss-Legendre nodes in cos(theta)
 crossed with a uniform phi grid on [-pi, pi).  The cos-theta rule is exact
-only for the even-q harmonics of W (q = m - m'), which are polynomials of
-degree 2J in cos theta; an odd-q harmonic carries a factor sin theta and
-converges only algebraically in n_theta.  Evaluation precomputes one
-d-matrix per theta node and lets phi enter only through diagonal phases, so
-a full grid costs n_theta dense matmuls instead of n_theta * n_phi frame
-constructions.
+only for the even-q harmonics of W, which are polynomials of degree 2J in
+cos theta; an odd-q harmonic carries a factor sin theta and converges only
+algebraically in n_theta.  Each theta node keeps its own K (cached per spin
+and resolution), so a grid costs the diagonal sums of n_theta matrices
+K_i o rho and one phase sum over the phi nodes.
 """
 
 from __future__ import annotations
@@ -96,15 +96,17 @@ class WignerGrid:
 # Two entries bound the memory: each stack holds n_theta * (2J+1)^2 floats.
 @functools.lru_cache(maxsize=2)
 def _theta_frame_stack(two_j: int, n_theta: int):
-    """(theta_nodes, GL weights, d-matrix stack) for one (j, resolution),
-    all read-only."""
+    """(theta_nodes, GL weights, kernel stack) for one (j, resolution), all
+    read-only; the stack holds K_i = d(theta_i) diag(Delta) d(theta_i)^T."""
     x, w = np.polynomial.legendre.leggauss(n_theta)
     theta = np.arccos(x[::-1])          # ascending theta in (0, pi)
     w = w[::-1].copy()
     spin = SpinQuantum(two_j)
+    delta = kernel_weights(spin)
     stack = np.empty((n_theta, two_j + 1, two_j + 1))
     for i, t in enumerate(theta):
-        stack[i] = small_d_matrix(spin, float(t))
+        d = small_d_matrix(spin, float(t))
+        stack[i] = (d * delta) @ d.T
     for a in (theta, w, stack):
         a.flags.writeable = False       # cached: every grid shares these
     return theta, w, stack
@@ -144,66 +146,34 @@ def _density(state) -> tuple[SpinQuantum, np.ndarray]:
                     f"got {type(state).__name__}")
 
 
-def _state_vectors(state) -> tuple[SpinQuantum, np.ndarray, np.ndarray]:
-    """Decompose the input into weighted vectors: rho = sum_r c_r v_r v_r^+."""
-    if isinstance(state, CoinWalkerState):
-        vecs = np.stack([state.up, state.down], axis=1)
-        coefs = np.array([1.0, 1.0])
-        return state.spin, vecs, coefs
-    spin, rho = _density(state)
-    evals, evecs = np.linalg.eigh(rho)
-    keep = np.abs(evals) > 1e-13
-    return spin, evecs[:, keep], evals[keep]
+# bytes of K_i o rho taken at once (one theta node from N = 127 up): about
+# cache sized, and it keeps the grid's transient memory far below the
+# kernel stack's
+_CHUNK_BYTES = 2 ** 18
 
 
-def wigner_grid(state, resolution: tuple[int, int],
-                weights: np.ndarray | None = None) -> WignerGrid:
+def wigner_grid(state, resolution: tuple[int, int]) -> WignerGrid:
     """Evaluate W on the product grid for a pure composite state or a
     density matrix.
 
-    For a CoinWalkerState the diagonal matrix elements are
-    |<j,m;d|up>|^2 + |<j,m;d|down>|^2, so no density matrix is formed; a
-    DensityMatrix input is eigendecomposed and negligible eigenvalues are
-    dropped.  Warns when the discretized normalization misses 1 by more
-    than 1e-4 (resolution too low for this j).
+    Row i is g_i[0] + 2 Re sum_q g_i[q] e^{i q phi} with the harmonics
+    g_i[q] = sum_a K_i[a, a+q] rho[a, a+q] of the node's kernel K_i, summed
+    on the phi nodes as `marginal_phi` sums P(phi), so n_phi <= 2J aliases
+    exactly.  Warns when the discretized normalization misses 1 by more than
+    1e-4 (resolution too low for this j).
     """
     n_theta, n_phi = resolution
-    spin, vecs, coefs = _state_vectors(state)
+    spin, rho = _density(state)
     if n_theta < 2:
         raise ValueError("need at least 2 theta nodes")
-    if weights is None:
-        weights = kernel_weights(spin)
-    if weights.shape != (spin.dim,):
-        raise ValueError("state and kernel weights disagree on j")
 
-    theta, w_theta, dstack = _theta_frame_stack(spin.two_j, n_theta)
-    phi = _phi_nodes(n_phi)
+    theta, w_theta, kstack = _theta_frame_stack(spin.two_j, n_theta)
+    step = max(1, _CHUNK_BYTES // (16 * spin.dim * spin.dim))
+    g = np.concatenate([_diagonal_sums(kstack[i:i + step] * rho)
+                        for i in range(0, n_theta, step)])
+    values = _phi_node_sum(g.T, n_phi).T
 
-    # <j,m;d(theta,phi)|v> = sum_m' d_{m',m}(theta) e^{i phi m'} v_{m'}
-    phases = np.exp(1j * np.outer(spin.m_values, phi))      # (dim, n_phi)
-    values = np.empty((n_theta, n_phi))
-    n_vec = vecs.shape[1]
-    chunk = min(n_vec, 64)
-    # phase-modulated copies of each vector, flattened over (vector, phi)
-    blocks = []
-    for start in range(0, n_vec, chunk):
-        v = vecs[:, start:start + chunk]
-        mod = phases[:, None, :] * v[:, :, None]             # (dim, c, n_phi)
-        blocks.append((mod.reshape(spin.dim, -1), coefs[start:start + chunk]))
-
-    for i in range(n_theta):
-        d_t = dstack[i].T
-        row = np.zeros(n_phi)
-        for mod, c in blocks:
-            # real matmul on the interleaved view is ~4x faster than complex
-            amps = (d_t @ mod.view(np.float64).reshape(spin.dim, -1)) \
-                .reshape(spin.dim, -1, 2)
-            prob = amps[..., 0] ** 2 + amps[..., 1] ** 2
-            prob = prob.reshape(spin.dim, len(c), n_phi)
-            row += weights @ (prob * c[None, :, None]).sum(axis=1)
-        values[i] = row
-
-    grid = WignerGrid(spin, theta, w_theta, phi, values, state)
+    grid = WignerGrid(spin, theta, w_theta, _phi_nodes(n_phi), values, state)
     residual = abs(grid.normalization() - 1.0)
     if not residual <= 1e-4:
         warnings.warn(
@@ -232,20 +202,32 @@ class PhiDistribution:
 
 
 def _diagonal_sums(a: np.ndarray) -> np.ndarray:
-    """sum_i a[i, i+q] for q = 0 .. n-1.  With the rows of `a` laid end to
-    end in rows of n+1, a[i, i+q] falls in column q; triu clears the
-    entries that would wrap in from the lower triangle."""
-    n = len(a)
-    flat = np.concatenate((np.triu(a).ravel(), np.zeros(n, a.dtype)))
-    return flat.reshape(n, n + 1).sum(axis=0)[:n]
+    """sum_i a[..., i, i+q] for q = 0 .. n-1 over the last two axes.  With
+    the rows of each matrix laid end to end in rows of n+1, a[i, i+q] falls
+    in column q; triu clears the entries that would wrap in from the lower
+    triangle."""
+    n, lead = a.shape[-1], a.shape[:-2]
+    flat = np.concatenate((np.triu(a).reshape(*lead, n * n),
+                           np.zeros((*lead, n), a.dtype)), axis=-1)
+    return flat.reshape(*lead, n, n + 1).sum(axis=-2)[..., :n]
 
 
 def _root_sum(k: np.ndarray, period: int, terms: np.ndarray) -> np.ndarray:
     """2 Re sum_{q>=1} terms_q e^{2 pi i q k / period} at each integer k,
-    gathered from one table of the period's roots of unity."""
+    gathered from one table of the period's roots of unity; q runs along
+    the first axis of `terms`."""
     q = np.arange(1, len(terms) + 1)
     roots = np.exp(2j * math.pi * np.arange(period) / period)
     return 2.0 * (roots[np.outer(k, q) % period] @ terms).real
+
+
+def _phi_node_sum(h: np.ndarray, n_phi: int) -> np.ndarray:
+    """h_0 + 2 Re sum_{q>=1} h_q e^{i q phi} on the n_phi uniform nodes,
+    for harmonics h_q along the first axis of `h`."""
+    q = np.arange(1, len(h))
+    # node j sits at -pi + 2 pi j / n_phi, and e^{-i q pi} = (-1)^q
+    alt = np.where(q % 2, -1.0, 1.0)
+    return h[0].real + _root_sum(np.arange(n_phi), n_phi, (h[1:].T * alt).T)
 
 
 def marginal_phi(source, indexing: SiteIndexing,
@@ -269,9 +251,7 @@ def marginal_phi(source, indexing: SiteIndexing,
     q = np.arange(1, spin.dim)
     half = math.pi / indexing.sites
     sites = indexing.site_numbers
-    # node j sits at -pi + 2 pi j / n_phi, and e^{-i q pi} = (-1)^q
-    density = p[0].real + _root_sum(np.arange(n_phi), n_phi,
-                                    np.where(q % 2, -1.0, 1.0) * p[1:])
+    density = _phi_node_sum(p, n_phi)
     site_prob = 2.0 * half * p[0].real + _root_sum(
         sites, indexing.sites, p[1:] * 2.0 * np.sin(q * half) / q)
     return PhiDistribution(_phi_nodes(n_phi), density, sites, site_prob, p)

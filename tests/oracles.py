@@ -4,7 +4,9 @@ Everything here is built from first principles (ladder operators, closed
 forms for low-rank couplings, the Racah sum, pointwise kernel traces,
 ordinary least squares) without touching the implementation paths under
 test.  The closed-form walk references take their site states from
-`site_state` and check the evolution.  The theta Gauss-Legendre kernel and
+`site_state` and check the evolution.  The amplitude-based grid evaluator
+(one d-matrix per theta node, rho split into weighted vectors) is the
+reference for `wigner_grid`.  The theta Gauss-Legendre kernel and
 the grid-quadrature marginal are the references for the exact marginal; the
 per-cell Wigner CSV and SVG writers and the per-node site binning last in
 the file are the byte-for-byte references for the vectorized emitters and
@@ -17,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from blochwalk import (DensityMatrix, NumericalInvariantError, SiteIndexing,
-                       SpinQuantum, kernel_weights, rz_phases, site_state,
-                       small_d_matrix)
+from blochwalk import (CoinWalkerState, DensityMatrix, NumericalInvariantError,
+                       SiteIndexing, SpinQuantum, kernel_weights, rz_phases,
+                       site_state, small_d_matrix)
 from blochwalk.su2 import _check_jm, lnfact
 
 
@@ -124,6 +126,35 @@ def wigner_at(rho: DensityMatrix, theta: float, phi: float,
             f"kernel trace has imaginary residue {residue:.2e}; "
             "the density matrix is likely not Hermitian")
     return float(weights @ diag.real)
+
+
+def wigner_grid_by_vectors(state, resolution) -> np.ndarray:
+    """W on the `wigner_grid` nodes from amplitudes: rho = sum_r c_r v_r v_r^+
+    (the up/down components of a pure composite state, or the eigenvectors
+    of a density matrix with negligible eigenvalues dropped), and
+    W = sum_m Delta_m sum_r c_r |<j,m;d(theta,phi)|v_r>|^2 with one d-matrix
+    per theta node and phi entering through diagonal phases."""
+    spin = state.spin
+    if isinstance(state, CoinWalkerState):
+        vecs = np.stack([state.up, state.down], axis=1)
+        coefs = np.array([1.0, 1.0])
+    else:
+        evals, evecs = np.linalg.eigh(state.entries)
+        keep = np.abs(evals) > 1e-13
+        vecs, coefs = evecs[:, keep], evals[keep]
+    n_theta, n_phi = resolution
+    x, _ = np.polynomial.legendre.leggauss(n_theta)
+    phi = -math.pi + 2.0 * math.pi * np.arange(n_phi) / n_phi
+    weights = kernel_weights(spin)
+    # <j,m;d(theta,phi)|v> = sum_m' d_{m',m}(theta) e^{i phi m'} v_{m'}
+    phases = np.exp(1j * np.outer(spin.m_values, phi))      # (dim, n_phi)
+    mod = phases[:, None, :] * vecs[:, :, None]             # (dim, r, n_phi)
+    values = np.empty((n_theta, n_phi))
+    for i, t in enumerate(np.arccos(x[::-1])):
+        amps = np.einsum("ab,arp->brp", small_d_matrix(spin, float(t)), mod)
+        values[i] = weights @ (np.abs(amps) ** 2 * coefs[None, :, None]) \
+            .sum(axis=1)
+    return values
 
 
 def validate_density_matrix(rho: DensityMatrix) -> None:

@@ -39,10 +39,9 @@ def ballistic_run():
     states = evolve(initial_state(idx, spin), CoinPulse.hadamard(), sched)
     ideal = ideal_walk(40, 9, HADAMARD)
 
-    weights = kernel_weights(spin)
     residuals, sigma_c, sigma_i, site_probs = [], [], [], []
     for k, state in enumerate(states):
-        grid = wigner_grid(state, (202, 320), weights)
+        grid = wigner_grid(state, (202, 320))
         residuals.append(abs(grid.normalization() - 1.0))
         dist = marginal_phi(grid, idx)
         sigma_c.append(sigma_from_marginal(dist))
@@ -173,7 +172,7 @@ def test_criterion_7_late_time_site_distribution(ballistic_run):
     spin = SpinQuantum(200)
     sched = WalkSchedule.site_aligned(idx, 9)
     state = evolve(initial_state(idx, spin), CoinPulse.hadamard(), sched)[9]
-    grid = wigner_grid(state, (202, 320), kernel_weights(spin))
+    grid = wigner_grid(state, (202, 320))
     tv_fine = tv_distance(marginal_phi(grid, idx).site_probabilities,
                           ideal_walk(20, 9, HADAMARD)[9])
     r_fine, leak_fine = _wrong_parity_leakage(20, 200)

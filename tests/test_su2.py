@@ -11,6 +11,7 @@ import pytest
 
 from blochwalk import (SpinQuantum, cg_l0_family, coherent_state, rz_phases,
                        small_d_matrix)
+from blochwalk import su2
 from blochwalk.su2 import lnfact
 
 from oracles import (angular_momentum_matrices, cg_coefficient,
@@ -30,6 +31,22 @@ def test_lnfact_accepts_arrays():
     n = np.array([0, 3, 10, 500])
     expect = [math.lgamma(v + 1) for v in n]
     assert np.allclose(lnfact(n), expect, rtol=1e-14)
+
+
+def test_lnfact_does_not_depend_on_call_history(monkeypatch):
+    # the table grows on demand; an entry must not depend on which n were
+    # asked for before it
+    fresh = su2._lnfact_values[:257].copy()
+
+    def value_after(*earlier):
+        monkeypatch.setattr(su2, "_lnfact_values", fresh)
+        for n in earlier:
+            lnfact(n)
+        return lnfact(1000)
+
+    first = value_after()
+    assert value_after(300) == first
+    assert value_after(5000) == first
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from blochwalk.su2 import _jy_eigensystem
 from blochwalk.wigner import _theta_frame_stack, _theta_kernel
 
 from oracles import (grid_marginal, grid_sigma, theta_kernel_gl,
-                     wigner_at)
+                     wigner_at, wigner_grid_by_vectors)
 
 
 def _evolved(sites, two_j, steps):
@@ -161,10 +161,27 @@ def test_pure_state_path_matches_density_path(sites, two_j, theta0, h):
     direct = wigner_grid(states[2], res)
     via_rho = wigner_grid(reduce_walker(states[2]), res)
     assert np.abs(direct.values - via_rho.values).max() < 1e-10
+    _assert_matches_vector_reference(direct, states[2])
     for grid in (direct, via_rho):
         assert grid.normalization() == pytest.approx(1.0, abs=1e-10)
         site_sum = marginal_phi(grid, idx).site_probabilities.sum()
         assert site_sum == pytest.approx(1.0, abs=1e-12)
+
+
+def _assert_matches_vector_reference(grid, state):
+    ref = wigner_grid_by_vectors(state, grid.values.shape)
+    assert np.abs(grid.values - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_full_rank_density_matrix_matches_vector_reference():
+    spin = SpinQuantum(25)
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(26, 26)) + 1j * rng.normal(size=(26, 26))
+    rho = a @ a.conj().T
+    state = DensityMatrix(spin, rho / np.trace(rho).real)
+    grid = wigner_grid(state, (27, 40))
+    assert grid.normalization() == pytest.approx(1.0, abs=1e-12)
+    _assert_matches_vector_reference(grid, state)
 
 
 def test_grid_matches_pointwise_oracle():
@@ -228,17 +245,18 @@ def test_mixing_lowers_the_peak():
 
 
 def test_grid_warns_when_resolution_too_low():
+    # n_phi = 6 <= 2J: the harmonics alias onto the few phi nodes, and the
+    # values still match the per-node evaluation
     _, spin, states = _evolved(6, 100, 0)
     with pytest.warns(UserWarning, match="normalization"):
-        wigner_grid(states[0], (102, 6))
+        grid = wigner_grid(states[0], (102, 6))
+    _assert_matches_vector_reference(grid, states[0])
 
 
 def test_grid_input_validation():
     _, spin, states = _evolved(6, 10, 0)
     with pytest.raises(ValueError):
         wigner_grid(states[0], (1, 8))
-    with pytest.raises(ValueError):
-        wigner_grid(states[0], (12, 24), kernel_weights(SpinQuantum(4)))
     with pytest.raises(TypeError):
         wigner_grid(np.eye(11), (12, 24))
 
