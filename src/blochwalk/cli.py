@@ -38,9 +38,6 @@ ALL_OUTPUTS = ("wigner", "marginal", "sites", "sigma", "ideal")
 KERNEL_OUTPUTS = frozenset({"wigner", "marginal", "sites", "sigma"})
 # a run whose estimated working set exceeds this is refused up front
 MAX_RUN_BYTES = 2 * 1024 ** 3
-# the kernel weights' CG recursion starts from a stretched coupling of about
-# 2^-N, which leaves the normal doubles near N = 1020
-MAX_KERNEL_SPINS = 1000
 
 # keys a --config file may set; each names the flag it stands for
 _CONFIG_KEYS = ("sites", "spins", "steps", "coin", "theta0", "grid-theta",
@@ -252,10 +249,6 @@ def parse_config(argv=None) -> RunConfig:
         theta0=ns.theta0, grid_theta=grid_theta, grid_phi=grid_phi,
         outputs=ns.outputs, out=Path(ns.out), svg=ns.svg,
     )
-    if config.outputs & KERNEL_OUTPUTS and spins > MAX_KERNEL_SPINS:
-        raise ConfigError(
-            f"--spins above {MAX_KERNEL_SPINS} is supported only with "
-            f"--outputs ideal (got {spins})")
     need = _estimated_bytes(config)
     if need > MAX_RUN_BYTES:
         raise ConfigError(

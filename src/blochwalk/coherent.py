@@ -1,4 +1,4 @@
-"""Spin coherent states in the Dicke basis and their overlaps.
+"""Spin coherent states in the Dicke basis and the ring of walker sites.
 
 The walker's lattice is a ring of L equally spaced sites on a parallel of
 the Bloch sphere (default: the equator), each site being the coherent state
@@ -12,13 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .su2 import SpinQuantum, lnfact
+from .su2 import SpinQuantum
 
 __all__ = [
     "SiteIndexing",
     "coherent_state",
     "site_state",
-    "overlap_modulus",
 ]
 
 
@@ -73,7 +72,10 @@ def coherent_state(spin: SpinQuantum, theta: float, phi: float) -> np.ndarray:
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
     tj = spin.two_j
     k = np.arange(spin.dim)          # lowering steps, k = J - m
-    log_binom = 0.5 * (lnfact(tj) - lnfact(k) - lnfact(tj - k))
+    # ln(n!) for n = 0 .. 2J, summed from ln(n) so adjacent differences
+    # reproduce ln(n) to machine precision
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, tj + 1)))))
+    log_binom = 0.5 * (log_fact[tj] - log_fact[k] - log_fact[tj - k])
 
     c = math.cos(theta / 2.0)
     s = math.sin(theta / 2.0)
@@ -92,18 +94,4 @@ def coherent_state(spin: SpinQuantum, theta: float, phi: float) -> np.ndarray:
 def site_state(indexing: SiteIndexing, spin: SpinQuantum, n: int) -> np.ndarray:
     """Walker site state |phi_n> = |theta0, n * delta_phi>, n wrapped."""
     return coherent_state(spin, indexing.theta0, indexing.phi(n))
-
-
-def overlap_modulus(spin: SpinQuantum, theta1: float, phi1: float,
-                    theta2: float, phi2: float) -> float:
-    """|<theta1,phi1|theta2,phi2>| = cos^{2J}(Theta/2) with Theta the angle
-    between the two Bloch directions."""
-    cos_big = (math.cos(theta1) * math.cos(theta2)
-               + math.sin(theta1) * math.sin(theta2) * math.cos(phi1 - phi2))
-    half = (1.0 + min(1.0, max(-1.0, cos_big))) / 2.0   # cos^2(Theta/2)
-    if half <= 0.0:
-        return 0.0
-    if half >= 1.0:
-        return 1.0
-    return math.exp((spin.two_j / 2.0) * math.log(half))
 

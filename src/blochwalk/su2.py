@@ -1,6 +1,6 @@
 """Core SU(2) numerics: Dicke-basis bookkeeping, the <j m; l 0 | j m>
-Clebsch-Gordan family and Wigner rotation matrices, stable up to two_j = 200
-and beyond.
+Clebsch-Gordan table for every m at once (a self-normalizing recursion, no
+factorials, so no limit on two_j) and Wigner rotation matrices.
 
 All angular momenta and projections are passed as doubled integers (two_j,
 two_m) so half-integer spins are exact and no floating-point comparison of
@@ -10,15 +10,12 @@ quantum numbers ever happens.
 from __future__ import annotations
 
 import functools
-import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "SpinQuantum",
-    "lnfact",
     "cg_l0_family",
     "small_d_matrix",
     "rz_phases",
@@ -45,81 +42,40 @@ class SpinQuantum:
         return (self.two_j - 2.0 * np.arange(self.dim)) / 2.0
 
 
-_lnfact_lock = threading.Lock()
-# ln(n!) for n = 0 .. len - 1, accumulated from ln(n) so adjacent differences
-# reproduce ln(n) to machine precision.
-_lnfact_values = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, 257)))))
+# one m's recursion values are divided by this once they pass it; a power of
+# two, so the division is exact
+_BIG = 2.0 ** 500
 
 
-def lnfact(n):
-    """ln(n!) for scalar or integer-array n (shared, lock-guarded table)."""
-    global _lnfact_values
-    top = int(np.max(n))
-    if top >= len(_lnfact_values):
-        with _lnfact_lock:
-            # grow in fixed blocks (257 -> 515 -> 1031 -> ...), each summed on
-            # from the last stored entry, so the table's contents depend only
-            # on its length and never on which n were asked for first
-            while top >= len(_lnfact_values):
-                n0 = len(_lnfact_values)
-                tail = (np.cumsum(np.log(np.arange(n0, 2 * n0 + 1)))
-                        + _lnfact_values[-1])
-                _lnfact_values = np.concatenate((_lnfact_values, tail))
-    return _lnfact_values[n]
+def cg_l0_family(two_j: int) -> np.ndarray:
+    """The table c[i, l] = <j m; l 0 | j m> for m = J - i (rows m = J..-J)
+    and l = 0 .. 2J (columns).
 
-
-def _check_jm(two_j: int, two_m: int, name: str) -> None:
-    if two_j < 0:
-        raise ValueError(f"{name}: negative angular momentum two_j={two_j}")
-    if abs(two_m) > two_j:
-        raise ValueError(f"{name}: |m| > j (two_m={two_m}, two_j={two_j})")
-    if (two_j + two_m) % 2:
-        raise ValueError(f"{name}: j and m differ by a non-integer "
-                         f"(two_j={two_j}, two_m={two_m})")
-
-
-def cg_l0_family(two_j: int, two_m: int) -> np.ndarray:
-    """All coefficients <j m; l 0 | j m> for l = 0 .. 2j at once.
-
-    Evaluated through the three-term recursion for the associated 3j symbol,
-    run downward in l from the stretched (l = 2j) closed form.  Downward is
-    the stable direction: the wanted solution grows toward small l, so the
-    recursion stays accurate at two_j = 200 where the Racah sum loses all
-    significance to cancellation.
+    All m run at once through the three-term recursion of the 3j symbol
+    (j j l; -m m 0), downward in l from an arbitrary scale: 1 at l = 2j and
+    0 at l = 2j + 1.  Downward is the stable direction: the wanted solution
+    grows toward small l.  One m's values are divided by 2^500 whenever
+    they pass it, and each row is finally normalized by its own l = 0
+    value, so c[:, 0] = 1 exactly and no closed-form start (about 2^-2J,
+    which leaves the doubles past 2J ~ 1040) is needed at any j.
     """
-    _check_jm(two_j, two_m, "j/m")
-    m = two_m / 2.0
-    j = two_j / 2.0
+    if two_j < 0:
+        raise ValueError(f"negative angular momentum two_j={two_j}")
     n = two_j + 1
-    h = np.zeros(n)
-
-    jp = (two_j + two_m) // 2
-    jm = (two_j - two_m) // 2
-    # stretched 3j (j j 2j; -m m 0)
-    h[n - 1] = math.exp(0.5 * (4.0 * lnfact(two_j) - lnfact(2 * two_j + 1)
-                               - 2.0 * lnfact(jp) - 2.0 * lnfact(jm)))
-    two_j_p1 = two_j + 1.0
-
-    def edge(l: int) -> float:
-        return l * l * math.sqrt(two_j_p1 * two_j_p1 - l * l)
-
-    if n > 1:
-        l = two_j
-        h[l - 1] = -(2 * l + 1) * l * (l + 1) * (2.0 * m) * h[l] / ((l + 1) * edge(l))
-    for l in range(two_j - 1, 0, -1):
-        h[l - 1] = (-(2 * l + 1) * l * (l + 1) * (2.0 * m) * h[l]
-                    - l * edge(l + 1) * h[l + 1]) / ((l + 1) * edge(l))
-
-    ls = np.arange(n)
-    s_jm = -1.0 if jp % 2 else 1.0
-    signs = np.where(ls % 2 == 0, 1.0, -1.0) * s_jm
-    coeffs = signs * math.sqrt(two_j + 1.0) * h
-    # self-check: l = 0 coupling is the identity
-    if not abs(coeffs[0] - 1.0) <= 1e-9:
-        raise ArithmeticError(
-            f"CG recursion lost accuracy at two_j={two_j}, two_m={two_m}: "
-            f"c_0 = {coeffs[0]!r}")
-    return coeffs
+    two_m = two_j - 2.0 * np.arange(n)
+    ls = np.arange(n + 1)
+    # l^2 sqrt((2j+1)^2 - l^2)
+    edge = ls * ls * np.sqrt(float(n * n) - ls * ls)
+    h = np.zeros((n + 1, n))            # h[l, i], l = 0 .. 2j + 1
+    h[two_j] = 1.0
+    for l in range(two_j, 0, -1):
+        h[l - 1] = (-(2 * l + 1) * l * (l + 1) * two_m * h[l]
+                    - l * edge[l + 1] * h[l + 1]) / ((l + 1) * edge[l])
+        big = np.abs(h[l - 1]) > _BIG
+        if big.any():
+            h[l - 1:, big] /= _BIG
+    signs = np.where(ls[:n] % 2 == 0, 1.0, -1.0)
+    return (signs[:, None] * h[:n] / h[0]).T
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ __all__ = [
     "wigner_grid",
     "marginal_phi",
     "sigma_from_marginal",
-    "tv_distance",
 ]
 
 
@@ -50,17 +49,23 @@ class NumericalInvariantError(RuntimeError):
 @functools.lru_cache(maxsize=None)
 def kernel_weights(spin: SpinQuantum) -> np.ndarray:
     """Stratonovich-Weyl kernel eigenvalues (read-only), indexed m = J..-J:
-    Delta_{j,m} = sum_l (2l+1)/(2j+1) <j m; l 0 | j m>, l = 0 .. 2j.
+    Delta_{j,m} = sum_l (2l+1)/(2j+1) <j m; l 0 | j m>, l = 0 .. 2j, each an
+    exactly rounded sum over one row of the `cg_l0_family` table.
 
     They sum to 1 (only the l = 0 coupling survives the m-sum) but are not
     symmetric under m -> -m: flipping m flips the sign of every odd-l
-    coupling, e.g. (1 +/- sqrt 3)/2 for spin 1/2.
+    coupling, e.g. (1 +/- sqrt 3)/2 for spin 1/2.  Raises
+    NumericalInvariantError when a row misses the sum rule
+    sum_l (2l+1) <j m; l 0 | j m>^2 = 2j+1 by more than 1e-10.
     """
     tj = spin.two_j
     lcoef = (2.0 * np.arange(tj + 1) + 1.0) / (tj + 1.0)
-    delta = np.empty(spin.dim)
-    for i, two_m in enumerate(range(tj, -tj - 1, -2)):
-        delta[i] = math.fsum(lcoef * cg_l0_family(tj, two_m))
+    table = cg_l0_family(tj)
+    residual = np.abs(table * table @ lcoef - 1.0).max()
+    if not residual <= 1e-10:
+        raise NumericalInvariantError(
+            f"Clebsch-Gordan sum rule off by {residual:.2e} at two_j={tj}")
+    delta = np.fromiter(map(math.fsum, table * lcoef), float, spin.dim)
     delta.flags.writeable = False       # cached: callers share this array
     return delta
 
@@ -272,7 +277,3 @@ def sigma_from_marginal(dist: PhiDistribution) -> float:
               + 8.0 * math.pi * float(alt / (q * q) @ p[1:].real)) / total
     return math.sqrt(max(0.0, second - mean * mean))
 
-
-def tv_distance(p, q) -> float:
-    """Total-variation distance: half the L1 distance between distributions."""
-    return 0.5 * float(np.abs(np.asarray(p, float) - np.asarray(q, float)).sum())

@@ -2,7 +2,8 @@
 
 Everything here is built from first principles (ladder operators, closed
 forms for low-rank couplings, the Racah sum, pointwise kernel traces,
-ordinary least squares) without touching the implementation paths under
+ordinary least squares, the analytic coherent-state overlap, the
+total-variation distance) without touching the implementation paths under
 test.  The closed-form walk references take their site states from
 `site_state` and check the evolution.  The amplitude-based grid evaluator
 (one d-matrix per theta node, rho split into weighted vectors) is the
@@ -22,7 +23,20 @@ import numpy as np
 from blochwalk import (CoinWalkerState, DensityMatrix, NumericalInvariantError,
                        SiteIndexing, SpinQuantum, kernel_weights, rz_phases,
                        site_state, small_d_matrix)
-from blochwalk.su2 import _check_jm, lnfact
+
+
+def _check_jm(two_j: int, two_m: int, name: str) -> None:
+    if two_j < 0:
+        raise ValueError(f"{name}: negative angular momentum two_j={two_j}")
+    if abs(two_m) > two_j:
+        raise ValueError(f"{name}: |m| > j (two_m={two_m}, two_j={two_j})")
+    if (two_j + two_m) % 2:
+        raise ValueError(f"{name}: j and m differ by a non-integer "
+                         f"(two_j={two_j}, two_m={two_m})")
+
+
+# ln(n!) of an integer or integer array, from the C library's lgamma
+_lnfact = np.vectorize(lambda n: math.lgamma(n + 1.0), otypes=[float])
 
 
 def angular_momentum_matrices(two_j: int):
@@ -80,10 +94,10 @@ def cg_coefficient(two_j1: int, two_m1: int, two_j2: int, two_m2: int,
     per = (two_j1 + two_j2 + two_J) // 2 + 1
     log_pre = 0.5 * (
         math.log(two_J + 1.0)
-        + lnfact(a) + lnfact(b) + lnfact(c) - lnfact(per)
-        + lnfact((two_J + two_M) // 2) + lnfact((two_J - two_M) // 2)
-        + lnfact((two_j1 - two_m1) // 2) + lnfact((two_j1 + two_m1) // 2)
-        + lnfact((two_j2 - two_m2) // 2) + lnfact((two_j2 + two_m2) // 2)
+        + _lnfact(a) + _lnfact(b) + _lnfact(c) - _lnfact(per)
+        + _lnfact((two_J + two_M) // 2) + _lnfact((two_J - two_M) // 2)
+        + _lnfact((two_j1 - two_m1) // 2) + _lnfact((two_j1 + two_m1) // 2)
+        + _lnfact((two_j2 - two_m2) // 2) + _lnfact((two_j2 + two_m2) // 2)
     )
 
     k_min = max(0, (two_j2 - two_J - two_m1) // 2, (two_j1 + two_m2 - two_J) // 2)
@@ -92,11 +106,11 @@ def cg_coefficient(two_j1: int, two_m1: int, two_j2: int, two_m2: int,
         return 0.0
     k = np.arange(k_min, k_max + 1)
     log_den = (
-        lnfact(k) + lnfact(a - k)
-        + lnfact((two_j1 - two_m1) // 2 - k)
-        + lnfact((two_j2 + two_m2) // 2 - k)
-        + lnfact((two_J - two_j2 + two_m1) // 2 + k)
-        + lnfact((two_J - two_j1 - two_m2) // 2 + k)
+        _lnfact(k) + _lnfact(a - k)
+        + _lnfact((two_j1 - two_m1) // 2 - k)
+        + _lnfact((two_j2 + two_m2) // 2 - k)
+        + _lnfact((two_J - two_j2 + two_m1) // 2 + k)
+        + _lnfact((two_J - two_j1 - two_m2) // 2 + k)
     )
     logs = log_pre - log_den
     peak = logs.max()
@@ -170,6 +184,25 @@ def validate_density_matrix(rho: DensityMatrix) -> None:
     lo = np.linalg.eigvalsh(entries).min()
     if not lo >= -1e-10:
         raise ValueError(f"density matrix has eigenvalue {lo:.2e}")
+
+
+def overlap_modulus(spin: SpinQuantum, theta1: float, phi1: float,
+                    theta2: float, phi2: float) -> float:
+    """|<theta1,phi1|theta2,phi2>| = cos^{2J}(Theta/2) with Theta the angle
+    between the two Bloch directions."""
+    cos_big = (math.cos(theta1) * math.cos(theta2)
+               + math.sin(theta1) * math.sin(theta2) * math.cos(phi1 - phi2))
+    half = (1.0 + min(1.0, max(-1.0, cos_big))) / 2.0   # cos^2(Theta/2)
+    if half <= 0.0:
+        return 0.0
+    if half >= 1.0:
+        return 1.0
+    return math.exp((spin.two_j / 2.0) * math.log(half))
+
+
+def tv_distance(p, q) -> float:
+    """Total-variation distance: half the L1 distance between distributions."""
+    return 0.5 * float(np.abs(np.asarray(p, float) - np.asarray(q, float)).sum())
 
 
 def linear_fit_r2(x, y):

@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from blochwalk import (CoinPulse, SiteIndexing, SpinQuantum, WalkSchedule,
-                       cg_l0_family, coherent_state, evolve, ideal_sigma,
-                       ideal_walk, initial_state, kernel_weights,
-                       marginal_phi, overlap_modulus,
+                       coherent_state, evolve, ideal_sigma, ideal_walk,
+                       initial_state, kernel_weights, marginal_phi,
                        reduce_walker, sigma_from_marginal, site_state,
-                       tv_distance, wigner_grid)
+                       wigner_grid)
 from blochwalk.cli import main
-from oracles import linear_fit_r2, step1_reference, step2_reference
+from oracles import (linear_fit_r2, overlap_modulus, step1_reference,
+                     step2_reference, tv_distance)
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
@@ -260,3 +260,24 @@ def test_criterion_11_convergence_at_forty_sites():
             f"TV(coherent, ideal) at k=9: L={sites}, N={two_j}, r={r:.2f}: "
             f"{tv:.4f} (required < 0.05; erfc(r/sqrt2) = {leak:.4f}), "
             f"{elapsed:.1f} s")
+
+
+def test_criterion_12_leakage_beyond_a_thousand_spins():
+    # Past N = 1043 the kernel weights need a Clebsch-Gordan recursion that
+    # fixes its own scale. At L = 40, N = 1100 (r = 2.60) the late-time TV
+    # is the wrong-parity leakage again, now well below criterion 7's bound.
+    start = time.monotonic()
+    sites, two_j = 40, 1100
+    idx = SiteIndexing(sites)
+    sched = WalkSchedule.site_aligned(idx, 9)
+    state = evolve(initial_state(idx, SpinQuantum(two_j)),
+                   CoinPulse.hadamard(), sched)[9]
+    dist = marginal_phi(state, idx, sites * (two_j // sites + 1))
+    tv = tv_distance(dist.site_probabilities,
+                     ideal_walk(sites, 9, HADAMARD)[9])
+    r, leak = _wrong_parity_leakage(sites, two_j)
+    elapsed = time.monotonic() - start
+    _report(12, "leakage at N = 1100", tv < 0.05 and abs(tv - leak) < 0.01,
+            f"TV(coherent, ideal) at k=9: L={sites}, N={two_j}, r={r:.2f}: "
+            f"{tv:.5f} (required < 0.05 and within 0.01 of "
+            f"erfc(r/sqrt2) = {leak:.5f}), {elapsed:.1f} s")

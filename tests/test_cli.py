@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import blochwalk.cli as cli
+import blochwalk.wigner as wigner
 from blochwalk.cli import (ALL_OUTPUTS, ConfigError, main, parse_config,
                            run_experiment)
 
@@ -156,14 +157,15 @@ def test_size_limit_charges_the_d_stack_to_wigner_output_only(tmp_path,
     assert not out.exists()
 
 
-def test_spins_beyond_the_kernel_recursion_exit_2(tmp_path, capsys):
-    # kernel_weights would fail past N ~ 1040; refused before any work
-    _parse(["--sites", "40", "--spins", "1000", "--outputs", "sites"])
-    _parse(["--spins", "5000", "--outputs", "ideal"])
+def test_large_spin_statistics_are_admitted_up_to_the_memory_limit(
+        tmp_path, capsys):
+    # the kernel weights' recursion has no spin limit of its own; only the
+    # size estimate refuses a statistics run, before anything is allocated
+    _parse(["--sites", "40", "--spins", "1600", "--outputs", "sites"])
     out = tmp_path / "big"
-    assert main(["--spins", "1600", "--outputs", "sites",
+    assert main(["--spins", "5000", "--outputs", "sites",
                  "--out", str(out)]) == 2
-    assert "--spins above 1000" in capsys.readouterr().err
+    assert "GiB" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -292,6 +294,19 @@ def test_unnormalized_marginal_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "marginal_phi", leaky)
     assert main(_tiny_args(tmp_path / "bad", ["--outputs", "sites"])) == 3
     assert "marginal integrates" in capsys.readouterr().err
+
+
+def test_kernel_sum_rule_violation_exits_3(tmp_path, capsys, monkeypatch):
+    exact = wigner.cg_l0_family
+
+    def skewed(two_j):
+        return exact(two_j) * (1.0 + 1e-6)
+
+    monkeypatch.setattr(wigner, "cg_l0_family", skewed)
+    wigner.kernel_weights.cache_clear()
+    wigner._theta_kernel.cache_clear()
+    assert main(_tiny_args(tmp_path / "bad", ["--outputs", "sites"])) == 3
+    assert "sum rule" in capsys.readouterr().err
 
 
 def test_statistics_runs_build_no_grid(tmp_path, monkeypatch):

@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from blochwalk import (SiteIndexing, SpinQuantum, coherent_state,
-                       overlap_modulus, site_state)
+from blochwalk import SiteIndexing, SpinQuantum, coherent_state, site_state
 
-from oracles import angular_momentum_matrices
+from oracles import angular_momentum_matrices, overlap_modulus
 
 
 # ---------------------------------------------------------------------------

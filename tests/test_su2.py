@@ -11,42 +11,9 @@ import pytest
 
 from blochwalk import (SpinQuantum, cg_l0_family, coherent_state, rz_phases,
                        small_d_matrix)
-from blochwalk import su2
-from blochwalk.su2 import lnfact
 
 from oracles import (angular_momentum_matrices, cg_coefficient,
                      cg_l1_closed_form, cg_l2_closed_form, rotated_dicke_frame)
-
-
-# ---------------------------------------------------------------------------
-# log-factorial table
-# ---------------------------------------------------------------------------
-
-def test_lnfact_matches_lgamma():
-    for n in (0, 1, 2, 5, 64, 255, 256, 1000, 100000):
-        assert lnfact(n) == pytest.approx(math.lgamma(n + 1), rel=1e-14)
-
-
-def test_lnfact_accepts_arrays():
-    n = np.array([0, 3, 10, 500])
-    expect = [math.lgamma(v + 1) for v in n]
-    assert np.allclose(lnfact(n), expect, rtol=1e-14)
-
-
-def test_lnfact_does_not_depend_on_call_history(monkeypatch):
-    # the table grows on demand; an entry must not depend on which n were
-    # asked for before it
-    fresh = su2._lnfact_values[:257].copy()
-
-    def value_after(*earlier):
-        monkeypatch.setattr(su2, "_lnfact_values", fresh)
-        for n in earlier:
-            lnfact(n)
-        return lnfact(1000)
-
-    first = value_after()
-    assert value_after(300) == first
-    assert value_after(5000) == first
 
 
 # ---------------------------------------------------------------------------
@@ -128,24 +95,36 @@ def test_cg_invalid_quantum_numbers_raise():
     with pytest.raises(ValueError):
         cg_coefficient(-2, 0, 2, 0, 2, 0)    # negative j
     with pytest.raises(ValueError):
-        cg_l0_family(3, 0)
+        cg_l0_family(-1)
 
 
 @pytest.mark.parametrize("two_j", [1, 2, 3, 5, 10, 20])
 def test_cg_l0_family_matches_general_formula(two_j):
-    for two_m in range(-two_j, two_j + 1, 2):
-        fam = cg_l0_family(two_j, two_m)
+    table = cg_l0_family(two_j)
+    assert table.shape == (two_j + 1, two_j + 1)
+    for row, two_m in zip(table, range(two_j, -two_j - 1, -2)):
         direct = [cg_coefficient(two_j, two_m, 2 * l, 0, two_j, two_m)
                   for l in range(two_j + 1)]
-        assert np.abs(fam - direct).max() < 1e-11
+        assert np.abs(row - direct).max() < 1e-11
 
 
 def test_cg_l0_family_stable_at_large_j():
-    fam = cg_l0_family(200, 120)
+    fam = cg_l0_family(200)[40]             # two_m = 200 - 2 * 40 = 120
     assert np.isfinite(fam).all()
     assert fam[0] == pytest.approx(1.0, abs=1e-11)
     assert fam[1] == pytest.approx(cg_l1_closed_form(200, 120), abs=1e-11)
     assert fam[2] == pytest.approx(cg_l2_closed_form(200, 120), abs=1e-11)
+
+
+@pytest.mark.parametrize("two_j", [1, 7, 200, 1600])
+def test_cg_l0_family_sum_rule_per_m(two_j):
+    # sum_l (2l+1) (j j l; -m m 0)^2 = 1, i.e. sum_l (2l+1) c_l^2 = 2j+1 for
+    # every m, with c_0 = 1 exactly; 1600 is past where a closed-form start
+    # of about 2^-N leaves the doubles
+    table = cg_l0_family(two_j)
+    assert np.array_equal(table[:, 0], np.ones(two_j + 1))
+    lcoef = 2.0 * np.arange(two_j + 1) + 1.0
+    assert np.abs(table * table @ lcoef / (two_j + 1) - 1.0).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------

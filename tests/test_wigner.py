@@ -10,12 +10,11 @@ from blochwalk import (CoinPulse, DensityMatrix, NumericalInvariantError,
                        PhiDistribution, SiteIndexing, SpinQuantum,
                        WalkSchedule, cg_l0_family, evolve, ideal_sigma,
                        initial_state, kernel_weights, marginal_phi,
-                       reduce_walker, sigma_from_marginal, tv_distance,
-                       wigner_grid)
+                       reduce_walker, sigma_from_marginal, wigner_grid)
 from blochwalk.su2 import _jy_eigensystem
 from blochwalk.wigner import _theta_frame_stack, _theta_kernel
 
-from oracles import (grid_marginal, grid_sigma, theta_kernel_gl,
+from oracles import (grid_marginal, grid_sigma, theta_kernel_gl, tv_distance,
                      wigner_at, wigner_grid_by_vectors)
 
 
@@ -37,7 +36,7 @@ def test_kernel_weights_spin_half_closed_form():
     assert w[1] == pytest.approx((1.0 - math.sqrt(3.0)) / 2.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("two_j", [1, 2, 3, 8, 41, 100, 200])
+@pytest.mark.parametrize("two_j", [1, 2, 3, 8, 41, 100, 200, 800, 1100, 1600])
 def test_kernel_weights_sum_to_one(two_j):
     w = kernel_weights(SpinQuantum(two_j))
     assert math.fsum(w) == pytest.approx(1.0, abs=1e-10)
@@ -47,8 +46,9 @@ def test_kernel_weights_sum_to_one(two_j):
 def test_projection_flip_alternates_coupling_signs(two_j, two_m):
     # c_l(j, -m) = (-1)^l c_l(j, m); the kernel weights are therefore NOT
     # symmetric under m -> -m (only the even-l couplings survive unchanged)
-    plus = cg_l0_family(two_j, two_m)
-    minus = cg_l0_family(two_j, -two_m)
+    table = cg_l0_family(two_j)
+    plus = table[(two_j - two_m) // 2]
+    minus = table[(two_j + two_m) // 2]
     signs = np.where(np.arange(two_j + 1) % 2 == 0, 1.0, -1.0)
     assert np.abs(minus - signs * plus).max() < 1e-11
 
