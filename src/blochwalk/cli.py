@@ -3,15 +3,15 @@ emit deterministic CSV / JSON / SVG artifacts.
 
 Output conventions: CSV with one header line, %.12e numbers, comma
 separator, LF endings; JSON manifest with sorted keys, written last, listing
-every emitted file with its sha256.  Exit codes: 0 success, 2 configuration
-error, 3 numerical-invariant violation, 4 I/O failure.
+every emitted file with the sha256 its emitter took of the bytes written.
+Exit codes: 0 success, 2 configuration error, 3 numerical-invariant
+violation, 4 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import math
 import sys
@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .coherent import SiteIndexing
-from .render import render_heatmap_svg
+from .render import render_heatmap_svg, write_hashed
 from .su2 import SpinQuantum
 from .walk import (CoinPulse, WalkSchedule, coin_unitary, evolve, ideal_sigma,
                    ideal_walk, initial_state)
@@ -187,10 +187,9 @@ def _estimated_bytes(config: RunConfig) -> int:
     and its temporaries, the sites/ideal CSV rows held in memory (about
     160 bytes a row), when the marginal is needed the theta kernel K with
     its complex temporaries and the phase tables of the phi-node and
-    site-bin sums and, when `wigner` is asked for, the per-node kernel
-    stack, one theta chunk of K_i o rho with its copies, the grid's
-    harmonics and phase table, and one grid's phase sums, values and
-    colours."""
+    site-bin sums and, when `wigner` is asked for, the half kernel stack
+    (one kernel per theta node up to pi/2), the grid's harmonics and phase
+    table, and one grid's phase sums, values and colours."""
     dim, rows = config.spins + 1, (config.steps + 1) * config.sites
     total = (config.steps + 1) * 2 * (16 * dim + 128)   # states
     total += 128 * config.sites + 8 * rows              # ideal walk
@@ -199,8 +198,7 @@ def _estimated_bytes(config: RunConfig) -> int:
         total += 6 * 16 * dim * dim                      # K build, K o rho
         total += 48 * dim * (config.grid_phi + config.sites)  # phases
     if "wigner" in config.outputs:
-        total += 8 * config.grid_theta * dim * dim       # kernel stack
-        total += 48 * dim * dim                          # theta chunk
+        total += 8 * ((config.grid_theta + 1) // 2) * dim * dim  # stack
         total += 32 * dim * (config.grid_theta + config.grid_phi)
         total += 80 * config.grid_theta * config.grid_phi  # sums, W, colours
     return total
@@ -266,24 +264,33 @@ def _fmt(x: float) -> str:
     return "%.12e" % x
 
 
-def write_wigner_csv(grid, path) -> None:
+def write_wigner_csv(grid, path) -> str:
     """One `theta,phi,weight_theta,W` line per cell, written a theta row at a
     time: phi is formatted once per column, theta and the weight once per
-    row, and one %-format fills in the row's W fields."""
+    row, and one %-format fills in the row's W fields.  Returns the sha256
+    of the file."""
     phis = [_fmt(p) + "," for p in grid.phi_nodes]
-    with open(path, "w", newline="\n") as fh:
-        fh.write("theta,phi,weight_theta,W\n")
+
+    def rows():
+        yield "theta,phi,weight_theta,W\n"
         for t, w, row in zip(grid.theta_nodes, grid.theta_weights,
                              grid.values):
             t_, w_ = _fmt(t) + ",", _fmt(w) + ","
             # t_ phi_0 w_ W_0 \n t_ phi_1 w_ W_1 \n ... t_ phi_last w_ W_last \n
             template = t_ + f"{w_}%.12e\n{t_}".join(phis) + f"{w_}%.12e\n"
-            fh.write(template % tuple(row.tolist()))
+            yield template % tuple(row.tolist())
+
+    return write_hashed(path, rows())
 
 
-def write_marginal_csv(dist, indexing: SiteIndexing, path) -> None:
+def _write_lines(lines, path) -> str:
+    return write_hashed(path, ("\n".join(lines) + "\n",))
+
+
+def write_marginal_csv(dist, indexing: SiteIndexing, path) -> str:
     """One `phi,P,site_index,site_prob` line per phi node; the site fields
-    are filled only on the node at a site center."""
+    are filled only on the node at a site center.  Returns the sha256 of
+    the file."""
     lines = ["phi,P,site_index,site_prob"]
     nearest, frac = indexing.nearest_site(dist.phi_nodes)
     sites = indexing.wrap(nearest).tolist()
@@ -294,25 +301,25 @@ def write_marginal_csv(dist, indexing: SiteIndexing, path) -> None:
         if centered:
             site = (str(n), _fmt(dist.site_probabilities[n - offset]))
         lines.append(",".join((_fmt(p), _fmt(rho)) + site))
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    return _write_lines(lines, path)
 
 
-def write_sigma_csv(rows, path) -> None:
+def write_sigma_csv(rows, path) -> str:
     lines = ["k,sigma_coherent,sigma_ideal"]
     for k, sc, si in rows:
         lines.append(",".join((str(k), _fmt(sc), _fmt(si))))
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    return _write_lines(lines, path)
 
 
 def write_sites_csv(per_step, indexing: SiteIndexing, path,
-                    header="k,site_index,phi,site_prob") -> None:
+                    header="k,site_index,phi,site_prob") -> str:
     lines = [header]
     dphi = indexing.delta_phi
     for k, probs in per_step:
         for n, pr in zip(indexing.site_numbers, probs):
             lines.append(",".join((str(k), str(int(n)), _fmt(n * dphi),
                                    _fmt(pr))))
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    return _write_lines(lines, path)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +349,7 @@ def run_experiment(config: RunConfig) -> dict:
         ideal = ideal_walk(config.sites, config.steps,
                            coin_unitary(config.pulse()))
 
-    written: list[Path] = []
+    written: dict[str, str] = {}        # file name -> sha256
     residuals: list[float] = []
     sigma_rows = []
     site_rows = []
@@ -369,16 +376,14 @@ def run_experiment(config: RunConfig) -> dict:
             try:
                 if grid is not None:
                     p = out / f"wigner_k{k}.csv"
-                    write_wigner_csv(grid, p)
-                    written.append(p)
+                    written[p.name] = write_wigner_csv(grid, p)
                     if config.svg:
                         p = out / f"wigner_k{k}.svg"
-                        render_heatmap_svg(grid, p, indexing)
-                        written.append(p)
+                        written[p.name] = render_heatmap_svg(grid, p,
+                                                             indexing)
                 if "marginal" in config.outputs:
                     p = out / f"marginal_k{k}.csv"
-                    write_marginal_csv(dist, indexing, p)
-                    written.append(p)
+                    written[p.name] = write_marginal_csv(dist, indexing, p)
                 if "sites" in config.outputs:
                     site_rows.append((k, dist.site_probabilities))
                 if "sigma" in config.outputs:
@@ -390,26 +395,22 @@ def run_experiment(config: RunConfig) -> dict:
 
     try:
         if site_rows:
-            p = out / "sites.csv"
-            write_sites_csv(site_rows, indexing, p)
-            written.append(p)
+            written["sites.csv"] = write_sites_csv(site_rows, indexing,
+                                                   out / "sites.csv")
         if sigma_rows:
-            p = out / "sigma.csv"
-            write_sigma_csv(sigma_rows, p)
-            written.append(p)
+            written["sigma.csv"] = write_sigma_csv(sigma_rows,
+                                                   out / "sigma.csv")
         if "ideal" in config.outputs:
-            p = out / "ideal.csv"
-            write_sites_csv(list(enumerate(ideal)), indexing, p,
-                            header="k,site_index,phi,P")
-            written.append(p)
+            written["ideal.csv"] = write_sites_csv(
+                list(enumerate(ideal)), indexing, out / "ideal.csv",
+                header="k,site_index,phi,P")
 
         manifest = {
             "config": config.as_dict(),
             "version": __version__,
             "duration_seconds": round(time.monotonic() - start, 3),
             "normalization_residuals": residuals,
-            "files": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                      for p in sorted(written)},
+            "files": written,
         }
         (out / "manifest.json").write_text(
             json.dumps(manifest, sort_keys=True, indent=2) + "\n",

@@ -3,6 +3,7 @@ a diverging colormap symmetric about W = 0, no imaging dependencies."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -10,12 +11,24 @@ import numpy as np
 from .coherent import SiteIndexing
 from .wigner import WignerGrid
 
-__all__ = ["render_heatmap_svg"]
+__all__ = ["render_heatmap_svg", "write_hashed"]
 
 # diverging blue -> white -> red anchors (negative, zero, positive)
 _NEG = np.array([33.0, 102.0, 172.0])
 _MID = np.array([247.0, 247.0, 247.0])
 _POS = np.array([178.0, 24.0, 43.0])
+
+
+def write_hashed(path, chunks) -> str:
+    """Write the ASCII text chunks to path as they come and return the
+    sha256 of the bytes written, so no artifact is read back to hash it."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for chunk in chunks:
+            data = chunk.encode()
+            fh.write(data)
+            digest.update(data)
+    return digest.hexdigest()
 
 
 def _cell_colors(values: np.ndarray, vmax: float) -> np.ndarray:
@@ -31,8 +44,8 @@ def _cell_colors(values: np.ndarray, vmax: float) -> np.ndarray:
 
 
 def render_heatmap_svg(grid: WignerGrid, path,
-                       indexing: SiteIndexing | None = None) -> None:
-    """Write an SVG heatmap of W(theta, phi).
+                       indexing: SiteIndexing | None = None) -> str:
+    """Write an SVG heatmap of W(theta, phi) and return its sha256.
 
     phi runs left to right over [-pi, pi), theta top to bottom over [0, pi];
     the color scale is symmetric about zero (bounds +/- max|W|) so negative
@@ -100,11 +113,14 @@ def render_heatmap_svg(grid: WignerGrid, path,
     x_attrs = [f'<rect x="{margin_l + k * dx:.2f}" y="' for k in range(n_phi)]
     pieces = x_attrs[:1] + [cell_end + x for x in x_attrs[1:]] + [cell_end]
     cell_w = f'" width="{dx + 0.05:.2f}" height="'
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(head) + "\n")
+
+    def chunks():
+        yield "\n".join(head) + "\n"
         for i in range(n_theta):
             y0 = margin_t + plot_h * theta_edges[i] / math.pi
             y1 = margin_t + plot_h * theta_edges[i + 1] / math.pi
             yhw = f'{y0:.2f}{cell_w}{y1 - y0 + 0.05:.2f}" fill="#'
-            fh.write(yhw.join(pieces) % tuple(colors[i].tolist()))
-        fh.write("\n".join(tail) + "\n")
+            yield yhw.join(pieces) % tuple(colors[i].tolist())
+        yield "\n".join(tail) + "\n"
+
+    return write_hashed(path, chunks())

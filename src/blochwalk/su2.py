@@ -82,36 +82,47 @@ def cg_l0_family(two_j: int) -> np.ndarray:
 # Wigner small-d rotation matrices
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4)
 def _jy_eigensystem(two_j: int):
-    """Eigenvectors of J_y in the Dicke basis; eigenvalues snapped to the
-    exact m grid.  Cached per two_j; both arrays are read-only."""
+    """(lam, R, s), all read-only: J_x = R diag(lam) R^T in the Dicke basis
+    with real orthogonal R and lam snapped to the exact m grid, and the
+    quarter-turn signs s[a, b] = Re i^(a-b) + Im i^(a-b).
+
+    J_y = P J_x P^+ with P = diag(i^a), so J_y = V diag(lam) V^+ with
+    V = P R: the J_y eigensystem without complex arithmetic.  Cached for
+    four spins: an entry holds 16 (2J+1)^2 bytes (0.6 MB at N = 200, 16 MB
+    at N = 1000), and a scan cycling up to four spin counts still hits."""
     dim = two_j + 1
     m = (two_j - 2.0 * np.arange(dim)) / 2.0
     j = two_j / 2.0
     raise_amp = np.sqrt(j * (j + 1.0) - m[1:] * (m[1:] + 1.0))
-    jplus = np.zeros((dim, dim), dtype=complex)
-    jplus[np.arange(dim - 1), np.arange(1, dim)] = raise_amp
-    jy = (jplus - jplus.conj().T) / 2.0j
-    eigvals, eigvecs = np.linalg.eigh(jy)
+    jx = np.diag(raise_amp / 2.0, 1)
+    eigvals, eigvecs = np.linalg.eigh(jx + jx.T)
     eigvals = np.round(2.0 * eigvals) / 2.0
-    eigvals.flags.writeable = eigvecs.flags.writeable = False
-    return eigvals, eigvecs
+    k = np.arange(dim)
+    signs = np.array([1.0, 1.0, -1.0, -1.0])[(k[:, None] - k) % 4]
+    for a in (eigvals, eigvecs, signs):
+        a.flags.writeable = False
+    return eigvals, eigvecs, signs
 
 
 def small_d_matrix(spin: SpinQuantum, beta: float) -> np.ndarray:
-    """d^j(beta) via the eigendecomposition of J_y: the real rotation matrix
+    """d^j(beta) from the real J_x eigensystem: the real rotation matrix
     d^j_{m',m}(beta) = <j m'| exp(-i beta J_y) |j m>, rows and columns both
     ordered m = J .. -J.
 
-    Overflow-free and accurate to ~1e-13 per entry for two_j <= 200; the
-    direct Wigner sum formula cancels catastrophically there.
+    d = P R e^{-i lam beta} R^T P^+ = s o (R diag(cos lam beta +
+    sin lam beta) R^T): the spectrum is symmetric, and diag((-1)^a) maps
+    each eigenvector of lam to one of -lam, so the cosine part vanishes
+    where a - b is odd and the sine part where it is even.  Overflow-free
+    and accurate to ~1e-13 per entry for two_j <= 200; the direct Wigner
+    sum formula cancels catastrophically there.
     """
     if beta == 0.0:
         return np.eye(spin.dim)
-    eigvals, eigvecs = _jy_eigensystem(spin.two_j)
-    phases = np.exp(-1j * beta * eigvals)
-    return ((eigvecs * phases) @ eigvecs.conj().T).real
+    eigvals, r, signs = _jy_eigensystem(spin.two_j)
+    phase = beta * eigvals
+    return signs * ((r * (np.cos(phase) + np.sin(phase))) @ r.T)
 
 
 def rz_phases(spin: SpinQuantum, alpha: float) -> np.ndarray:

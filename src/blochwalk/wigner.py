@@ -13,9 +13,14 @@ The grid serves `wigner` output only: Gauss-Legendre nodes in cos(theta)
 crossed with a uniform phi grid on [-pi, pi).  The cos-theta rule is exact
 only for the even-q harmonics of W, which are polynomials of degree 2J in
 cos theta; an odd-q harmonic carries a factor sin theta and converges only
-algebraically in n_theta.  Each theta node keeps its own K (cached per spin
-and resolution), so a grid costs the diagonal sums of n_theta matrices
-K_i o rho and one phase sum over the phi nodes.
+algebraically in n_theta.  The kernels K_i are cached per spin and
+resolution, for half the nodes only: the nodes are symmetric about pi/2 and
+K(pi - theta) = J K(theta) J with J the index reversal, so the row at
+pi - theta_i takes K_i against J rho^T J.  The cache holds each K_i's upper
+diagonals, diagonal-major (kd[q, i, a] = K_i[a, a+q]), so the harmonics of
+every row come from one batched real product of kd with the diagonals of
+rho and J rho^T J, and a grid costs that product plus one phase sum over
+the phi nodes.
 """
 
 from __future__ import annotations
@@ -98,36 +103,57 @@ class WignerGrid:
                      * self.phi_spacing)
 
 
-# Two entries bound the memory: each stack holds n_theta * (2J+1)^2 floats.
+def _diagonals(a: np.ndarray) -> np.ndarray:
+    """d[..., q, i] = a[..., i, i+q] for q = 0 .. n-1 over the last two
+    axes, zero where i + q >= n.  With the rows of each matrix laid end to
+    end in rows of n+1, a[i, i+q] falls in column q; triu clears the entries
+    that would wrap in from the lower triangle."""
+    n, lead = a.shape[-1], a.shape[:-2]
+    flat = np.concatenate((np.triu(a).reshape(*lead, n * n),
+                           np.zeros((*lead, n), a.dtype)), axis=-1)
+    return flat.reshape(*lead, n, n + 1)[..., :n].swapaxes(-1, -2)
+
+
+# Two entries bound the memory: each stack holds ceil(n_theta/2) (2J+1)^2
+# floats.
 @functools.lru_cache(maxsize=2)
 def _theta_frame_stack(two_j: int, n_theta: int):
-    """(theta_nodes, GL weights, kernel stack) for one (j, resolution), all
-    read-only; the stack holds K_i = d(theta_i) diag(Delta) d(theta_i)^T."""
+    """(theta_nodes, GL weights, kernel diagonals) for one (j, resolution),
+    all read-only.  The nodes are symmetric about pi/2 and
+    K(pi - theta) = J K(theta) J (J reverses the index), so only the
+    kernels K_i = d(theta_i) diag(Delta) d(theta_i)^T of the
+    ceil(n_theta/2) nodes with theta_i <= pi/2 are kept, diagonal-major:
+    kd[q, i, a] = K_i[a, a+q]."""
     x, w = np.polynomial.legendre.leggauss(n_theta)
     theta = np.arccos(x[::-1])          # ascending theta in (0, pi)
     w = w[::-1].copy()
     spin = SpinQuantum(two_j)
     delta = kernel_weights(spin)
-    stack = np.empty((n_theta, two_j + 1, two_j + 1))
-    for i, t in enumerate(theta):
-        d = small_d_matrix(spin, float(t))
-        stack[i] = (d * delta) @ d.T
-    for a in (theta, w, stack):
+    kd = np.empty((two_j + 1, (n_theta + 1) // 2, two_j + 1))
+    for i in range(kd.shape[1]):
+        d = small_d_matrix(spin, float(theta[i]))
+        kd[:, i] = _diagonals((d * delta) @ d.T)
+    for a in (theta, w, kd):
         a.flags.writeable = False       # cached: every grid shares these
-    return theta, w, stack
+    return theta, w, kd
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4)
 def _theta_kernel(spin: SpinQuantum) -> np.ndarray:
     """K[a, b] = integral_0^pi sin(t) sum_m Delta_m d_am(t) d_bm(t) dt,
-    read-only.
+    read-only.  Cached for four spins: an entry holds 8 (2J+1)^2 bytes
+    (0.3 MB at N = 200, 8 MB at N = 1000), and a scan cycling up to four
+    spin counts still hits.
 
-    With J_y = V diag(lam) V^+, d(t) = V e^{-i lam t} V^+ is real, so
-    K = V (M o F) V^+ with M = V^+ diag(Delta) V and F_kl = f(lam_k - lam_l),
+    With J_y = V diag(lam) V^+ (V = P R, `_jy_eigensystem`),
+    d(t) = V e^{-i lam t} V^+ is real, so K = V (M o F) V^+ with
+    M = V^+ diag(Delta) V and F_kl = f(lam_k - lam_l),
     f(n) = integral_0^pi sin(t) e^{-i n t} dt: 2/(1 - n^2) for even n,
     -i n pi/2 for n = +-1 and 0 otherwise (lam_k - lam_l is an integer).
     """
-    lam, v = _jy_eigensystem(spin.two_j)
+    lam, r, _ = _jy_eigensystem(spin.two_j)
+    # P = diag(i^a), from an exact table: 1j ** a drifts for large a
+    v = np.array([1.0, 1j, -1.0, -1j])[np.arange(spin.dim) % 4, None] * r
     n = lam[:, None] - lam[None, :]
     f = np.zeros(n.shape, dtype=complex)
     even = n % 2 == 0
@@ -151,12 +177,6 @@ def _density(state) -> tuple[SpinQuantum, np.ndarray]:
                     f"got {type(state).__name__}")
 
 
-# bytes of K_i o rho taken at once (one theta node from N = 127 up): about
-# cache sized, and it keeps the grid's transient memory far below the
-# kernel stack's
-_CHUNK_BYTES = 2 ** 18
-
-
 def wigner_grid(state, resolution: tuple[int, int]) -> WignerGrid:
     """Evaluate W on the product grid for a pure composite state or a
     density matrix.
@@ -164,19 +184,25 @@ def wigner_grid(state, resolution: tuple[int, int]) -> WignerGrid:
     Row i is g_i[0] + 2 Re sum_q g_i[q] e^{i q phi} with the harmonics
     g_i[q] = sum_a K_i[a, a+q] rho[a, a+q] of the node's kernel K_i, summed
     on the phi nodes as `marginal_phi` sums P(phi), so n_phi <= 2J aliases
-    exactly.  Warns when the discretized normalization misses 1 by more than
-    1e-4 (resolution too low for this j).
+    exactly.  The mirrored row theta_{n-1-i} = pi - theta_i takes the same
+    K_i diagonals against those of J rho^T J, so all harmonics come from
+    one batched real product.  Warns when the discretized normalization
+    misses 1 by more than 1e-4 (resolution too low for this j).
     """
     n_theta, n_phi = resolution
     spin, rho = _density(state)
     if n_theta < 2:
         raise ValueError("need at least 2 theta nodes")
 
-    theta, w_theta, kstack = _theta_frame_stack(spin.two_j, n_theta)
-    step = max(1, _CHUNK_BYTES // (16 * spin.dim * spin.dim))
-    g = np.concatenate([_diagonal_sums(kstack[i:i + step] * rho)
-                        for i in range(0, n_theta, step)])
-    values = _phi_node_sum(g.T, n_phi).T
+    theta, w_theta, kd = _theta_frame_stack(spin.two_j, n_theta)
+    # the diagonals of rho and of J rho^T J, as 4 real columns Re, Im per q
+    cols = np.empty((spin.dim, spin.dim, 2), complex)
+    cols[..., 0] = _diagonals(rho)
+    cols[..., 1] = _diagonals(rho.T[::-1, ::-1])
+    g = (kd @ cols.view(float)).view(complex)     # (q, node, 2)
+    mirrored = g[:, :n_theta - kd.shape[1], 1]
+    harmonics = np.concatenate((g[:, :, 0], mirrored[:, ::-1]), axis=1)
+    values = _phi_node_sum(harmonics, n_phi).T
 
     grid = WignerGrid(spin, theta, w_theta, _phi_nodes(n_phi), values, state)
     residual = abs(grid.normalization() - 1.0)
@@ -204,17 +230,6 @@ class PhiDistribution:
     def total(self) -> float:
         """Integral of P over [-pi, pi): 2 pi p_0."""
         return 2.0 * math.pi * float(self.harmonics[0].real)
-
-
-def _diagonal_sums(a: np.ndarray) -> np.ndarray:
-    """sum_i a[..., i, i+q] for q = 0 .. n-1 over the last two axes.  With
-    the rows of each matrix laid end to end in rows of n+1, a[i, i+q] falls
-    in column q; triu clears the entries that would wrap in from the lower
-    triangle."""
-    n, lead = a.shape[-1], a.shape[:-2]
-    flat = np.concatenate((np.triu(a).reshape(*lead, n * n),
-                           np.zeros((*lead, n), a.dtype)), axis=-1)
-    return flat.reshape(*lead, n, n + 1).sum(axis=-2)[..., :n]
 
 
 def _root_sum(k: np.ndarray, period: int, terms: np.ndarray) -> np.ndarray:
@@ -250,8 +265,8 @@ def marginal_phi(source, indexing: SiteIndexing,
     elif n_phi is None:
         raise ValueError("n_phi is required unless the source is a grid")
     spin, rho = _density(source)
-    p = (spin.dim / (4.0 * math.pi)) * _diagonal_sums(
-        _theta_kernel(spin) * rho)
+    p = (spin.dim / (4.0 * math.pi)) * (
+        _diagonals(_theta_kernel(spin)) * _diagonals(rho)).sum(axis=-1)
 
     q = np.arange(1, spin.dim)
     half = math.pi / indexing.sites

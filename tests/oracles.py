@@ -7,11 +7,12 @@ total-variation distance) without touching the implementation paths under
 test.  The closed-form walk references take their site states from
 `site_state` and check the evolution.  The amplitude-based grid evaluator
 (one d-matrix per theta node, rho split into weighted vectors) is the
-reference for `wigner_grid`.  The theta Gauss-Legendre kernel and
-the grid-quadrature marginal are the references for the exact marginal; the
-per-cell Wigner CSV and SVG writers and the per-node site binning last in
-the file are the byte-for-byte references for the vectorized emitters and
-the grid marginal's binning.
+reference for `wigner_grid`, and the complex J_y eigendecomposition
+`small_d_by_jy` the reference for the real `small_d_matrix`.  The theta
+Gauss-Legendre kernel and the grid-quadrature marginal are the references
+for the exact marginal; the per-cell Wigner CSV and SVG writers and the
+per-node site binning last in the file are the byte-for-byte references
+for the vectorized emitters and the grid marginal's binning.
 """
 
 import math
@@ -53,6 +54,16 @@ def angular_momentum_matrices(two_j: int):
     jy = (jplus - jminus) / 2.0j
     jz = np.diag(m).astype(complex)
     return jx, jy, jz
+
+
+def small_d_by_jy(spin: SpinQuantum, beta: float) -> np.ndarray:
+    """d^j(beta) = V e^{-i beta lam} V^+ from the complex eigensystem of J_y
+    (eigenvalues snapped to the m grid), without the J_x similarity and the
+    quarter-turn signs of `small_d_matrix`."""
+    _, jy, _ = angular_momentum_matrices(spin.two_j)
+    lam, v = np.linalg.eigh(jy)
+    lam = np.round(2.0 * lam) / 2.0
+    return ((v * np.exp(-1j * beta * lam)) @ v.conj().T).real
 
 
 def cg_l1_closed_form(two_j: int, two_m: int) -> float:

@@ -137,9 +137,11 @@ def test_oversized_runs_exit_2(argv, tmp_path, capsys):
 
 def test_size_limit_admits_the_ballistic_run():
     _parse(["--sites", "40", "--spins", "200", "--steps", "9"])
-    _parse(["--spins", "600"])
+    # the grid keeps ceil(n_theta/2) node kernels, which sets the limit at
+    # the default resolution
+    _parse(["--spins", "788"])
     with pytest.raises(ConfigError, match="GiB"):
-        _parse(["--spins", "700"])
+        _parse(["--spins", "789"])
 
 
 def test_size_limit_charges_the_d_stack_to_wigner_output_only(tmp_path,
@@ -205,6 +207,23 @@ def test_manifest_checksums_and_residuals(tiny_run):
     for name, digest in manifest["files"].items():
         actual = hashlib.sha256((tiny_run / name).read_bytes()).hexdigest()
         assert actual == digest, name
+
+
+def test_manifest_digests_are_taken_as_files_are_written(tmp_path,
+                                                        monkeypatch):
+    def no_read_back(path):
+        raise AssertionError(f"{path.name} read back")
+
+    monkeypatch.setattr(Path, "read_bytes", no_read_back)
+    out = tmp_path / "run"
+    assert main(_tiny_args(out)) == 0
+    monkeypatch.undo()
+    files = json.loads((out / "manifest.json").read_text())["files"]
+    assert set(files) == {p.name for p in out.iterdir()} - {"manifest.json"}
+    assert {"wigner_k1.csv", "wigner_k1.svg", "sites.csv"} <= set(files)
+    for name, digest in files.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() \
+            == digest, name
 
 
 def test_wigner_csv_shape(tiny_run):

@@ -13,7 +13,8 @@ from blochwalk import (SpinQuantum, cg_l0_family, coherent_state, rz_phases,
                        small_d_matrix)
 
 from oracles import (angular_momentum_matrices, cg_coefficient,
-                     cg_l1_closed_form, cg_l2_closed_form, rotated_dicke_frame)
+                     cg_l1_closed_form, cg_l2_closed_form, rotated_dicke_frame,
+                     small_d_by_jy)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +175,14 @@ def test_d_matrix_orthogonality_and_symmetry(two_j):
     k = np.arange(spin.dim)
     signs = np.where((k[:, None] - k[None, :]) % 2 == 0, 1.0, -1.0)
     assert np.abs(d - signs * d.T).max() < 1e-10
+
+
+@pytest.mark.parametrize("two_j", [1, 2, 41, 200])
+def test_d_matrix_matches_complex_jy_reference(two_j):
+    spin = SpinQuantum(two_j)
+    for beta in (1e-3, 0.7, math.pi / 2.0, 2.9, math.pi):
+        assert np.abs(small_d_matrix(spin, beta)
+                      - small_d_by_jy(spin, beta)).max() < 1e-13
 
 
 @pytest.mark.parametrize("beta", [1e-3, math.pi / 2.0, math.pi - 1e-3])

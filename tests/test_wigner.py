@@ -2,6 +2,7 @@
 marginal, its site bins and its spread."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from blochwalk import (CoinPulse, DensityMatrix, NumericalInvariantError,
                        PhiDistribution, SiteIndexing, SpinQuantum,
                        WalkSchedule, cg_l0_family, evolve, ideal_sigma,
                        initial_state, kernel_weights, marginal_phi,
-                       reduce_walker, sigma_from_marginal, wigner_grid)
+                       reduce_walker, sigma_from_marginal, small_d_matrix,
+                       wigner_grid)
 from blochwalk.su2 import _jy_eigensystem
 from blochwalk.wigner import _theta_frame_stack, _theta_kernel
 
@@ -184,6 +186,41 @@ def test_full_rank_density_matrix_matches_vector_reference():
     _assert_matches_vector_reference(grid, state)
 
 
+@pytest.mark.parametrize("two_j", [1, 2, 30, 61])
+def test_node_kernel_mirrors_about_the_equator(two_j):
+    # K(pi - theta) = J K(theta) J with J the index reversal, which lets the
+    # grid keep only the kernels of the nodes with theta <= pi/2
+    spin = SpinQuantum(two_j)
+    delta = kernel_weights(spin)
+
+    def node_kernel(t):
+        d = small_d_matrix(spin, t)
+        return (d * delta) @ d.T
+
+    for t in (1e-3, 0.4, 1.3, math.pi / 2.0):
+        assert np.abs(node_kernel(math.pi - t)
+                      - node_kernel(t)[::-1, ::-1]).max() < 1e-13
+
+
+@pytest.mark.parametrize("n_theta", [2, 3, 12, 13])
+def test_mirrored_rows_match_vector_reference(n_theta):
+    # odd n_theta puts a node on the equator, which the half stack holds
+    # once; a pure composite state (even 2J), a full-rank density matrix
+    # (odd 2J) and its real part, a density matrix with real entries
+    _, _, states = _evolved(6, 10, 2)
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
+    rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
+    spin = SpinQuantum(9)
+    for state in (states[2], DensityMatrix(spin, rho),
+                  DensityMatrix(spin, rho.real)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")      # n_theta < 2J + 2
+            grid = wigner_grid(state, (n_theta, 24))
+        assert grid.values.shape == (n_theta, 24)
+        _assert_matches_vector_reference(grid, state)
+
+
 def test_grid_matches_pointwise_oracle():
     idx, spin, states = _evolved(6, 20, 2)
     rho = reduce_walker(states[2])
@@ -198,9 +235,12 @@ def test_cached_arrays_are_read_only():
     spin = SpinQuantum(10)
     rho = DensityMatrix(spin, np.eye(spin.dim, dtype=complex) / spin.dim)
     grid = wigner_grid(rho, (12, 24))
+    # the stack keeps ceil(n_theta/2) kernels, diagonal-major
+    assert _theta_frame_stack(10, 13)[2].shape == (11, 7, 11)
     cached = (grid.theta_nodes, grid.theta_weights, kernel_weights(spin),
               _theta_kernel(spin), *_theta_frame_stack(10, 12),
-              *_jy_eigensystem(10))
+              *_theta_frame_stack(10, 13), *_jy_eigensystem(10),
+              *_jy_eigensystem(9))
     for a in cached:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0.0
@@ -208,6 +248,34 @@ def test_cached_arrays_are_read_only():
         == pytest.approx(1.0, abs=1e-12)
     assert marginal_phi(rho, SiteIndexing(6), 24).total \
         == pytest.approx(1.0, abs=1e-12)
+
+
+def test_per_spin_caches_are_bounded_and_hit_in_a_cycling_scan():
+    def flat(two_j):
+        return DensityMatrix(SpinQuantum(two_j),
+                             np.eye(two_j + 1, dtype=complex) / (two_j + 1))
+
+    caches = (_theta_kernel, _jy_eigensystem)
+    for cache in caches:
+        cache.cache_clear()
+    bound = max(cache.cache_info().maxsize for cache in caches)
+    idx = SiteIndexing(6)
+    for two_j in range(1, bound + 4):
+        marginal_phi(flat(two_j), idx, 12)
+    assert [c.cache_info().currsize for c in caches] \
+        == [c.cache_info().maxsize for c in caches]
+
+    # three spin counts, cycled as a parameter scan does, miss only on
+    # their first pass, although every grid rebuilds its kernel stack
+    cycle = [flat(two_j) for two_j in (20, 21, 22)]
+    for state in cycle:
+        wigner_grid(state, (24, 24))
+        marginal_phi(state, idx, 24)
+    misses = [c.cache_info().misses for c in caches]
+    for state in cycle * 2:
+        wigner_grid(state, (24, 24))
+        marginal_phi(state, idx, 24)
+    assert [c.cache_info().misses for c in caches] == misses
 
 
 def test_grid_of_maximally_mixed_state_is_constant():
