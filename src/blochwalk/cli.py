@@ -420,21 +420,28 @@ def run_experiment(config: RunConfig) -> dict:
     return manifest
 
 
+def _print_warning(message, *_args, **_kwargs):
+    print(f"blochwalk: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
-    try:
-        config = parse_config(argv)
-    except ConfigError as exc:
-        print(f"blochwalk: error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        manifest = run_experiment(config)
-    except NumericalInvariantError as exc:
-        print(f"blochwalk: numerical invariant violated: {exc}",
-              file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"blochwalk: I/O error: {exc}", file=sys.stderr)
-        return 4
+    # warnings print as one line while main runs; filters stay as they are
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            config = parse_config(argv)
+        except ConfigError as exc:
+            print(f"blochwalk: error: {exc}", file=sys.stderr)
+            return 2
+        try:
+            manifest = run_experiment(config)
+        except NumericalInvariantError as exc:
+            print(f"blochwalk: numerical invariant violated: {exc}",
+                  file=sys.stderr)
+            return 3
+        except OSError as exc:
+            print(f"blochwalk: I/O error: {exc}", file=sys.stderr)
+            return 4
     print(f"wrote {len(manifest['files'])} files to {config.out} "
           f"in {manifest['duration_seconds']}s")
     return 0

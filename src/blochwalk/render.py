@@ -1,5 +1,7 @@
 """SVG heatmaps of Wigner grids: equirectangular theta-phi projection with
-a diverging colormap symmetric about W = 0, no imaging dependencies."""
+a diverging colormap symmetric about W = 0, no imaging dependencies.  Each
+theta row is painted as runs of equal colour, one <rect> per run, spanning
+the run's cells."""
 
 from __future__ import annotations
 
@@ -57,17 +59,14 @@ def render_heatmap_svg(grid: WignerGrid, path,
     margin_l, margin_r, margin_t, margin_b = 50, 20, 16, 36
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
-    n_theta = len(grid.theta_nodes)
-    n_phi = len(grid.phi_nodes)
+    n_theta, n_phi = grid.values.shape
     if not np.isfinite(grid.values).all():
         raise ValueError("Wigner grid holds non-finite values")
     vmax = float(np.abs(grid.values).max())
 
     # cell edges: uniform in phi; theta cells split midway between nodes
-    theta_edges = np.empty(n_theta + 1)
-    theta_edges[0] = 0.0
-    theta_edges[-1] = math.pi
-    theta_edges[1:-1] = 0.5 * (grid.theta_nodes[:-1] + grid.theta_nodes[1:])
+    mids = 0.5 * (grid.theta_nodes[:-1] + grid.theta_nodes[1:])
+    ys = (margin_t + plot_h * np.r_[0.0, mids, math.pi] / math.pi).tolist()
 
     head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -91,36 +90,37 @@ def render_heatmap_svg(grid: WignerGrid, path,
                 continue
             x = margin_l + plot_w * (phi_n + math.pi) / (2.0 * math.pi)
             y = margin_t + plot_h
-            tail.append(
+            tail += [
                 f'<line x1="{x:.2f}" y1="{y}" x2="{x:.2f}" y2="{y + 5}" '
-                f'stroke="black" stroke-width="1"/>')
-            tail.append(
+                f'stroke="black" stroke-width="1"/>',
                 f'<text x="{x:.2f}" y="{y + 17}" font-size="10" '
-                f'text-anchor="middle">{int(n)}</text>')
+                f'text-anchor="middle">{int(n)}</text>']
 
-    tail.append(
-        f'<text x="{margin_l}" y="{margin_t - 4}" font-size="11">'
-        f'W range +/- {vmax:.6e}</text>')
-    tail.append("</svg>")
+    tail += [f'<text x="{margin_l}" y="{margin_t - 4}" font-size="11">'
+             f'W range +/- {vmax:.6e}</text>', "</svg>"]
 
-    # one <rect> per cell, written a theta row at a time.  A row reads
-    # x_0 yhw c_0 END x_1 yhw c_1 END ...: the x attributes are formatted once
-    # per phi column, the row's y/width/height (yhw) joins them into a
-    # template, and one %-format fills in the row's colours c_k.
+    # one <rect> per run of equal colour along a theta row: a run of n cells
+    # from column k has that column's x and the width n dx + 0.05.  The x
+    # attributes are formatted once per column and the widths once per run
+    # length; a row joins its runs into a template filled by one %-format.
     colors = _cell_colors(grid.values, vmax)
     dx = plot_w / n_phi
-    cell_end = '%06x"/>\n'
     x_attrs = [f'<rect x="{margin_l + k * dx:.2f}" y="' for k in range(n_phi)]
-    pieces = x_attrs[:1] + [cell_end + x for x in x_attrs[1:]] + [cell_end]
-    cell_w = f'" width="{dx + 0.05:.2f}" height="'
+    w_attrs = [f'" width="{n * dx + 0.05:.2f}" height="'
+               for n in range(n_phi + 1)]
+    starts = np.flatnonzero(np.diff(colors, prepend=-1))   # flat cell index
+    runs = list(zip((starts % n_phi).tolist(),
+                    np.diff(starts, append=colors.size).tolist()))
+    fills = np.take(colors, starts).tolist()
+    rows = np.searchsorted(starts, n_phi * np.arange(n_theta + 1)).tolist()
 
     def chunks():
         yield "\n".join(head) + "\n"
-        for i in range(n_theta):
-            y0 = margin_t + plot_h * theta_edges[i] / math.pi
-            y1 = margin_t + plot_h * theta_edges[i + 1] / math.pi
-            yhw = f'{y0:.2f}{cell_w}{y1 - y0 + 0.05:.2f}" fill="#'
-            yield yhw.join(pieces) % tuple(colors[i].tolist())
+        for a, b, y0, y1 in zip(rows, rows[1:], ys, ys[1:]):
+            y, h = f'{y0:.2f}', f'{y1 - y0 + 0.05:.2f}" fill="#%06x"/>\n'
+            row = "".join([x_attrs[k] + y + w_attrs[n] + h
+                           for k, n in runs[a:b]])
+            yield row % tuple(fills[a:b])
         yield "\n".join(tail) + "\n"
 
     return write_hashed(path, chunks())

@@ -145,23 +145,22 @@ def _theta_kernel(spin: SpinQuantum) -> np.ndarray:
     (0.3 MB at N = 200, 8 MB at N = 1000), and a scan cycling up to four
     spin counts still hits.
 
-    With J_y = V diag(lam) V^+ (V = P R, `_jy_eigensystem`),
-    d(t) = V e^{-i lam t} V^+ is real, so K = V (M o F) V^+ with
-    M = V^+ diag(Delta) V and F_kl = f(lam_k - lam_l),
-    f(n) = integral_0^pi sin(t) e^{-i n t} dt: 2/(1 - n^2) for even n,
-    -i n pi/2 for n = +-1 and 0 otherwise (lam_k - lam_l is an integer).
+    With the signed real form of `small_d_matrix`,
+    d(t) = s o (R diag(cos lam t + sin lam t) R^T), the integral is
+    K = s o (R (M o G) R^T) with the real M = R^T diag(Delta) R and
+    G_kl = g(lam_k - lam_l), g(n) = integral_0^pi sin(t) (cos nt + sin nt)
+    dt: 2/(1 - n^2) for even n, n pi/2 for n = +-1 and 0 otherwise
+    (lam_k - lam_l is an integer).
     """
-    lam, r, _ = _jy_eigensystem(spin.two_j)
-    # P = diag(i^a), from an exact table: 1j ** a drifts for large a
-    v = np.array([1.0, 1j, -1.0, -1j])[np.arange(spin.dim) % 4, None] * r
+    lam, r, signs = _jy_eigensystem(spin.two_j)
     n = lam[:, None] - lam[None, :]
-    f = np.zeros(n.shape, dtype=complex)
+    g = np.zeros(n.shape)
     even = n % 2 == 0
-    f[even] = 2.0 / (1.0 - n[even] ** 2)
+    g[even] = 2.0 / (1.0 - n[even] ** 2)
     odd_one = np.abs(n) == 1
-    f[odd_one] = -0.5j * math.pi * n[odd_one]
-    m = (v.conj().T * kernel_weights(spin)) @ v
-    kernel = ((v @ (m * f)) @ v.conj().T).real
+    g[odd_one] = 0.5 * math.pi * n[odd_one]
+    m = (r.T * kernel_weights(spin)) @ r
+    kernel = signs * ((r @ (m * g)) @ r.T)
     kernel.flags.writeable = False      # cached: every marginal shares it
     return kernel
 

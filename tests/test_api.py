@@ -1,4 +1,10 @@
-"""The package's public names: one owner each, all resolvable."""
+"""The package's public names: one owner each, all resolvable, and the
+README's session runs against them."""
+
+import re
+from pathlib import Path
+
+import numpy as np
 
 import blochwalk
 from blochwalk import coherent, su2, walk, wigner
@@ -32,3 +38,19 @@ def test_test_only_members_are_gone():
     # checks and aliases that only the tests used live in `oracles` now
     assert not hasattr(blochwalk.DensityMatrix, "validate")
     assert not hasattr(blochwalk.SpinQuantum, "j")
+
+
+def test_readme_minimal_session_runs(capsys):
+    """The README's minimal Python session runs as written against the
+    package, so the documented API cannot drift from it."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text()
+    after = text[text.index("A minimal session:"):]
+    match = re.search(r"```python\n(.*?)```", after, re.S)
+    namespace = {}
+    exec(compile(match.group(1), str(readme), "exec"), namespace)
+    dist, same = namespace["dist"], namespace["same"]
+    assert abs(dist.total - 1.0) < 1e-12
+    assert np.array_equal(same.harmonics, dist.harmonics)
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 3 and printed[1].startswith("sigma = ")

@@ -7,16 +7,22 @@ import importlib
 import importlib.util
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import blochwalk.cli as cli
 import blochwalk.wigner as wigner
+from blochwalk import (CoinPulse, SiteIndexing, SpinQuantum, WalkSchedule,
+                       evolve, initial_state)
 from blochwalk.cli import (ALL_OUTPUTS, ConfigError, main, parse_config,
                            run_experiment)
+from oracles import _color
 
 
 def _parse(argv):
@@ -176,6 +182,28 @@ def test_wraparound_warning():
         parse_config(["--sites", "6", "--steps", "3", "--spins", "10"])
 
 
+@pytest.mark.parametrize("extra, code, message", [
+    (["--steps", "3"], 0, "wrap-around"),
+    (["--grid-phi", "7"], 3, "normalization off"),
+])
+def test_cli_prints_warnings_as_one_line(extra, code, message, tmp_path):
+    """Run as a program, a warning is one `blochwalk: warning:` line on
+    stderr, not Python's file:line header and echoed source line."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "blochwalk", "--sites", "6", "--spins", "10",
+         *extra, "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == code
+    lines = proc.stderr.splitlines()
+    assert lines and all(line.startswith("blochwalk: ") for line in lines)
+    assert lines[0].startswith("blochwalk: warning: ")
+    assert message in lines[0]
+
+
 # ---------------------------------------------------------------------------
 # experiment runs
 # ---------------------------------------------------------------------------
@@ -259,9 +287,20 @@ def test_sites_and_ideal_csv_rows(tiny_run):
 
 
 def test_svg_heatmap_content(tiny_run):
+    """One <rect> per run of equal colour along each theta row, plus the
+    background and the frame."""
     text = (tiny_run / "wigner_k1.svg").read_text()
     assert text.startswith("<svg")
-    assert text.count("<rect") >= 12 * 48
+    idx, spin = SiteIndexing(6), SpinQuantum(10)
+    states = evolve(initial_state(idx, spin), CoinPulse.hadamard(),
+                    WalkSchedule.site_aligned(idx, 1))
+    values = wigner.wigner_grid(states[1], (12, 48)).values
+    vmax = float(np.abs(values).max())
+    fills = [[_color(v, vmax) for v in row] for row in values.tolist()]
+    runs = sum(1 + sum(a != b for a, b in zip(row, row[1:]))
+               for row in fills)
+    assert runs < 12 * 48
+    assert text.count("<rect") == 2 + runs
     assert "W range" in text
 
 

@@ -1,8 +1,10 @@
-"""The Wigner CSV and SVG emitters write the same bytes as their per-cell
-references in `oracles`, on real and constructed grids."""
+"""The Wigner CSV emitter writes the same bytes as its per-field reference
+in `oracles`, and the SVG emitter paints the same cells as its per-cell
+reference, on real and constructed grids."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -71,14 +73,58 @@ def case(request):
     return GRIDS[request.param]()
 
 
+_CELL = re.compile(r'<rect x="([^"]+)" y="([^"]+)" width="([^"]+)" '
+                   r'height="([^"]+)" fill="(#[0-9a-f]{6})"/>')
+
+
+def _split_cells(path):
+    """(cell rects as (x, y, width, height, fill), every other line)."""
+    cells, other = [], []
+    for line in path.read_text().splitlines():
+        match = _CELL.fullmatch(line)
+        if match:
+            cells.append(match.groups())
+        else:
+            other.append(line)
+    return cells, other
+
+
 @pytest.mark.parametrize("with_ticks", [True, False])
 def test_svg_matches_per_cell_reference(case, with_ticks, tmp_path):
+    """Expanded back into cells, the run rects cover every (theta, phi)
+    cell of the per-cell reference exactly once, in its fill and at its
+    x, y and height; each run is maximal and n dx + 0.05 wide, and every
+    line that is not a cell rect is byte-identical to the reference."""
     idx, grid = case
     ticks = idx if with_ticks else None
     render_heatmap_svg(grid, tmp_path / "new.svg", ticks)
     render_heatmap_svg_per_cell(grid, tmp_path / "ref.svg", ticks)
-    assert ((tmp_path / "new.svg").read_bytes()
-            == (tmp_path / "ref.svg").read_bytes())
+    runs, other = _split_cells(tmp_path / "new.svg")
+    ref_cells, ref_other = _split_cells(tmp_path / "ref.svg")
+    assert other == ref_other
+
+    n_phi = len(grid.phi_nodes)
+    dx = 650 / n_phi
+    columns = [x for x, *_ in ref_cells[:n_phi]]
+    ref = {(y, x): (h, fill) for x, y, _, h, fill in ref_cells}
+    assert len(ref) == grid.values.size
+
+    painted = {}
+    previous = None                 # (y, next column, fill) of the last run
+    for x, y, width, height, fill in runs:
+        k = columns.index(x)
+        n = round((float(width) - 0.05) / dx)
+        assert width == f"{n * dx + 0.05:.2f}"
+        if previous is not None and previous[0] == y:
+            assert k == previous[1]         # contiguous along the row
+            assert fill != previous[2]      # maximal: neighbours differ
+        else:
+            assert k == 0
+        previous = (y, k + n, fill)
+        for col in columns[k:k + n]:
+            assert (y, col) not in painted
+            painted[y, col] = (height, fill)
+    assert painted == ref
 
 
 def test_wigner_csv_matches_per_field_reference(case, tmp_path):

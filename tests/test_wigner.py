@@ -59,7 +59,7 @@ def test_projection_flip_alternates_coupling_signs(two_j, two_m):
 # theta kernel K (closed form) against Gauss-Legendre in theta
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("two_j", [1, 2, 7, 30, 31, 80])
+@pytest.mark.parametrize("two_j", [1, 2, 7, 30, 31, 80, 200, 201])
 def test_theta_kernel_matches_quadrature(two_j):
     spin = SpinQuantum(two_j)
     kernel = _theta_kernel(spin)
