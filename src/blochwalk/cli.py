@@ -4,6 +4,10 @@ emit deterministic CSV / JSON / SVG artifacts.
 Output conventions: CSV with one header line, %.12e numbers, comma
 separator, LF endings; JSON manifest with sorted keys, written last, listing
 every emitted file with the sha256 its emitter took of the bytes written.
+The Wigner CSV, most of the bytes a run writes, formats its fields with an
+exact vectorized %.12e (`_sci_cells`): the same bytes as Python's `%`,
+which still formats the few values whose rounding the fast path cannot
+certify.
 Exit codes: 0 success, 2 configuration error, 3 numerical-invariant
 violation, 4 I/O failure.
 """
@@ -18,6 +22,8 @@ import sys
 import time
 import warnings
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .coherent import SiteIndexing
@@ -189,7 +195,9 @@ def _estimated_bytes(config: RunConfig) -> int:
     its complex temporaries and the phase tables of the phi-node and
     site-bin sums and, when `wigner` is asked for, the half kernel stack
     (one kernel per theta node up to pi/2), the grid's harmonics and phase
-    table, and one grid's phase sums, values and colours."""
+    table, and one grid's values with either its phase sums and colours
+    or the Wigner CSV emitter's chunk (about 330 bytes a cell, measured),
+    which are never held at the same time."""
     dim, rows = config.spins + 1, (config.steps + 1) * config.sites
     total = (config.steps + 1) * 2 * (16 * dim + 128)   # states
     total += 128 * config.sites + 8 * rows              # ideal walk
@@ -200,7 +208,9 @@ def _estimated_bytes(config: RunConfig) -> int:
     if "wigner" in config.outputs:
         total += 8 * ((config.grid_theta + 1) // 2) * dim * dim  # stack
         total += 32 * dim * (config.grid_theta + config.grid_phi)
-        total += 80 * config.grid_theta * config.grid_phi  # sums, W, colours
+        cells = config.grid_theta * config.grid_phi
+        total += max(80 * cells,                        # sums, W, colours
+                     8 * cells + 512 * max(_CHUNK_CELLS, config.grid_phi))
     return total
 
 
@@ -264,23 +274,122 @@ def _fmt(x: float) -> str:
     return "%.12e" % x
 
 
+def _words(texts) -> np.ndarray:
+    """The 4-byte ASCII texts as uint32 words, in order."""
+    return np.frombuffer("".join(texts).encode(), np.uint32)
+
+
+def _digit_text(places: int) -> np.ndarray:
+    """(10^places, places) uint8: the zero-padded ASCII digits of
+    0 .. 10^places - 1, the Cartesian power of the digits in order."""
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    grids = np.meshgrid(*[digits] * places, indexing="ij")
+    return np.stack(grids, axis=-1).reshape(-1, places)
+
+
+# A `%.12e` cell is 20 bytes, five 4-byte words: [sign d0 . d1] [d2..d5]
+# [d6..d9] [d10 d11 d12 e] [exponent sign, 2 or 3 digits]; bytes a value
+# does not use hold _PAD and are never written.
+_CELL = 20
+_PAD = "\0"
+_LEAD = _words(f"{sign}{k // 10}.{k % 10}" for sign in (_PAD, "-")
+               for k in range(100))
+_FOUR = _digit_text(4).view(np.uint32).ravel()
+_THREE = np.c_[_digit_text(3),
+               np.full(1000, ord("e"), np.uint8)].view(np.uint32).ravel()
+# the fast path's decimal exponents, and 10^(12 - e) for each, correctly
+# rounded
+_E_MIN, _E_MAX = -281, 281
+_EXP = _words(f"{e:+03d}".ljust(4, _PAD) for e in range(_E_MIN, _E_MAX + 1))
+_SCALE = np.array([float(f"1e{12 - e}") for e in range(_E_MIN, _E_MAX + 1)])
+# cells per chunk of the Wigner CSV emitter (at least one theta row)
+_CHUNK_CELLS = 4096
+
+
+def _python_cells(values: np.ndarray) -> np.ndarray:
+    """`%.12e` cells of the values by Python's own formatting."""
+    text = "%-20.12e" * values.size % tuple(values.tolist())
+    return np.frombuffer(text.replace(" ", _PAD).encode(),
+                         np.uint8).reshape(-1, _CELL)
+
+
+def _sci_cells(x: np.ndarray) -> np.ndarray:
+    """`%.12e` of every value of x as a (x.size, 20) uint8 array of ASCII
+    cells, unused bytes _PAD; exactly the bytes `b"%.12e" % v` gives.
+
+    Fast path, for 1e-280 < |x| < 1e280: with e = floor(log10 |x|),
+    corrected once so that m = |x| 10^(12 - e) lies in [1e12, 1e13), the
+    13 digits are those of n = rint(m) (n = 1e13 carries into e).  The
+    scale 10^(12 - e) is a correctly rounded table entry and the product
+    is rounded once, so |m - exact| <= 2u m < 2^-52 1e13 < 0.0023; n is the
+    exactly rounded mantissa whenever m lies at least 0.01 from a
+    half-integer.  Exact float floor divisions split n into digit groups,
+    which index tables of their text.  Every other value (zero, NaN,
+    +-inf, subnormals, values beyond 1e+-280 and near-halves) is formatted
+    by Python's `%`.  The sign is taken from the sign bit, so -0.0 keeps
+    its minus sign.
+    """
+    x = np.ravel(x)
+    a = np.abs(x)
+    fast = (a > 1e-280) & (a < 1e280)
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    m = a * _SCALE[e - _E_MIN]
+    e += np.where(m < 1e12, -1, m >= 1e13)
+    m = a * _SCALE[e - _E_MIN]
+    n = np.rint(m)
+    fast &= np.abs(m - n) <= 0.49
+    carry = n >= 1e13
+    e += carry
+    n[carry] = 1e12
+    # n = lead 10^11 + b 10^7 + c 10^3 + d, every quotient exact
+    lead = np.floor(n / 1e11)
+    n -= 1e11 * lead
+    b = np.floor(n / 1e7)
+    n -= 1e7 * b
+    c = np.floor(n / 1e3)
+    n -= 1e3 * c
+    words = np.stack((_LEAD[lead.astype(np.intp) + 100 * np.signbit(x)],
+                      _FOUR[b.astype(np.intp)], _FOUR[c.astype(np.intp)],
+                      _THREE[n.astype(np.intp)], _EXP[e - _E_MIN]), axis=1)
+    cells = words.view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        cells[slow] = _python_cells(x[slow])
+    return cells
+
+
 def write_wigner_csv(grid, path) -> str:
-    """One `theta,phi,weight_theta,W` line per cell, written a theta row at a
-    time: phi is formatted once per column, theta and the weight once per
-    row, and one %-format fills in the row's W fields.  Returns the sha256
+    """One `theta,phi,weight_theta,W` line per cell, every field the
+    exact `%.12e` of `_sci_cells` (Python's `%` formats zeros, non-finite
+    values, |x| outside (1e-280, 1e280) and mantissas within 0.01 of a
+    rounding half).  A chunk of at most _CHUNK_CELLS cells, and at least
+    one theta row, is laid out at a time as fixed-width cells side by
+    side; its pad bytes are deleted as it is written.  Returns the sha256
     of the file."""
-    phis = [_fmt(p) + "," for p in grid.phi_nodes]
+    n_theta, n_phi = grid.values.shape
+    rows = max(1, _CHUNK_CELLS // n_phi)
+    # (theta row, phi column, field, cell + separator)
+    lines = np.empty((min(rows, n_theta), n_phi, 4, _CELL + 1), np.uint8)
+    lines[..., -1] = ord(",")
+    lines[:, :, 3, -1] = ord("\n")
+    lines[:, :, 1, :-1] = _sci_cells(grid.phi_nodes)
+    theta = _sci_cells(grid.theta_nodes)[:, None]
+    weight = _sci_cells(grid.theta_weights)[:, None]
+    pad = _PAD.encode()
 
-    def rows():
-        yield "theta,phi,weight_theta,W\n"
-        for t, w, row in zip(grid.theta_nodes, grid.theta_weights,
-                             grid.values):
-            t_, w_ = _fmt(t) + ",", _fmt(w) + ","
-            # t_ phi_0 w_ W_0 \n t_ phi_1 w_ W_1 \n ... t_ phi_last w_ W_last \n
-            template = t_ + f"{w_}%.12e\n{t_}".join(phis) + f"{w_}%.12e\n"
-            yield template % tuple(row.tolist())
+    def chunks():
+        yield b"theta,phi,weight_theta,W\n"
+        for i in range(0, n_theta, rows):
+            block = lines[:n_theta - i]
+            r = len(block)
+            block[:, :, 0, :-1] = theta[i:i + r]
+            block[:, :, 2, :-1] = weight[i:i + r]
+            block[:, :, 3, :-1] = _sci_cells(grid.values[i:i + r]).reshape(
+                r, n_phi, _CELL)
+            yield block.tobytes().translate(None, pad)
 
-    return write_hashed(path, rows())
+    return write_hashed(path, chunks())
 
 
 def _write_lines(lines, path) -> str:

@@ -22,12 +22,13 @@ _POS = np.array([178.0, 24.0, 43.0])
 
 
 def write_hashed(path, chunks) -> str:
-    """Write the ASCII text chunks to path as they come and return the
-    sha256 of the bytes written, so no artifact is read back to hash it."""
+    """Write the chunks (ASCII text or bytes) to path as they come and
+    return the sha256 of the bytes written, so no artifact is read back to
+    hash it."""
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
         for chunk in chunks:
-            data = chunk.encode()
+            data = chunk.encode() if isinstance(chunk, str) else chunk
             fh.write(data)
             digest.update(data)
     return digest.hexdigest()

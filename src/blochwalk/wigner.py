@@ -114,6 +114,20 @@ def _diagonals(a: np.ndarray) -> np.ndarray:
     return flat.reshape(*lead, n, n + 1)[..., :n].swapaxes(-1, -2)
 
 
+# An entry holds 16 n_theta bytes; eight entries let a scan cycling a few
+# resolutions past the two-entry stack cache still hit.
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(n_theta: int):
+    """(theta_nodes, weights) of the n_theta-node Gauss-Legendre rule in
+    cos(theta), theta ascending in (0, pi), both read-only."""
+    x, w = np.polynomial.legendre.leggauss(n_theta)
+    theta = np.arccos(x[::-1])
+    w = w[::-1].copy()
+    for a in (theta, w):
+        a.flags.writeable = False       # cached: every grid shares these
+    return theta, w
+
+
 # Two entries bound the memory: each stack holds ceil(n_theta/2) (2J+1)^2
 # floats.
 @functools.lru_cache(maxsize=2)
@@ -124,17 +138,14 @@ def _theta_frame_stack(two_j: int, n_theta: int):
     kernels K_i = d(theta_i) diag(Delta) d(theta_i)^T of the
     ceil(n_theta/2) nodes with theta_i <= pi/2 are kept, diagonal-major:
     kd[q, i, a] = K_i[a, a+q]."""
-    x, w = np.polynomial.legendre.leggauss(n_theta)
-    theta = np.arccos(x[::-1])          # ascending theta in (0, pi)
-    w = w[::-1].copy()
+    theta, w = _gauss_legendre(n_theta)
     spin = SpinQuantum(two_j)
     delta = kernel_weights(spin)
     kd = np.empty((two_j + 1, (n_theta + 1) // 2, two_j + 1))
     for i in range(kd.shape[1]):
         d = small_d_matrix(spin, float(theta[i]))
         kd[:, i] = _diagonals((d * delta) @ d.T)
-    for a in (theta, w, kd):
-        a.flags.writeable = False       # cached: every grid shares these
+    kd.flags.writeable = False          # cached: every grid shares it
     return theta, w, kd
 
 

@@ -14,7 +14,8 @@ from blochwalk import (CoinPulse, DensityMatrix, NumericalInvariantError,
                        reduce_walker, sigma_from_marginal, small_d_matrix,
                        wigner_grid)
 from blochwalk.su2 import _jy_eigensystem
-from blochwalk.wigner import _theta_frame_stack, _theta_kernel
+from blochwalk.wigner import (_gauss_legendre, _theta_frame_stack,
+                              _theta_kernel)
 
 from oracles import (grid_marginal, grid_sigma, theta_kernel_gl, tv_distance,
                      wigner_at, wigner_grid_by_vectors)
@@ -240,7 +241,8 @@ def test_cached_arrays_are_read_only():
     cached = (grid.theta_nodes, grid.theta_weights, kernel_weights(spin),
               _theta_kernel(spin), *_theta_frame_stack(10, 12),
               *_theta_frame_stack(10, 13), *_jy_eigensystem(10),
-              *_jy_eigensystem(9))
+              *_jy_eigensystem(9), *_gauss_legendre(12),
+              *_gauss_legendre(13))
     for a in cached:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0.0
@@ -255,12 +257,14 @@ def test_per_spin_caches_are_bounded_and_hit_in_a_cycling_scan():
         return DensityMatrix(SpinQuantum(two_j),
                              np.eye(two_j + 1, dtype=complex) / (two_j + 1))
 
-    caches = (_theta_kernel, _jy_eigensystem)
+    # the Gauss-Legendre rule is cached per resolution n_theta = 2J + 2
+    caches = (_theta_kernel, _jy_eigensystem, _gauss_legendre)
     for cache in caches:
         cache.cache_clear()
     bound = max(cache.cache_info().maxsize for cache in caches)
     idx = SiteIndexing(6)
     for two_j in range(1, bound + 4):
+        wigner_grid(flat(two_j), (two_j + 2, 16))
         marginal_phi(flat(two_j), idx, 12)
     assert [c.cache_info().currsize for c in caches] \
         == [c.cache_info().maxsize for c in caches]
@@ -269,13 +273,15 @@ def test_per_spin_caches_are_bounded_and_hit_in_a_cycling_scan():
     # their first pass, although every grid rebuilds its kernel stack
     cycle = [flat(two_j) for two_j in (20, 21, 22)]
     for state in cycle:
-        wigner_grid(state, (24, 24))
+        wigner_grid(state, (state.spin.two_j + 2, 24))
         marginal_phi(state, idx, 24)
     misses = [c.cache_info().misses for c in caches]
+    stacks_built = _theta_frame_stack.cache_info().misses
     for state in cycle * 2:
-        wigner_grid(state, (24, 24))
+        wigner_grid(state, (state.spin.two_j + 2, 24))
         marginal_phi(state, idx, 24)
     assert [c.cache_info().misses for c in caches] == misses
+    assert _theta_frame_stack.cache_info().misses == stacks_built + 6
 
 
 def test_grid_of_maximally_mixed_state_is_constant():
