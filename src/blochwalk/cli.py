@@ -4,10 +4,8 @@ emit deterministic CSV / JSON / SVG artifacts.
 Output conventions: CSV with one header line, %.12e numbers, comma
 separator, LF endings; JSON manifest with sorted keys, written last, listing
 every emitted file with the sha256 its emitter took of the bytes written.
-The Wigner CSV, most of the bytes a run writes, formats its fields with an
-exact vectorized %.12e (`_sci_cells`): the same bytes as Python's `%`,
-which still formats the few values whose rounding the fast path cannot
-certify.
+Every CSV number is an exact vectorized %.12e (`_sci_cells`): the same
+bytes as Python's `%`, which formats the values it cannot certify.
 Exit codes: 0 success, 2 configuration error, 3 numerical-invariant
 violation, 4 I/O failure.
 """
@@ -191,26 +189,25 @@ def _build_parser() -> argparse.ArgumentParser:
 def _estimated_bytes(config: RunConfig) -> int:
     """Rough peak memory of the run: the evolved states, the ideal walk
     and its temporaries, the sites/ideal CSV rows held in memory (about
-    160 bytes a row), when the marginal is needed the theta kernel K with
-    its complex temporaries and the phase tables of the phi-node and
-    site-bin sums and, when `wigner` is asked for, the half kernel stack
-    (one kernel per theta node up to pi/2), the grid's harmonics and phase
-    table, and one grid's values with either its phase sums and colours
-    or the Wigner CSV emitter's chunk (about 330 bytes a cell, measured),
-    which are never held at the same time."""
+    160 bytes a row), when the marginal is needed the first theta-kernel
+    build (80 (N+1)^2 bytes, measured) and the phi-node and site-bin phase
+    tables and, when `wigner` is asked for, the half kernel stack (one
+    kernel per theta node up to pi/2), the grid's harmonics and phase
+    table, and one grid's values with either its phase sums and colours or
+    the Wigner CSV chunk (160 bytes a cell, measured), never held at once."""
     dim, rows = config.spins + 1, (config.steps + 1) * config.sites
     total = (config.steps + 1) * 2 * (16 * dim + 128)   # states
     total += 128 * config.sites + 8 * rows              # ideal walk
     total += 160 * rows * len(config.outputs & {"sites", "ideal"})
     if config.outputs & KERNEL_OUTPUTS:
-        total += 6 * 16 * dim * dim                      # K build, K o rho
+        total += 80 * dim * dim                          # K build
         total += 48 * dim * (config.grid_phi + config.sites)  # phases
     if "wigner" in config.outputs:
         total += 8 * ((config.grid_theta + 1) // 2) * dim * dim  # stack
         total += 32 * dim * (config.grid_theta + config.grid_phi)
         cells = config.grid_theta * config.grid_phi
         total += max(80 * cells,                        # sums, W, colours
-                     8 * cells + 512 * max(_CHUNK_CELLS, config.grid_phi))
+                     8 * cells + 160 * max(_CHUNK_CELLS, config.grid_phi))
     return total
 
 
@@ -269,10 +266,6 @@ def parse_config(argv=None) -> RunConfig:
 # ---------------------------------------------------------------------------
 # CSV emitters
 # ---------------------------------------------------------------------------
-
-def _fmt(x: float) -> str:
-    return "%.12e" % x
-
 
 def _words(texts) -> np.ndarray:
     """The 4-byte ASCII texts as uint32 words, in order."""
@@ -359,33 +352,37 @@ def _sci_cells(x: np.ndarray) -> np.ndarray:
     return cells
 
 
+def _sci_text(x) -> list[str]:
+    """`%.12e` of every value of x as str, from `_sci_cells`."""
+    lines = np.c_[_sci_cells(x), np.full(np.size(x), ord("\n"), np.uint8)]
+    return lines.tobytes().translate(None, _PAD.encode()).decode().split()
+
+
 def write_wigner_csv(grid, path) -> str:
-    """One `theta,phi,weight_theta,W` line per cell, every field the
-    exact `%.12e` of `_sci_cells` (Python's `%` formats zeros, non-finite
-    values, |x| outside (1e-280, 1e280) and mantissas within 0.01 of a
-    rounding half).  A chunk of at most _CHUNK_CELLS cells, and at least
-    one theta row, is laid out at a time as fixed-width cells side by
-    side; its pad bytes are deleted as it is written.  Returns the sha256
-    of the file."""
+    """A `theta,weight_theta,<phi_0>,...,<phi_{n-1}>` header, then one line
+    per theta node: theta, its weight and the row's W at every phi node.
+    Every number is the exact `%.12e` of `_sci_cells`, so the long
+    `theta,phi,weight_theta,W` table rebuilds exactly.  Chunks of at most
+    _CHUNK_CELLS W cells (at least one theta row) are laid out as
+    fixed-width cells, pad bytes deleted as written.  Returns the sha256."""
     n_theta, n_phi = grid.values.shape
     rows = max(1, _CHUNK_CELLS // n_phi)
-    # (theta row, phi column, field, cell + separator)
-    lines = np.empty((min(rows, n_theta), n_phi, 4, _CELL + 1), np.uint8)
+    # (theta row, field, cell + separator): theta, weight, then n_phi W
+    lines = np.empty((min(rows, n_theta), 2 + n_phi, _CELL + 1), np.uint8)
     lines[..., -1] = ord(",")
-    lines[:, :, 3, -1] = ord("\n")
-    lines[:, :, 1, :-1] = _sci_cells(grid.phi_nodes)
-    theta = _sci_cells(grid.theta_nodes)[:, None]
-    weight = _sci_cells(grid.theta_weights)[:, None]
+    lines[:, -1, -1] = ord("\n")
+    heads = _sci_cells(np.c_[grid.theta_nodes, grid.theta_weights]).reshape(
+        n_theta, 2, _CELL)
     pad = _PAD.encode()
 
     def chunks():
-        yield b"theta,phi,weight_theta,W\n"
+        yield ",".join(["theta", "weight_theta",
+                        *_sci_text(grid.phi_nodes)]) + "\n"
         for i in range(0, n_theta, rows):
             block = lines[:n_theta - i]
             r = len(block)
-            block[:, :, 0, :-1] = theta[i:i + r]
-            block[:, :, 2, :-1] = weight[i:i + r]
-            block[:, :, 3, :-1] = _sci_cells(grid.values[i:i + r]).reshape(
+            block[:, :2, :-1] = heads[i:i + r]
+            block[:, 2:, :-1] = _sci_cells(grid.values[i:i + r]).reshape(
                 r, n_phi, _CELL)
             yield block.tobytes().translate(None, pad)
 
@@ -400,34 +397,36 @@ def write_marginal_csv(dist, indexing: SiteIndexing, path) -> str:
     """One `phi,P,site_index,site_prob` line per phi node; the site fields
     are filled only on the node at a site center.  Returns the sha256 of
     the file."""
-    lines = ["phi,P,site_index,site_prob"]
     nearest, frac = indexing.nearest_site(dist.phi_nodes)
     sites = indexing.wrap(nearest).tolist()
-    offset = int(dist.site_numbers[0])
-    for p, rho, n, centered in zip(dist.phi_nodes, dist.density, sites,
-                                   abs(frac) < 1e-9):
-        site = ("", "")
-        if centered:
-            site = (str(n), _fmt(dist.site_probabilities[n - offset]))
-        lines.append(",".join((_fmt(p), _fmt(rho)) + site))
+    n, offset = len(sites), int(dist.site_numbers[0])
+    text = _sci_text(np.r_[dist.phi_nodes, dist.density,
+                           dist.site_probabilities])
+    probs = text[2 * n:]
+    lines = ["phi,P,site_index,site_prob"]
+    for p, rho, site, centered in zip(text, text[n:], sites, abs(frac) < 1e-9):
+        fields = (str(site), probs[site - offset]) if centered else ("", "")
+        lines.append(",".join((p, rho) + fields))
     return _write_lines(lines, path)
 
 
 def write_sigma_csv(rows, path) -> str:
+    text = _sci_text(np.array([r[1:] for r in rows], float))
     lines = ["k,sigma_coherent,sigma_ideal"]
-    for k, sc, si in rows:
-        lines.append(",".join((str(k), _fmt(sc), _fmt(si))))
+    lines += (f"{k},{sc},{si}" for (k, _, _), sc, si in zip(rows, text[::2],
+                                                             text[1::2]))
     return _write_lines(lines, path)
 
 
 def write_sites_csv(per_step, indexing: SiteIndexing, path,
                     header="k,site_index,phi,site_prob") -> str:
+    labels = indexing.site_numbers.tolist()
+    phi = _sci_text(indexing.site_numbers * indexing.delta_phi)
+    probs = iter(_sci_text(np.concatenate([p for _, p in per_step])))
     lines = [header]
-    dphi = indexing.delta_phi
-    for k, probs in per_step:
-        for n, pr in zip(indexing.site_numbers, probs):
-            lines.append(",".join((str(k), str(int(n)), _fmt(n * dphi),
-                                   _fmt(pr))))
+    for k, _ in per_step:
+        # zip stops at the labels before it takes one more probability
+        lines += (f"{k},{n},{p},{pr}" for n, p, pr in zip(labels, phi, probs))
     return _write_lines(lines, path)
 
 

@@ -51,7 +51,8 @@ class NumericalInvariantError(RuntimeError):
     """A numerical identity that should hold to tolerance was violated."""
 
 
-@functools.lru_cache(maxsize=None)
+# four spins, as `_theta_kernel` and `_jy_eigensystem` keep
+@functools.lru_cache(maxsize=4)
 def kernel_weights(spin: SpinQuantum) -> np.ndarray:
     """Stratonovich-Weyl kernel eigenvalues (read-only), indexed m = J..-J:
     Delta_{j,m} = sum_l (2l+1)/(2j+1) <j m; l 0 | j m>, l = 0 .. 2j, each an

@@ -369,6 +369,26 @@ def write_wigner_csv_per_field(grid, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
+def write_sites_csv_per_field(per_step, indexing: SiteIndexing, path,
+                              header="k,site_index,phi,site_prob") -> None:
+    """The sites (or ideal) CSV built one `%.12e` field at a time."""
+    lines = [header]
+    for k, probs in per_step:
+        for n, pr in zip(indexing.site_numbers, probs):
+            lines.append(",".join((str(k), str(int(n)),
+                                   "%.12e" % (n * indexing.delta_phi),
+                                   "%.12e" % pr)))
+    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+
+
+def write_sigma_csv_per_field(rows, path) -> None:
+    """The sigma CSV built one `%.12e` field at a time."""
+    lines = ["k,sigma_coherent,sigma_ideal"]
+    for k, sc, si in rows:
+        lines.append(",".join((str(k), "%.12e" % sc, "%.12e" % si)))
+    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+
+
 # ---------------------------------------------------------------------------
 # Quadrature references for the exact marginal
 # ---------------------------------------------------------------------------

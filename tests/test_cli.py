@@ -168,8 +168,12 @@ def test_size_limit_charges_the_d_stack_to_wigner_output_only(tmp_path,
 def test_large_spin_statistics_are_admitted_up_to_the_memory_limit(
         tmp_path, capsys):
     # the kernel weights' recursion has no spin limit of its own; only the
-    # size estimate refuses a statistics run, before anything is allocated
+    # size estimate refuses a statistics run, before anything is allocated.
+    # The first marginal's kernel build, 80 (N+1)^2 bytes, sets the limit.
     _parse(["--sites", "40", "--spins", "1600", "--outputs", "sites"])
+    _parse(["--spins", "4092", "--outputs", "sites"])
+    with pytest.raises(ConfigError, match="GiB"):
+        _parse(["--spins", "4093", "--outputs", "sites"])
     out = tmp_path / "big"
     assert main(["--spins", "5000", "--outputs", "sites",
                  "--out", str(out)]) == 2
@@ -256,8 +260,9 @@ def test_manifest_digests_are_taken_as_files_are_written(tmp_path,
 
 def test_wigner_csv_shape(tiny_run):
     lines = (tiny_run / "wigner_k0.csv").read_text().splitlines()
-    assert lines[0] == "theta,phi,weight_theta,W"
-    assert len(lines) == 1 + 12 * 48        # grid (2J+2) x (8L)
+    assert lines[0].startswith("theta,weight_theta,-3.141592653590e+00,")
+    assert len(lines) == 1 + 12             # one line per theta node (2J+2)
+    assert {len(line.split(",")) for line in lines} == {2 + 48}   # 8L phi
 
 
 def test_marginal_csv_reintegrates_to_one(tiny_run):

@@ -1,21 +1,24 @@
-"""The Wigner CSV emitter writes the same bytes as its per-field reference
-in `oracles`, its vectorized `%.12e` the same bytes as Python's, and the SVG
-emitter paints the same cells as its per-cell reference, on real and
-constructed grids."""
+"""The Wigner CSV emitter writes the fields of its per-field reference in
+`oracles`, the sites and sigma emitters its bytes, the vectorized `%.12e`
+the same bytes as Python's, and the SVG emitter paints the same cells as
+its per-cell reference, on real and constructed grids."""
 
 import dataclasses
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from blochwalk import (CoinPulse, SiteIndexing, SpinQuantum, WalkSchedule,
-                       evolve, initial_state, wigner_grid)
+                       coin_unitary, evolve, ideal_walk, initial_state,
+                       marginal_phi, wigner_grid)
 from blochwalk import cli
 from blochwalk.cli import _sci_cells, write_wigner_csv
 from blochwalk.render import render_heatmap_svg
-from oracles import render_heatmap_svg_per_cell, write_wigner_csv_per_field
+from oracles import (render_heatmap_svg_per_cell, write_sigma_csv_per_field,
+                     write_sites_csv_per_field, write_wigner_csv_per_field)
 
 # channel steps of the colormap: POS - MID and NEG - MID per channel
 _STEPS = (69, 223, 204, 214, 145, 75)
@@ -191,11 +194,66 @@ def test_svg_matches_per_cell_reference(case, with_ticks, tmp_path):
     assert painted == ref
 
 
+def _long_fields(wide: bytes) -> list[tuple]:
+    """(theta, phi, weight_theta, W) text fields of every cell of a wide
+    Wigner CSV, row by row."""
+    assert wide.endswith(b"\n")
+    header, *rows = [line.split(b",") for line in wide[:-1].split(b"\n")]
+    assert header[:2] == [b"theta", b"weight_theta"]
+    assert {len(row) for row in rows} == {len(header)}
+    return [(theta, phi, weight, w) for theta, weight, *values in rows
+            for phi, w in zip(header[2:], values)]
+
+
 def test_wigner_csv_matches_per_field_reference(csv_case, tmp_path):
+    """Every field of the wide file, read back as a long-table cell, has
+    the bytes of the per-field reference's long table."""
     _, grid = csv_case
     write_wigner_csv(grid, tmp_path / "new.csv")
     write_wigner_csv_per_field(grid, tmp_path / "ref.csv")
+    header, *cells = (tmp_path / "ref.csv").read_bytes().splitlines()
+    assert header == b"theta,phi,weight_theta,W"
+    assert len(cells) == grid.values.size
+    assert (_long_fields((tmp_path / "new.csv").read_bytes())
+            == [tuple(cell.split(b",")) for cell in cells])
+
+
+def test_site_and_sigma_csvs_match_per_field_references(tmp_path):
+    """Real site distributions, the ideal walk's exact zeros and the
+    formatter's edge values give the bytes of one `%.12e` per field."""
+    idx, state = _state(7, 31, 3)
+    ideal = ideal_walk(7, 3, coin_unitary(CoinPulse.hadamard()))
+    per_step = [(0, marginal_phi(state, idx, 50).site_probabilities),
+                *enumerate(ideal, start=1),
+                (5, np.resize(_specials(), 7)), (6, _halves(1)[:7])]
+    cli.write_sites_csv(per_step, idx, tmp_path / "new.csv", header="h")
+    write_sites_csv_per_field(per_step, idx, tmp_path / "ref.csv", "h")
     assert ((tmp_path / "new.csv").read_bytes()
+            == (tmp_path / "ref.csv").read_bytes())
+
+    values = np.concatenate((_specials(), _halves(1)))
+    rows = [(k, *pair) for k, pair in enumerate(values.reshape(-1, 2))]
+    rows.append((len(rows), 1.0 / 3.0, np.float64(2.0) ** -1074))
+    cli.write_sigma_csv(rows, tmp_path / "new.csv")
+    write_sigma_csv_per_field(rows, tmp_path / "ref.csv")
+    assert ((tmp_path / "new.csv").read_bytes()
+            == (tmp_path / "ref.csv").read_bytes())
+
+
+def test_readme_rebuilds_the_long_wigner_table(csv_case, tmp_path):
+    """The README's snippet turns the wide file into the long table, byte
+    for byte as the per-field reference writes it."""
+    _, grid = csv_case
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text()
+    after = text[text.index("rebuilds the long table:"):]
+    snippet = re.search(r"```python\n(.*?)```", after, re.S).group(1)
+    namespace = {}
+    exec(compile(snippet, str(readme), "exec"), namespace)
+    write_wigner_csv(grid, tmp_path / "wide.csv")
+    write_wigner_csv_per_field(grid, tmp_path / "ref.csv")
+    namespace["long_table"](tmp_path / "wide.csv", tmp_path / "long.csv")
+    assert ((tmp_path / "long.csv").read_bytes()
             == (tmp_path / "ref.csv").read_bytes())
 
 

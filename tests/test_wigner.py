@@ -258,7 +258,7 @@ def test_per_spin_caches_are_bounded_and_hit_in_a_cycling_scan():
                              np.eye(two_j + 1, dtype=complex) / (two_j + 1))
 
     # the Gauss-Legendre rule is cached per resolution n_theta = 2J + 2
-    caches = (_theta_kernel, _jy_eigensystem, _gauss_legendre)
+    caches = (_theta_kernel, _jy_eigensystem, _gauss_legendre, kernel_weights)
     for cache in caches:
         cache.cache_clear()
     bound = max(cache.cache_info().maxsize for cache in caches)
