@@ -187,26 +187,35 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _estimated_bytes(config: RunConfig) -> int:
-    """Rough peak memory of the run: the evolved states, the ideal walk
-    and its temporaries, the sites/ideal CSV rows held in memory (about
-    160 bytes a row), when the marginal is needed the first theta-kernel
-    build (80 (N+1)^2 bytes, measured) and the phi-node and site-bin phase
-    tables and, when `wigner` is asked for, the half kernel stack (one
-    kernel per theta node up to pi/2), the grid's harmonics and phase
-    table, and one grid's values with either its phase sums and colours or
-    the Wigner CSV chunk (160 bytes a cell, measured), never held at once."""
+    """Rough peak memory of the run, every term a tracemalloc measurement
+    rounded up: a fixed floor; per step the evolved state (32 (N+1)
+    bytes), about 1200 bytes of Python objects (state wrappers, ideal and
+    sigma rows, residuals) and 400 bytes per file the step writes; 320
+    bytes per `sites`/`ideal` CSV row; when the marginal is needed, the
+    first theta-kernel build (80 (N+1)^2 + 2000 (N+1) bytes) and the FFT
+    buffers of P(phi) and the site bins, plus 400 bytes per phi node for
+    the marginal CSV's text; when `wigner` is asked for, the half kernel
+    stack (one kernel per theta node up to pi/2), the grid's harmonics and
+    the diagonals of rho, and one grid's values with either its FFT buffer
+    and SVG colours (104 bytes a cell) or the Wigner CSV chunk (160 bytes
+    a cell), never held at once."""
     dim, rows = config.spins + 1, (config.steps + 1) * config.sites
-    total = (config.steps + 1) * 2 * (16 * dim + 128)   # states
-    total += 128 * config.sites + 8 * rows              # ideal walk
-    total += 160 * rows * len(config.outputs & {"sites", "ideal"})
+    wigner = "wigner" in config.outputs
+    files = ("marginal" in config.outputs) + wigner * (1 + config.svg)
+    total = 256 * 1024                                   # floor
+    total += (config.steps + 1) * (32 * dim + 1200 + 400 * files)
+    total += 128 * config.sites                          # ideal walk
+    total += 320 * rows * len(config.outputs & {"sites", "ideal"})
     if config.outputs & KERNEL_OUTPUTS:
-        total += 80 * dim * dim                          # K build
-        total += 48 * dim * (config.grid_phi + config.sites)  # phases
-    if "wigner" in config.outputs:
+        total += 80 * dim * dim + 2000 * dim             # K build
+        total += 64 * (config.grid_phi + config.sites + 2 * dim)   # FFTs
+    if "marginal" in config.outputs:
+        total += 400 * config.grid_phi                   # marginal CSV
+    if wigner:
         total += 8 * ((config.grid_theta + 1) // 2) * dim * dim  # stack
-        total += 32 * dim * (config.grid_theta + config.grid_phi)
+        total += 64 * dim * config.grid_theta + 32 * dim * dim   # harmonics
         cells = config.grid_theta * config.grid_phi
-        total += max(80 * cells,                        # sums, W, colours
+        total += max(104 * cells,                        # W, FFT, colours
                      8 * cells + 160 * max(_CHUNK_CELLS, config.grid_phi))
     return total
 

@@ -19,8 +19,9 @@ K(pi - theta) = J K(theta) J with J the index reversal, so the row at
 pi - theta_i takes K_i against J rho^T J.  The cache holds each K_i's upper
 diagonals, diagonal-major (kd[q, i, a] = K_i[a, a+q]), so the harmonics of
 every row come from one batched real product of kd with the diagonals of
-rho and J rho^T J, and a grid costs that product plus one phase sum over
-the phi nodes.
+rho and J rho^T J, and a grid costs that product plus one inverse FFT of
+length n_phi per row.  P(phi) and the site bins are periodic sums of
+harmonics too, summed the same way (`_periodic_sum`).
 """
 
 from __future__ import annotations
@@ -243,22 +244,26 @@ class PhiDistribution:
         return 2.0 * math.pi * float(self.harmonics[0].real)
 
 
-def _root_sum(k: np.ndarray, period: int, terms: np.ndarray) -> np.ndarray:
-    """2 Re sum_{q>=1} terms_q e^{2 pi i q k / period} at each integer k,
-    gathered from one table of the period's roots of unity; q runs along
-    the first axis of `terms`."""
-    q = np.arange(1, len(terms) + 1)
-    roots = np.exp(2j * math.pi * np.arange(period) / period)
-    return 2.0 * (roots[np.outer(k, q) % period] @ terms).real
+def _periodic_sum(h: np.ndarray, period: int) -> np.ndarray:
+    """h_0 + 2 Re sum_{q>=1} h_q e^{2 pi i q k / period} at k = 0 ..
+    period - 1, for harmonics h_q along the first axis of `h` (only Re h_0
+    counts).  The harmonics fold modulo the period, which is exact
+    aliasing, into one buffer that one inverse FFT sums in place."""
+    laps = -(-len(h) // period)
+    folded = np.zeros((laps * period, *h.shape[1:]), complex)
+    folded[:len(h)] = h
+    folded[0] = 0.5 * h[0]
+    if laps > 1:
+        folded = folded.reshape(laps, period, *h.shape[1:]).sum(axis=0)
+    return 2.0 * np.fft.ifft(folded, axis=0, norm="forward", out=folded).real
 
 
 def _phi_node_sum(h: np.ndarray, n_phi: int) -> np.ndarray:
     """h_0 + 2 Re sum_{q>=1} h_q e^{i q phi} on the n_phi uniform nodes,
     for harmonics h_q along the first axis of `h`."""
-    q = np.arange(1, len(h))
     # node j sits at -pi + 2 pi j / n_phi, and e^{-i q pi} = (-1)^q
-    alt = np.where(q % 2, -1.0, 1.0)
-    return h[0].real + _root_sum(np.arange(n_phi), n_phi, (h[1:].T * alt).T)
+    alt = np.where(np.arange(len(h)) % 2, -1.0, 1.0)
+    return _periodic_sum((h.T * alt).T, n_phi)
 
 
 def marginal_phi(source, indexing: SiteIndexing,
@@ -269,7 +274,8 @@ def marginal_phi(source, indexing: SiteIndexing,
     probability of each site bin [phi_n - pi/L, phi_n + pi/L).
 
     p_q = (2J+1)/(4 pi) * sum_a K[a, a+q] rho[a, a+q] (K: `_theta_kernel`),
-    and a bin integrates e^{iq phi} to e^{iq phi_n} 2 sin(q pi/L)/q.
+    and a bin integrates e^{iq phi} to e^{iq phi_n} (2 pi/L) sinc(q/L), a
+    periodic sum over the site numbers n mod L.
     """
     if isinstance(source, WignerGrid):
         source, n_phi = source.state, len(source.phi_nodes)
@@ -279,13 +285,12 @@ def marginal_phi(source, indexing: SiteIndexing,
     p = (spin.dim / (4.0 * math.pi)) * (
         _diagonals(_theta_kernel(spin)) * _diagonals(rho)).sum(axis=-1)
 
-    q = np.arange(1, spin.dim)
-    half = math.pi / indexing.sites
-    sites = indexing.site_numbers
-    density = _phi_node_sum(p, n_phi)
-    site_prob = 2.0 * half * p[0].real + _root_sum(
-        sites, indexing.sites, p[1:] * 2.0 * np.sin(q * half) / q)
-    return PhiDistribution(_phi_nodes(n_phi), density, sites, site_prob, p)
+    n_sites, sites = indexing.sites, indexing.site_numbers
+    bin_integrals = (2.0 * math.pi / n_sites) * np.sinc(
+        np.arange(spin.dim) / n_sites)
+    site_prob = _periodic_sum(p * bin_integrals, n_sites)[sites % n_sites]
+    return PhiDistribution(_phi_nodes(n_phi), _phi_node_sum(p, n_phi), sites,
+                           site_prob, p)
 
 
 def sigma_from_marginal(dist: PhiDistribution) -> float:

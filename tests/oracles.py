@@ -12,7 +12,9 @@ reference for `wigner_grid`, and the complex J_y eigendecomposition
 Gauss-Legendre kernel and the grid-quadrature marginal are the references
 for the exact marginal; the per-cell Wigner CSV and SVG writers and the
 per-node site binning last in the file are the byte-for-byte references
-for the vectorized emitters and the grid marginal's binning.
+for the vectorized emitters and the grid marginal's binning.  The
+roots-of-unity gather at the end is the reference for the FFT periodic
+sums on the phi nodes and the site bins.
 """
 
 import math
@@ -499,3 +501,36 @@ def write_marginal_csv_per_row(dist, indexing: SiteIndexing, path) -> None:
             fields[2:] = str(n), "%.12e" % dist.site_probabilities[n - offset]
         lines.append(",".join(fields))
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+
+
+# ---------------------------------------------------------------------------
+# Gathered roots-of-unity references for the periodic sums
+# ---------------------------------------------------------------------------
+
+def root_sum_by_gather(k, period: int, terms: np.ndarray) -> np.ndarray:
+    """2 Re sum_{q>=1} terms_q e^{2 pi i q k / period} at each integer k,
+    gathered from one table of the period's roots of unity; q runs along
+    the first axis of `terms`."""
+    q = np.arange(1, len(terms) + 1)
+    roots = np.exp(2j * math.pi * np.arange(period) / period)
+    return 2.0 * (roots[np.outer(k, q) % period] @ terms).real
+
+
+def phi_node_sum_by_gather(h: np.ndarray, n_phi: int) -> np.ndarray:
+    """h_0 + 2 Re sum_{q>=1} h_q e^{i q phi} on the n_phi uniform nodes
+    phi_j = -pi + 2 pi j / n_phi, for harmonics h_q along the first axis."""
+    q = np.arange(1, len(h))
+    alt = np.where(q % 2, -1.0, 1.0)        # e^{-i q pi}
+    return h[0].real + root_sum_by_gather(np.arange(n_phi), n_phi,
+                                          (h[1:].T * alt).T)
+
+
+def site_bins_by_gather(p: np.ndarray, indexing: SiteIndexing) -> np.ndarray:
+    """The probability of each site bin [phi_n - pi/L, phi_n + pi/L) of
+    P(phi) = sum_{|q| <= 2J} p_q e^{i q phi}: the bin integrates
+    e^{i q phi} to e^{i q phi_n} 2 sin(q pi/L)/q."""
+    q = np.arange(1, len(p))
+    half = math.pi / indexing.sites
+    return 2.0 * half * p[0].real + root_sum_by_gather(
+        indexing.site_numbers, indexing.sites,
+        p[1:] * 2.0 * np.sin(q * half) / q)

@@ -8,15 +8,22 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
+# loaded on first use; imported here so that the memory-guard test's
+# tracemalloc peaks do not count the module objects
+import numpy.fft  # noqa: F401
+import numpy.polynomial  # noqa: F401
 import pytest
 
 import blochwalk.cli as cli
+import blochwalk.su2 as su2
 import blochwalk.wigner as wigner
 from blochwalk import (CoinPulse, SiteIndexing, SpinQuantum, WalkSchedule,
                        evolve, initial_state)
@@ -169,16 +176,78 @@ def test_large_spin_statistics_are_admitted_up_to_the_memory_limit(
         tmp_path, capsys):
     # the kernel weights' recursion has no spin limit of its own; only the
     # size estimate refuses a statistics run, before anything is allocated.
-    # The first marginal's kernel build, 80 (N+1)^2 bytes, sets the limit.
+    # The first marginal's kernel build, 80 (N+1)^2 + 2000 (N+1) bytes,
+    # sets the limit.
     _parse(["--sites", "40", "--spins", "1600", "--outputs", "sites"])
-    _parse(["--spins", "4092", "--outputs", "sites"])
+    _parse(["--spins", "5165", "--outputs", "sites"])
     with pytest.raises(ConfigError, match="GiB"):
-        _parse(["--spins", "4093", "--outputs", "sites"])
+        _parse(["--spins", "5166", "--outputs", "sites"])
     out = tmp_path / "big"
-    assert main(["--spins", "5000", "--outputs", "sites",
+    assert main(["--spins", "6000", "--outputs", "sites",
                  "--out", str(out)]) == 2
     assert "GiB" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_readme_states_the_admission_limits():
+    # README's two limits at the default sites and steps: the stated N is
+    # admitted by the size estimate and N + 1 is refused
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = " ".join(readme.split())
+    limits = {"wigner": r"the N <= (\d+) limit at the default resolution",
+              "marginal,sites,sigma,ideal":
+                  r"Without `wigner` output, the estimate admits N <= (\d+)"}
+    for outputs, pattern in limits.items():
+        n = int(re.search(pattern, text).group(1))
+        _parse(["--spins", str(n), "--outputs", outputs])
+        with pytest.raises(ConfigError, match="GiB"):
+            _parse(["--spins", str(n + 1), "--outputs", outputs])
+
+
+# Small runs, each estimated under 100 MB: the long runs, the wide marginal,
+# the wide grid and N = 800 stress the per-step, per-row, per-node, per-cell
+# and kernel-build terms.
+GUARDED_RUNS = [
+    [],
+    ["--sites", "2", "--spins", "1", "--steps", "0"],
+    ["--sites", "2", "--spins", "1", "--grid-phi", "100000",
+     "--outputs", "marginal"],
+    ["--sites", "2", "--spins", "4", "--steps", "20000", "--outputs", "sigma"],
+    ["--sites", "2", "--spins", "4", "--steps", "20000", "--outputs", "ideal"],
+    ["--sites", "2", "--spins", "1", "--grid-phi", "5000", "--grid-theta",
+     "160", "--outputs", "wigner"],
+    ["--sites", "7", "--spins", "31", "--steps", "3", "--grid-phi", "50"],
+    ["--sites", "12", "--spins", "30", "--steps", "5"],
+    ["--sites", "12", "--spins", "30", "--steps", "5", "--coin", "custom",
+     "0.3", "-0.7", "1.1", "--theta0", "1"],
+    ["--sites", "40", "--spins", "200", "--steps", "9"],
+    ["--sites", "40", "--spins", "200", "--steps", "9",
+     "--outputs", "sites,sigma,ideal", "--no-svg"],
+    ["--sites", "40", "--spins", "800", "--steps", "9",
+     "--outputs", "sites,sigma,ideal", "--no-svg"],
+    ["--sites", "200", "--spins", "20", "--steps", "99",
+     "--outputs", "sites,ideal,sigma"],
+]
+
+
+@pytest.mark.parametrize("argv", GUARDED_RUNS,
+                         ids=lambda argv: "_".join(a.removeprefix("--")
+                                                   for a in argv) or "default")
+def test_memory_estimate_bounds_the_measured_peak(argv, tmp_path):
+    config = _parse([*argv, "--out", str(tmp_path)])
+    estimate = cli._estimated_bytes(config)
+    assert estimate < 100 * 10 ** 6
+    for cache in (wigner.kernel_weights, wigner._theta_kernel,
+                  wigner._theta_frame_stack, wigner._gauss_legendre,
+                  su2._jy_eigensystem):
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        run_experiment(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= estimate
 
 
 def test_wraparound_warning():

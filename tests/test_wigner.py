@@ -14,10 +14,11 @@ from blochwalk import (CoinPulse, DensityMatrix, NumericalInvariantError,
                        reduce_walker, sigma_from_marginal, small_d_matrix,
                        wigner_grid)
 from blochwalk.su2 import _jy_eigensystem
-from blochwalk.wigner import (_gauss_legendre, _theta_frame_stack,
-                              _theta_kernel)
+from blochwalk.wigner import (_gauss_legendre, _phi_node_sum,
+                              _theta_frame_stack, _theta_kernel)
 
-from oracles import (grid_marginal, grid_sigma, theta_kernel_gl, tv_distance,
+from oracles import (grid_marginal, grid_sigma, phi_node_sum_by_gather,
+                     site_bins_by_gather, theta_kernel_gl, tv_distance,
                      wigner_at, wigner_grid_by_vectors)
 
 
@@ -508,6 +509,42 @@ def test_bins_and_spread_match_quadrature_of_the_harmonics(sites, two_j,
         integral = half * float(w @ density(nodes)) / math.pi
         assert prob == pytest.approx(integral, abs=1e-13)
     assert np.abs(dist.density - density(dist.phi_nodes)).max() < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the FFT periodic sums against the gathered roots of unity
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("columns", [(), (7,)], ids=["1d", "2d"])
+@pytest.mark.parametrize("two_j,n_phi", [
+    (1, 2), (1, 5), (8, 3), (40, 8), (40, 40), (40, 41), (31, 50),
+    (200, 37), (200, 320),
+])
+def test_phi_node_sum_matches_gathered_roots(columns, two_j, n_phi):
+    # n_phi <= 2J folds several harmonics onto one residue (aliasing);
+    # a complex h_0 checks that only its real part counts
+    rng = np.random.default_rng(1000 * two_j + n_phi)
+    h = rng.normal(size=(two_j + 1, *columns)) \
+        + 1j * rng.normal(size=(two_j + 1, *columns))
+    ref = phi_node_sum_by_gather(h, n_phi)
+    got = _phi_node_sum(h, n_phi)
+    assert got.shape == ref.shape == (n_phi, *columns)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("sites,two_j,steps", [
+    (2, 1, 1), (2, 2, 1), (2, 31, 3), (3, 1, 1), (3, 20, 2), (6, 50, 2),
+    (7, 31, 3), (12, 101, 5), (40, 200, 9),
+])
+def test_site_bins_match_gathered_roots(sites, two_j, steps):
+    # odd and even L, half-integer and integer J; 2J < L and 2J >= L
+    idx, state = _final_state(sites, two_j, steps)
+    dist = marginal_phi(state, idx, 2 * sites)
+    ref = site_bins_by_gather(dist.harmonics, idx)
+    assert np.abs(dist.site_probabilities - ref).max() \
+        <= 1e-13 * np.abs(ref).max()
+    ref = phi_node_sum_by_gather(dist.harmonics, 2 * sites)
+    assert np.abs(dist.density - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_tv_distance_basics():
