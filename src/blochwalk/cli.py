@@ -187,24 +187,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _estimated_bytes(config: RunConfig) -> int:
-    """Rough peak memory of the run, every term a tracemalloc measurement
-    rounded up: a fixed floor; per step the evolved state (32 (N+1)
-    bytes), about 1200 bytes of Python objects (state wrappers, ideal and
-    sigma rows, residuals) and 400 bytes per file the step writes; 320
-    bytes per `sites`/`ideal` CSV row; when the marginal is needed, the
-    first theta-kernel build (80 (N+1)^2 + 2000 (N+1) bytes) and the FFT
-    buffers of P(phi) and the site bins, plus 400 bytes per phi node for
-    the marginal CSV's text; when `wigner` is asked for, the half kernel
-    stack (one kernel per theta node up to pi/2), the grid's harmonics and
-    the diagonals of rho, and one grid's values with either its FFT buffer
-    and SVG colours (104 bytes a cell) or the Wigner CSV chunk (160 bytes
-    a cell), never held at once."""
+    """Rough peak memory of the run, each term a tracemalloc measurement
+    rounded up: a fixed floor; per step the evolved state, its Python
+    objects and the files it writes; the ideal walk's arrays, one per step
+    over the sites; the text of the `sites`/`ideal` CSV rows; when the
+    marginal is needed, the first theta-kernel build, the FFT buffers of
+    P(phi) and the site bins and the marginal CSV's text per phi node; and
+    when `wigner` is asked for, the half kernel stack (one kernel per theta
+    node up to pi/2), the grid's harmonics and the diagonals of rho, and one
+    grid's values with either its FFT buffer and SVG colours or the Wigner
+    CSV chunk, never held at once."""
     dim, rows = config.spins + 1, (config.steps + 1) * config.sites
     wigner = "wigner" in config.outputs
     files = ("marginal" in config.outputs) + wigner * (1 + config.svg)
     total = 256 * 1024                                   # floor
     total += (config.steps + 1) * (32 * dim + 1200 + 400 * files)
-    total += 128 * config.sites                          # ideal walk
+    total += 128 * config.sites + 8 * rows               # ideal walk
     total += 320 * rows * len(config.outputs & {"sites", "ideal"})
     if config.outputs & KERNEL_OUTPUTS:
         total += 80 * dim * dim + 2000 * dim             # K build

@@ -204,9 +204,9 @@ def test_readme_states_the_admission_limits():
             _parse(["--spins", str(n + 1), "--outputs", outputs])
 
 
-# Small runs, each estimated under 100 MB: the long runs, the wide marginal,
-# the wide grid and N = 800 stress the per-step, per-row, per-node, per-cell
-# and kernel-build terms.
+# Small runs, each estimated under 100 MB: the long runs, the wide ring, the
+# wide marginal, the wide grid and N = 800 stress the per-step, ideal-walk,
+# per-row, per-node, per-cell and kernel-build terms.
 GUARDED_RUNS = [
     [],
     ["--sites", "2", "--spins", "1", "--steps", "0"],
@@ -214,6 +214,7 @@ GUARDED_RUNS = [
      "--outputs", "marginal"],
     ["--sites", "2", "--spins", "4", "--steps", "20000", "--outputs", "sigma"],
     ["--sites", "2", "--spins", "4", "--steps", "20000", "--outputs", "ideal"],
+    ["--sites", "4000", "--spins", "1", "--steps", "999", "--outputs", "sigma"],
     ["--sites", "2", "--spins", "1", "--grid-phi", "5000", "--grid-theta",
      "160", "--outputs", "wigner"],
     ["--sites", "7", "--spins", "31", "--steps", "3", "--grid-phi", "50"],
