@@ -2,10 +2,11 @@
 emit deterministic CSV / JSON / SVG artifacts.
 
 Output conventions: CSV with one header line, %.12e numbers, comma
-separator, LF endings; JSON manifest with sorted keys, written last, listing
-every emitted file with the sha256 its emitter took of the bytes written.
-Every CSV number is an exact vectorized %.12e (`_sci_cells`): the same
-bytes as Python's `%`, which formats the values it cannot certify.
+separator, LF endings, written in chunks of fixed-width cells by one writer
+(`_write_csv`); JSON manifest with sorted keys, written last, listing every
+emitted file with the sha256 its emitter took of the bytes written.  Every
+CSV number is an exact vectorized %.12e (`_sci_cells`): the same bytes as
+Python's `%`, which formats the values it cannot certify.
 Exit codes: 0 success, 2 configuration error, 3 numerical-invariant
 violation, 4 I/O failure.
 """
@@ -102,11 +103,10 @@ class _CoinAction(argparse.Action):
 
 def _parse_outputs(text: str) -> frozenset:
     parts = {p.strip() for p in text.split(",") if p.strip()}
-    unknown = parts - set(ALL_OUTPUTS)
-    if unknown:
+    if not parts or parts - set(ALL_OUTPUTS):
         raise argparse.ArgumentTypeError(
-            f"unknown outputs {sorted(unknown)!r}; "
-            f"valid: {','.join(ALL_OUTPUTS)}")
+            f"expected a comma list of at least one of "
+            f"{','.join(ALL_OUTPUTS)}, got {text!r}")
     return frozenset(parts)
 
 
@@ -187,34 +187,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _estimated_bytes(config: RunConfig) -> int:
-    """Rough peak memory of the run, each term a tracemalloc measurement
-    rounded up: a fixed floor; per step the evolved state, its Python
-    objects and the files it writes; the ideal walk's arrays, one per step
-    over the sites; the text of the `sites`/`ideal` CSV rows; when the
-    marginal is needed, the first theta-kernel build, the FFT buffers of
-    P(phi) and the site bins and the marginal CSV's text per phi node; and
-    when `wigner` is asked for, the half kernel stack (one kernel per theta
-    node up to pi/2), the grid's harmonics and the diagonals of rho, and one
-    grid's values with either its FFT buffer and SVG colours or the Wigner
-    CSV chunk, never held at once."""
+    """Rough peak memory of the run: the sum of what it holds, term by
+    term as the comments name them, each a tracemalloc measurement rounded
+    up, though the terms are never all held at once."""
     dim, rows = config.spins + 1, (config.steps + 1) * config.sites
     wigner = "wigner" in config.outputs
     files = ("marginal" in config.outputs) + wigner * (1 + config.svg)
     total = 256 * 1024                                   # floor
     total += (config.steps + 1) * (32 * dim + 1200 + 400 * files)
-    total += 128 * config.sites + 8 * rows               # ideal walk
-    total += 320 * rows * len(config.outputs & {"sites", "ideal"})
+    # the ideal walk, and per step the site probabilities it and `sites` keep
+    kept = bool(config.outputs & {"ideal", "sigma"})
+    kept += "sites" in config.outputs
+    total += 128 * config.sites + 8 * kept * rows
+    # a Wigner CSV chunk holds at least one row of grid_phi cells
+    total += 160 * max(_CHUNK_CELLS, wigner * config.grid_phi)
     if config.outputs & KERNEL_OUTPUTS:
         total += 80 * dim * dim + 2000 * dim             # K build
         total += 64 * (config.grid_phi + config.sites + 2 * dim)   # FFTs
-    if "marginal" in config.outputs:
-        total += 400 * config.grid_phi                   # marginal CSV
     if wigner:
         total += 8 * ((config.grid_theta + 1) // 2) * dim * dim  # stack
         total += 64 * dim * config.grid_theta + 32 * dim * dim   # harmonics
-        cells = config.grid_theta * config.grid_phi
-        total += max(104 * cells,                        # W, FFT, colours
-                     8 * cells + 160 * max(_CHUNK_CELLS, config.grid_phi))
+        total += 104 * config.grid_theta * config.grid_phi  # W, FFT, colours
     return total
 
 
@@ -250,12 +243,6 @@ def parse_config(argv=None) -> RunConfig:
     if grid_phi < sites:
         raise ConfigError(f"--grid-phi must be >= sites, got {grid_phi}")
 
-    if steps >= sites / 2:
-        warnings.warn(
-            f"steps k={steps} reaches the wrap-around regime (k >= L/2); "
-            "the reported standard deviation uses unwrapped angles and is "
-            "only meaningful for short times", stacklevel=2)
-
     config = RunConfig(
         sites=sites, spins=spins, steps=steps, coin=ns.coin,
         theta0=ns.theta0, grid_theta=grid_theta, grid_phi=grid_phi,
@@ -267,6 +254,11 @@ def parse_config(argv=None) -> RunConfig:
             f"the run needs about {need / 2 ** 30:.1f} GiB of memory, above "
             f"the {MAX_RUN_BYTES / 2 ** 30:.0f} GiB limit; lower --spins, "
             "--steps, --sites or the grid resolution")
+    if steps >= sites / 2:
+        warnings.warn(
+            f"steps k={steps} reaches the wrap-around regime (k >= L/2); "
+            "the reported standard deviation uses unwrapped angles and is "
+            "only meaningful for short times", stacklevel=2)
     return config
 
 
@@ -302,15 +294,14 @@ _THREE = np.c_[_digit_text(3),
 _E_MIN, _E_MAX = -281, 281
 _EXP = _words(f"{e:+03d}".ljust(4, _PAD) for e in range(_E_MIN, _E_MAX + 1))
 _SCALE = np.array([float(f"1e{12 - e}") for e in range(_E_MIN, _E_MAX + 1)])
-# cells per chunk of the Wigner CSV emitter (at least one theta row)
+# cells per chunk of the CSV writer (at least one row)
 _CHUNK_CELLS = 4096
 
 
-def _python_cells(values: np.ndarray) -> np.ndarray:
-    """`%.12e` cells of the values by Python's own formatting."""
-    text = "%-20.12e" * values.size % tuple(values.tolist())
-    return np.frombuffer(text.replace(" ", _PAD).encode(),
-                         np.uint8).reshape(-1, _CELL)
+def _python_cells(values: np.ndarray, fmt: str = "%.12e") -> np.ndarray:
+    """`fmt` of every value by Python's own formatting, as cells."""
+    text = "".join((fmt % v).ljust(_CELL, _PAD) for v in values.tolist())
+    return np.frombuffer(text.encode(), np.uint8).reshape(-1, _CELL)
 
 
 def _sci_cells(x: np.ndarray) -> np.ndarray:
@@ -359,82 +350,93 @@ def _sci_cells(x: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _sci_text(x) -> list[str]:
-    """`%.12e` of every value of x as str, from `_sci_cells`."""
-    lines = np.c_[_sci_cells(x), np.full(np.size(x), ord("\n"), np.uint8)]
-    return lines.tobytes().translate(None, _PAD.encode()).decode().split()
+def _csv_lines(n_rows: int, *blocks) -> bytes:
+    """n_rows CSV lines from blocks of fixed-width cells, each a whole
+    number of cells per row, row-major: each cell followed by a comma, the
+    last of a row by an LF, the pad bytes deleted."""
+    blocks = [b.reshape(n_rows, -1, _CELL) for b in blocks]
+    fields = sum(b.shape[1] for b in blocks)
+    lines = np.empty((n_rows, fields, _CELL + 1), np.uint8)
+    np.concatenate(blocks, axis=1, out=lines[..., :-1])
+    lines[..., -1] = ord(",")
+    lines[:, -1, -1] = ord("\n")
+    return lines.tobytes().translate(None, _PAD.encode())
+
+
+def _write_csv(path, header, n_rows: int, fields: int, cells) -> str:
+    """Write the header line (with its LF), then n_rows lines of `fields`
+    cells, `cells(rows)` giving the blocks of a slice of at most
+    _CHUNK_CELLS cells (at least one row); returns the sha256."""
+    step = max(1, _CHUNK_CELLS // fields)
+
+    def chunks():
+        yield header
+        for i in range(0, n_rows, step):
+            rows = slice(i, min(i + step, n_rows))
+            yield _csv_lines(rows.stop - i, *cells(rows))
+
+    return write_hashed(path, chunks())
 
 
 def write_wigner_csv(grid, path) -> str:
     """A `theta,weight_theta,<phi_0>,...,<phi_{n-1}>` header, then one line
     per theta node: theta, its weight and the row's W at every phi node.
     Every number is the exact `%.12e` of `_sci_cells`, so the long
-    `theta,phi,weight_theta,W` table rebuilds exactly.  Chunks of at most
-    _CHUNK_CELLS W cells (at least one theta row) are laid out as
-    fixed-width cells, pad bytes deleted as written.  Returns the sha256."""
+    `theta,phi,weight_theta,W` table rebuilds exactly.  Returns the
+    sha256."""
     n_theta, n_phi = grid.values.shape
-    rows = max(1, _CHUNK_CELLS // n_phi)
-    # (theta row, field, cell + separator): theta, weight, then n_phi W
-    lines = np.empty((min(rows, n_theta), 2 + n_phi, _CELL + 1), np.uint8)
-    lines[..., -1] = ord(",")
-    lines[:, -1, -1] = ord("\n")
     heads = _sci_cells(np.c_[grid.theta_nodes, grid.theta_weights]).reshape(
         n_theta, 2, _CELL)
-    pad = _PAD.encode()
-
-    def chunks():
-        yield ",".join(["theta", "weight_theta",
-                        *_sci_text(grid.phi_nodes)]) + "\n"
-        for i in range(0, n_theta, rows):
-            block = lines[:n_theta - i]
-            r = len(block)
-            block[:, :2, :-1] = heads[i:i + r]
-            block[:, 2:, :-1] = _sci_cells(grid.values[i:i + r]).reshape(
-                r, n_phi, _CELL)
-            yield block.tobytes().translate(None, pad)
-
-    return write_hashed(path, chunks())
-
-
-def _write_lines(lines, path) -> str:
-    return write_hashed(path, ("\n".join(lines) + "\n",))
+    phis = _csv_lines(1, _sci_cells(grid.phi_nodes))
+    return _write_csv(path, b"theta,weight_theta," + phis, n_theta, 2 + n_phi,
+                      lambda r: (heads[r], _sci_cells(grid.values[r])))
 
 
 def write_marginal_csv(dist, indexing: SiteIndexing, path) -> str:
-    """One `phi,P,site_index,site_prob` line per phi node; the site fields
-    are filled only on the node at a site center.  Returns the sha256 of
-    the file."""
-    nearest, frac = indexing.nearest_site(dist.phi_nodes)
-    sites = indexing.wrap(nearest).tolist()
-    n, offset = len(sites), int(dist.site_numbers[0])
-    text = _sci_text(np.r_[dist.phi_nodes, dist.density,
-                           dist.site_probabilities])
-    probs = text[2 * n:]
-    lines = ["phi,P,site_index,site_prob"]
-    for p, rho, site, centered in zip(text, text[n:], sites, abs(frac) < 1e-9):
-        fields = (str(site), probs[site - offset]) if centered else ("", "")
-        lines.append(",".join((p, rho) + fields))
-    return _write_lines(lines, path)
+    """One `phi,P,site_index,site_prob` line per phi node, the site fields
+    blank off the site centers; returns the sha256."""
+    site_cells = np.stack((_python_cells(dist.site_numbers, "%d"),
+                           _sci_cells(dist.site_probabilities)), axis=1)
+
+    def cells(rows):
+        phi = dist.phi_nodes[rows]
+        nearest, frac = indexing.nearest_site(phi)
+        centered = np.abs(frac) < 1e-9
+        sites = np.zeros((len(phi), 2, _CELL), np.uint8)    # blank: all _PAD
+        sites[centered] = site_cells[indexing.wrap(nearest[centered])
+                                     - dist.site_numbers[0]]
+        return _sci_cells(np.c_[phi, dist.density[rows]]), sites
+
+    return _write_csv(path, "phi,P,site_index,site_prob\n",
+                      len(dist.phi_nodes), 4, cells)
 
 
 def write_sigma_csv(rows, path) -> str:
-    text = _sci_text(np.array([r[1:] for r in rows], float))
-    lines = ["k,sigma_coherent,sigma_ideal"]
-    lines += (f"{k},{sc},{si}" for (k, _, _), sc, si in zip(rows, text[::2],
-                                                             text[1::2]))
-    return _write_lines(lines, path)
+    """One line per (k, coherent, ideal) row; returns the sha256."""
+    table = np.array(rows, float)       # %d prints each k < 2^53 exactly
+    return _write_csv(path, "k,sigma_coherent,sigma_ideal\n", len(rows), 3,
+                      lambda part: (_python_cells(table[part, 0], "%d"),
+                                    _sci_cells(table[part, 1:])))
 
 
 def write_sites_csv(per_step, indexing: SiteIndexing, path,
                     header="k,site_index,phi,site_prob") -> str:
-    labels = indexing.site_numbers.tolist()
-    phi = _sci_text(indexing.site_numbers * indexing.delta_phi)
-    probs = iter(_sci_text(np.concatenate([p for _, p in per_step])))
-    lines = [header]
-    for k, _ in per_step:
-        # zip stops at the labels before it takes one more probability
-        lines += (f"{k},{n},{p},{pr}" for n, p, pr in zip(labels, phi, probs))
-    return _write_lines(lines, path)
+    """One line per site of every (k, probabilities) step; returns the
+    sha256."""
+    step_cells = _python_cells(np.array([k for k, _ in per_step]), "%d")
+    site_cells = np.stack((_python_cells(indexing.site_numbers, "%d"),
+                           _sci_cells(indexing.site_numbers
+                                      * indexing.delta_phi)), axis=1)
+
+    def cells(rows):
+        step, site = divmod(np.arange(rows.start, rows.stop), indexing.sites)
+        # the probabilities of the steps that the rows touch
+        probs = np.concatenate([p for _, p in per_step[step[0]:step[-1] + 1]])
+        return (step_cells[step], site_cells[site],
+                _sci_cells(probs[site[0]:site[0] + len(step)]))
+
+    return _write_csv(path, header + "\n", indexing.sites * len(per_step), 4,
+                      cells)
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +459,8 @@ def run_experiment(config: RunConfig) -> dict:
     schedule = WalkSchedule.site_aligned(indexing, config.steps)
     states = evolve(initial_state(indexing, spin), config.pulse(), schedule)
 
-    need_ideal = bool(config.outputs & {"ideal", "sigma"})
-
     ideal = None
-    if need_ideal:
+    if config.outputs & {"ideal", "sigma"}:
         ideal = ideal_walk(config.sites, config.steps,
                            coin_unitary(config.pulse()))
 

@@ -10,6 +10,7 @@ import pytest
 
 from blochwalk import (CoinPulse, SiteIndexing, SpinQuantum, WalkSchedule,
                        evolve, initial_state, marginal_phi, wigner_grid)
+from blochwalk import cli
 from blochwalk.cli import write_marginal_csv
 from oracles import (grid_marginal, marginal_phi_per_node,
                      write_marginal_csv_per_row)
@@ -45,8 +46,17 @@ def _zero_columns():
     return idx, dataclasses.replace(grid, values=values)
 
 
+def _several_chunks():
+    """L = 6, n_phi = 1500: the marginal CSV takes 1024 rows a chunk, so it
+    is written in two chunks, the last one short."""
+    rows = cli._CHUNK_CELLS // 4
+    assert 1500 > rows and 1500 % rows != 0
+    return _grid(6, 10, 2, 1500)
+
+
 CASES = {"L40_nphi320_N200": _half_integer_nodes, "L7_nphi50": _odd_sites,
-         "L6_nphi54_default": _default_run, "zero_columns": _zero_columns}
+         "L6_nphi54_default": _default_run, "zero_columns": _zero_columns,
+         "L6_nphi1500_chunks": _several_chunks}
 
 
 @pytest.fixture(scope="module", params=sorted(CASES))

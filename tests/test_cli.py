@@ -127,6 +127,8 @@ def test_config_file_errors(tmp_path):
     ["--coin", "custom", "1e200", "0", "0"],
     ["--spins", "many"],
     ["--no-such-flag"],
+    ["--outputs", ","],
+    ["--outputs", ""],
 ])
 def test_bad_arguments_exit_2(argv, capsys):
     assert main(argv) == 2
@@ -140,10 +142,9 @@ def test_bad_arguments_exit_2(argv, capsys):
     ["--spins", "100", "--grid-theta", "1000000"],
 ])
 def test_oversized_runs_exit_2(argv, tmp_path, capsys):
-    # refused from the size estimate, before anything is allocated
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert main([*argv, "--out", str(tmp_path / "big")]) == 2
+    # refused from the size estimate, before anything is allocated or any
+    # warning about the run is given
+    assert main([*argv, "--out", str(tmp_path / "big")]) == 2
     assert "GiB" in capsys.readouterr().err
     assert not (tmp_path / "big").exists()
 
@@ -179,9 +180,9 @@ def test_large_spin_statistics_are_admitted_up_to_the_memory_limit(
     # The first marginal's kernel build, 80 (N+1)^2 + 2000 (N+1) bytes,
     # sets the limit.
     _parse(["--sites", "40", "--spins", "1600", "--outputs", "sites"])
-    _parse(["--spins", "5165", "--outputs", "sites"])
+    _parse(["--spins", "5164", "--outputs", "sites"])
     with pytest.raises(ConfigError, match="GiB"):
-        _parse(["--spins", "5166", "--outputs", "sites"])
+        _parse(["--spins", "5165", "--outputs", "sites"])
     out = tmp_path / "big"
     assert main(["--spins", "6000", "--outputs", "sites",
                  "--out", str(out)]) == 2
@@ -204,9 +205,9 @@ def test_readme_states_the_admission_limits():
             _parse(["--spins", str(n + 1), "--outputs", outputs])
 
 
-# Small runs, each estimated under 100 MB: the long runs, the wide ring, the
-# wide marginal, the wide grid and N = 800 stress the per-step, ideal-walk,
-# per-row, per-node, per-cell and kernel-build terms.
+# Small runs, each estimated under 100 MB: the long runs, the wide rings,
+# the wide marginal, the wide grid and N = 800 stress the per-step,
+# per-site-row, FFT, per-cell and kernel-build terms.
 GUARDED_RUNS = [
     [],
     ["--sites", "2", "--spins", "1", "--steps", "0"],
@@ -228,7 +229,20 @@ GUARDED_RUNS = [
      "--outputs", "sites,sigma,ideal", "--no-svg"],
     ["--sites", "200", "--spins", "20", "--steps", "99",
      "--outputs", "sites,ideal,sigma"],
+    ["--sites", "4000", "--spins", "1", "--steps", "99",
+     "--outputs", "sites,ideal"],
 ]
+
+
+def _assert_fields_finite(out_dir):
+    """Every field below the header of every CSV is a finite number; only
+    the site fields of a marginal CSV's off-center nodes are blank."""
+    for path in sorted(out_dir.glob("*.csv")):
+        lines = path.read_text().splitlines()[1:]
+        if path.name.startswith("marginal_"):
+            lines = [line.removesuffix(",,") for line in lines]
+        values = np.array(",".join(lines).split(","), float)
+        assert np.isfinite(values).all(), path.name
 
 
 @pytest.mark.parametrize("argv", GUARDED_RUNS,
@@ -249,6 +263,7 @@ def test_memory_estimate_bounds_the_measured_peak(argv, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= estimate
+    _assert_fields_finite(tmp_path)
 
 
 def test_wraparound_warning():

@@ -220,24 +220,34 @@ def test_wigner_csv_matches_per_field_reference(csv_case, tmp_path):
 
 def test_site_and_sigma_csvs_match_per_field_references(tmp_path):
     """Real site distributions, the ideal walk's exact zeros and the
-    formatter's edge values give the bytes of one `%.12e` per field."""
+    formatter's edge values give the bytes of one `%.12e` per field, also
+    in tables of several chunks, the last one short."""
     idx, state = _state(7, 31, 3)
     ideal = ideal_walk(7, 3, coin_unitary(CoinPulse.hadamard()))
     per_step = [(0, marginal_phi(state, idx, 50).site_probabilities),
                 *enumerate(ideal, start=1),
                 (5, np.resize(_specials(), 7)), (6, _halves(1)[:7])]
-    cli.write_sites_csv(per_step, idx, tmp_path / "new.csv", header="h")
-    write_sites_csv_per_field(per_step, idx, tmp_path / "ref.csv", "h")
-    assert ((tmp_path / "new.csv").read_bytes()
-            == (tmp_path / "ref.csv").read_bytes())
+    # 4500 rows in chunks of 1024: within a step, across steps, and short
+    wide = SiteIndexing(1500)
+    wide_steps = list(zip((0, 7, 1000), _random_bits(4500).reshape(3, -1)))
+    for ring, steps in ((idx, per_step), (wide, wide_steps)):
+        cli.write_sites_csv(steps, ring, tmp_path / "new.csv", header="h")
+        write_sites_csv_per_field(steps, ring, tmp_path / "ref.csv", "h")
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
 
     values = np.concatenate((_specials(), _halves(1)))
     rows = [(k, *pair) for k, pair in enumerate(values.reshape(-1, 2))]
     rows.append((len(rows), 1.0 / 3.0, np.float64(2.0) ** -1074))
-    cli.write_sigma_csv(rows, tmp_path / "new.csv")
-    write_sigma_csv_per_field(rows, tmp_path / "ref.csv")
-    assert ((tmp_path / "new.csv").read_bytes()
-            == (tmp_path / "ref.csv").read_bytes())
+    # 3000 rows in chunks of 1365, the last one short
+    long_rows = [(k, *pair) for k, pair in
+                 enumerate(_random_bits(6000, seed=5).reshape(-1, 2))]
+    assert len(long_rows) % (cli._CHUNK_CELLS // 3) != 0
+    for table in (rows, long_rows):
+        cli.write_sigma_csv(table, tmp_path / "new.csv")
+        write_sigma_csv_per_field(table, tmp_path / "ref.csv")
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
 
 
 def test_readme_rebuilds_the_long_wigner_table(csv_case, tmp_path):
