@@ -28,8 +28,8 @@ from . import __version__
 from .coherent import SiteIndexing
 from .render import render_heatmap_svg, write_hashed
 from .su2 import SpinQuantum
-from .walk import (CoinPulse, WalkSchedule, coin_unitary, evolve, ideal_sigma,
-                   ideal_walk, initial_state)
+from .walk import (CoinPulse, CoinWalkerState, WalkSchedule, coin_unitary,
+                   evolve, ideal_sigma, ideal_walk, initial_state)
 # unused here, but perfbench/tracer.py binds blochwalk.cli.kernel_weights
 from .wigner import (NumericalInvariantError, kernel_weights, marginal_phi,
                      sigma_from_marginal, wigner_grid)
@@ -194,7 +194,9 @@ def _estimated_bytes(config: RunConfig) -> int:
     wigner = "wigner" in config.outputs
     files = ("marginal" in config.outputs) + wigner * (1 + config.svg)
     total = 256 * 1024                                   # floor
-    total += (config.steps + 1) * (32 * dim + 1200 + 400 * files)
+    # per step: the evolved state twice (the states and their stacked copy
+    # while it is made), the harmonics, and the files the step writes
+    total += (config.steps + 1) * (64 * dim + 500 + 400 * files)
     # the ideal walk, and per step the site probabilities it and `sites` keep
     kept = bool(config.outputs & {"ideal", "sigma"})
     kept += "sites" in config.outputs
@@ -202,7 +204,7 @@ def _estimated_bytes(config: RunConfig) -> int:
     # a Wigner CSV chunk holds at least one row of grid_phi cells
     total += 160 * max(_CHUNK_CELLS, wigner * config.grid_phi)
     if config.outputs & KERNEL_OUTPUTS:
-        total += 80 * dim * dim + 2000 * dim             # K build
+        total += 68 * dim * dim + 2000 * dim             # K build
         total += 64 * (config.grid_phi + config.sites + 2 * dim)   # FFTs
     if wigner:
         total += 8 * ((config.grid_theta + 1) // 2) * dim * dim  # stack
@@ -395,6 +397,7 @@ def write_wigner_csv(grid, path) -> str:
 def write_marginal_csv(dist, indexing: SiteIndexing, path) -> str:
     """One `phi,P,site_index,site_prob` line per phi node, the site fields
     blank off the site centers; returns the sha256."""
+    density = dist.density              # a PhiDistribution sums it anew
     site_cells = np.stack((_python_cells(dist.site_numbers, "%d"),
                            _sci_cells(dist.site_probabilities)), axis=1)
 
@@ -405,38 +408,36 @@ def write_marginal_csv(dist, indexing: SiteIndexing, path) -> str:
         sites = np.zeros((len(phi), 2, _CELL), np.uint8)    # blank: all _PAD
         sites[centered] = site_cells[indexing.wrap(nearest[centered])
                                      - dist.site_numbers[0]]
-        return _sci_cells(np.c_[phi, dist.density[rows]]), sites
+        return _sci_cells(np.c_[phi, density[rows]]), sites
 
     return _write_csv(path, "phi,P,site_index,site_prob\n",
                       len(dist.phi_nodes), 4, cells)
 
 
-def write_sigma_csv(rows, path) -> str:
-    """One line per (k, coherent, ideal) row; returns the sha256."""
-    table = np.array(rows, float)       # %d prints each k < 2^53 exactly
-    return _write_csv(path, "k,sigma_coherent,sigma_ideal\n", len(rows), 3,
+def write_sigma_csv(table, path) -> str:
+    """One `k,sigma_coherent,sigma_ideal` line per row of the (steps, 3)
+    table; returns the sha256."""
+    table = np.asarray(table, float)    # %d prints each k < 2^53 exactly
+    return _write_csv(path, "k,sigma_coherent,sigma_ideal\n", len(table), 3,
                       lambda part: (_python_cells(table[part, 0], "%d"),
                                     _sci_cells(table[part, 1:])))
 
 
-def write_sites_csv(per_step, indexing: SiteIndexing, path,
+def write_sites_csv(probabilities, indexing: SiteIndexing, path,
                     header="k,site_index,phi,site_prob") -> str:
-    """One line per site of every (k, probabilities) step; returns the
-    sha256."""
-    step_cells = _python_cells(np.array([k for k, _ in per_step]), "%d")
+    """One line per site of every step k, from the (steps, sites) array of
+    probabilities; returns the sha256."""
+    flat = np.reshape(probabilities, -1)
+    step_cells = _python_cells(np.arange(len(flat) // indexing.sites), "%d")
     site_cells = np.stack((_python_cells(indexing.site_numbers, "%d"),
                            _sci_cells(indexing.site_numbers
                                       * indexing.delta_phi)), axis=1)
 
     def cells(rows):
         step, site = divmod(np.arange(rows.start, rows.stop), indexing.sites)
-        # the probabilities of the steps that the rows touch
-        probs = np.concatenate([p for _, p in per_step[step[0]:step[-1] + 1]])
-        return (step_cells[step], site_cells[site],
-                _sci_cells(probs[site[0]:site[0] + len(step)]))
+        return step_cells[step], site_cells[site], _sci_cells(flat[rows])
 
-    return _write_csv(path, header + "\n", indexing.sites * len(per_step), 4,
-                      cells)
+    return _write_csv(path, header + "\n", len(flat), 4, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -458,66 +459,65 @@ def run_experiment(config: RunConfig) -> dict:
     spin = SpinQuantum(config.spins)
     schedule = WalkSchedule.site_aligned(indexing, config.steps)
     states = evolve(initial_state(indexing, spin), config.pulse(), schedule)
+    # every step's amplitudes as one array per coin branch, in place of the
+    # per-step states
+    walk = CoinWalkerState(spin, np.array([s.up for s in states]),
+                           np.array([s.down for s in states]))
+    del states
 
-    ideal = None
     if config.outputs & {"ideal", "sigma"}:
         ideal = ideal_walk(config.sites, config.steps,
                            coin_unitary(config.pulse()))
 
     written: dict[str, str] = {}        # file name -> sha256
     residuals: list[float] = []
-    sigma_rows = []
-    site_rows = []
 
     if config.outputs & KERNEL_OUTPUTS:
-        for k, state in enumerate(states):
-            dist = marginal_phi(state, indexing, config.grid_phi)
-            residual = abs(dist.total - 1.0)
-            if not residual <= 1e-4:
+        dist = marginal_phi(walk, indexing, config.grid_phi)
+        residuals = np.abs(dist.total - 1.0)
+        bad = np.flatnonzero(~(residuals <= 1e-4))
+        if bad.size:
+            raise NumericalInvariantError(
+                f"step {bad[0]}: azimuthal marginal integrates to "
+                f"{float(dist.total[bad[0]])!r}, not 1")
+        residuals = residuals.tolist()
+
+    for k in range(config.steps + 1):       # the per-step files
+        grid = None
+        if "wigner" in config.outputs:
+            grid = wigner_grid(CoinWalkerState(spin, walk.up[k], walk.down[k]),
+                               (config.grid_theta, config.grid_phi))
+            grid_residual = abs(grid.normalization() - 1.0)
+            if not grid_residual <= 1e-4:
                 raise NumericalInvariantError(
-                    f"step {k}: azimuthal marginal integrates to "
-                    f"{dist.total!r}, not 1")
-            grid = None
-            if "wigner" in config.outputs:
-                grid = wigner_grid(state, (config.grid_theta, config.grid_phi))
-                grid_residual = abs(grid.normalization() - 1.0)
-                if not grid_residual <= 1e-4:
-                    raise NumericalInvariantError(
-                        f"step {k}: Wigner normalization off by "
-                        f"{grid_residual:.2e} at resolution "
-                        f"({config.grid_theta}, {config.grid_phi})")
-                residual = max(residual, grid_residual)
-            residuals.append(residual)
-            try:
-                if grid is not None:
-                    p = out / f"wigner_k{k}.csv"
-                    written[p.name] = write_wigner_csv(grid, p)
-                    if config.svg:
-                        p = out / f"wigner_k{k}.svg"
-                        written[p.name] = render_heatmap_svg(grid, p,
-                                                             indexing)
-                if "marginal" in config.outputs:
-                    p = out / f"marginal_k{k}.csv"
-                    written[p.name] = write_marginal_csv(dist, indexing, p)
-                if "sites" in config.outputs:
-                    site_rows.append((k, dist.site_probabilities))
-                if "sigma" in config.outputs:
-                    sigma_rows.append((k, sigma_from_marginal(dist),
-                                       ideal_sigma(ideal[k], indexing)))
-            except OSError as exc:
-                raise OSError(
-                    f"step {k}: failed writing outputs: {exc}") from exc
+                    f"step {k}: Wigner normalization off by "
+                    f"{grid_residual:.2e} at resolution "
+                    f"({config.grid_theta}, {config.grid_phi})")
+            residuals[k] = max(residuals[k], grid_residual)
+        try:
+            if grid is not None:
+                p = out / f"wigner_k{k}.csv"
+                written[p.name] = write_wigner_csv(grid, p)
+                if config.svg:
+                    p = out / f"wigner_k{k}.svg"
+                    written[p.name] = render_heatmap_svg(grid, p, indexing)
+            if "marginal" in config.outputs:
+                p = out / f"marginal_k{k}.csv"
+                written[p.name] = write_marginal_csv(dist[k], indexing, p)
+        except OSError as exc:
+            raise OSError(f"step {k}: failed writing outputs: {exc}") from exc
 
     try:
-        if site_rows:
-            written["sites.csv"] = write_sites_csv(site_rows, indexing,
-                                                   out / "sites.csv")
-        if sigma_rows:
-            written["sigma.csv"] = write_sigma_csv(sigma_rows,
-                                                   out / "sigma.csv")
+        if "sites" in config.outputs:
+            written["sites.csv"] = write_sites_csv(
+                dist.site_probabilities, indexing, out / "sites.csv")
+        if "sigma" in config.outputs:
+            written["sigma.csv"] = write_sigma_csv(
+                np.c_[np.arange(config.steps + 1), sigma_from_marginal(dist),
+                      ideal_sigma(ideal, indexing)], out / "sigma.csv")
         if "ideal" in config.outputs:
             written["ideal.csv"] = write_sites_csv(
-                list(enumerate(ideal)), indexing, out / "ideal.csv",
+                ideal, indexing, out / "ideal.csv",
                 header="k,site_index,phi,P")
 
         manifest = {

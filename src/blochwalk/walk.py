@@ -35,7 +35,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CoinWalkerState:
-    """Pure state of coin (x) walker: up/down walker branches over m = J..-J."""
+    """Pure state of coin (x) walker: up/down walker branches over m = J..-J,
+    along the last axis; a leading axis, if any, stacks the steps of a
+    walk."""
 
     spin: SpinQuantum
     up: np.ndarray = field(repr=False)
@@ -145,11 +147,12 @@ def reduce_walker(state: CoinWalkerState) -> DensityMatrix:
 
 def ideal_walk(sites: int, steps: int, coin: np.ndarray,
                coin_state: tuple[complex, complex] = (1.0, 0.0)
-               ) -> list[np.ndarray]:
+               ) -> np.ndarray:
     """Exact unitary walk with orthogonal site states, starting at site 0.
 
-    Returns one probability array per step (0..steps), each over the
-    balanced site range of SiteIndexing(sites).site_numbers (ascending).
+    Returns the (steps + 1, sites) probabilities of steps 0 .. steps, each
+    row over the balanced site range of SiteIndexing(sites).site_numbers
+    (ascending).
     """
     indexing = SiteIndexing(sites)      # raises for fewer than 2 sites
     if steps < 0:
@@ -160,24 +163,25 @@ def ideal_walk(sites: int, steps: int, coin: np.ndarray,
     amp[0] = (cu / scale, cd / scale)
 
     order = indexing.site_numbers % sites       # balanced order -> mod-L rows
-    probs = [(np.abs(amp[order]) ** 2).sum(axis=1)]
-    for _ in range(steps):
-        amp = amp @ coin.T
-        up = np.roll(amp[:, 0], 1)      # coin-up moves +1 site
-        down = np.roll(amp[:, 1], -1)   # coin-down moves -1 site
-        amp = np.stack([up, down], axis=1)
-        probs.append((np.abs(amp[order]) ** 2).sum(axis=1))
+    probs = np.empty((steps + 1, sites))
+    probs[0] = (np.abs(amp[order]) ** 2).sum(axis=1)
+    for k in range(1, steps + 1):
+        mixed = amp @ coin.T
+        amp[1:, 0], amp[0, 0] = mixed[:-1, 0], mixed[-1, 0]   # up: +1 site
+        amp[:-1, 1], amp[-1, 1] = mixed[1:, 1], mixed[0, 1]   # down: -1 site
+        probs[k] = (np.abs(amp[order]) ** 2).sum(axis=1)
     return probs
 
 
-def ideal_sigma(probabilities: np.ndarray, indexing: SiteIndexing) -> float:
-    """sqrt(<phi^2> - <phi>^2) over unwrapped phi_n = n * delta_phi."""
+def ideal_sigma(probabilities: np.ndarray, indexing: SiteIndexing):
+    """sqrt(<phi^2> - <phi>^2) over unwrapped phi_n = n * delta_phi, one
+    per row of probabilities over the sites."""
     p = np.asarray(probabilities, dtype=float)
-    total = p.sum()
-    if not abs(total - 1.0) <= 1e-9:
-        raise ValueError(f"probabilities sum to {total!r}, not 1")
+    total = p.sum(axis=-1)
+    bad = np.ravel(total)[~(np.abs(np.ravel(total) - 1.0) <= 1e-9)]
+    if bad.size:
+        raise ValueError(f"probabilities sum to {float(bad[0])!r}, not 1")
     phi = indexing.site_numbers * indexing.delta_phi
-    mean = float(p @ phi)
-    second = float(p @ (phi * phi))
-    return math.sqrt(max(0.0, second - mean * mean))
-
+    mean = np.vecdot(p, phi)
+    second = np.vecdot(p, phi * phi)
+    return np.sqrt(np.maximum(0.0, second - mean * mean))

@@ -6,8 +6,9 @@ d(theta)^T, W(theta, phi) = sum_{a,b} K[a, b] rho[a, b] e^{i q phi}
 (q = b - a), so each theta gives a trigonometric polynomial in phi whose
 harmonics are the diagonal sums of K o rho.  The marginal integrates W
 sin(theta) over theta first, which turns K into one state-independent real
-symmetric matrix (`_theta_kernel`, closed form from the J_y eigensystem);
-its site bins and spread are closed-form sums over the harmonics.
+symmetric matrix (`_theta_kernel`, closed form from the J_y eigensystem),
+against which a pure state's amplitudes give the harmonics of every step
+at once; its site bins and spread are closed-form sums over them.
 
 The grid serves `wigner` output only: Gauss-Legendre nodes in cos(theta)
 crossed with a uniform phi grid on [-pi, pi).  The cos-theta rule is exact
@@ -32,6 +33,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+# numpy loads its fft module on first use; loading it with this module keeps
+# that cost out of the first periodic sum, which the CLI may run on its own
+import numpy.fft  # noqa: F401
 
 from .coherent import SiteIndexing
 from .su2 import SpinQuantum, _jy_eigensystem, cg_l0_family, small_d_matrix
@@ -153,10 +157,10 @@ def _theta_frame_stack(two_j: int, n_theta: int):
 
 @functools.lru_cache(maxsize=4)
 def _theta_kernel(spin: SpinQuantum) -> np.ndarray:
-    """K[a, b] = integral_0^pi sin(t) sum_m Delta_m d_am(t) d_bm(t) dt,
-    read-only.  Cached for four spins: an entry holds 8 (2J+1)^2 bytes
-    (0.3 MB at N = 200, 8 MB at N = 1000), and a scan cycling up to four
-    spin counts still hits.
+    """kd[q, a] = K[a, a+q] for K[a, b] = integral_0^pi sin(t) sum_m
+    Delta_m d_am(t) d_bm(t) dt, read-only.  Cached for four spins: an entry
+    holds 8 (2J+1)(2J+2) bytes (0.3 MB at N = 200, 8 MB at N = 1000), and a
+    scan cycling up to four spin counts still hits.
 
     With the signed real form of `small_d_matrix`,
     d(t) = s o (R diag(cos lam t + sin lam t) R^T), the integral is
@@ -173,9 +177,9 @@ def _theta_kernel(spin: SpinQuantum) -> np.ndarray:
     odd_one = np.abs(n) == 1
     g[odd_one] = 0.5 * math.pi * n[odd_one]
     m = (r.T * kernel_weights(spin)) @ r
-    kernel = signs * ((r @ (m * g)) @ r.T)
-    kernel.flags.writeable = False      # cached: every marginal shares it
-    return kernel
+    kd = _diagonals(signs * ((r @ (m * g)) @ r.T))
+    kd.flags.writeable = False          # cached: every marginal shares it
+    return kd
 
 
 def _density(state) -> tuple[SpinQuantum, np.ndarray]:
@@ -228,20 +232,47 @@ def wigner_grid(state, resolution: tuple[int, int]) -> WignerGrid:
 
 @dataclass(frozen=True)
 class PhiDistribution:
-    """Azimuthal marginal P(phi) = sum_{|q| <= 2J} p_q e^{i q phi}: its
-    harmonics p_q (q = 0 .. 2J; p_{-q} = conj(p_q)), P on the phi nodes and
-    the site-binned probabilities."""
+    """Azimuthal marginal P(phi) = sum_{|q| <= 2J} p_q e^{i q phi} of one
+    state, or one per step of a stack: its harmonics p_q (q = 0 .. 2J on
+    the last axis; p_{-q} = conj(p_q)), from which P on the phi nodes and
+    the site-binned probabilities are summed anew on every access."""
 
     phi_nodes: np.ndarray
-    density: np.ndarray
     site_numbers: np.ndarray
-    site_probabilities: np.ndarray
     harmonics: np.ndarray = field(repr=False)
 
+    def __getitem__(self, k) -> "PhiDistribution":
+        """Step k of a stacked distribution."""
+        return PhiDistribution(self.phi_nodes, self.site_numbers,
+                               self.harmonics[k])
+
     @property
-    def total(self) -> float:
-        """Integral of P over [-pi, pi): 2 pi p_0."""
-        return 2.0 * math.pi * float(self.harmonics[0].real)
+    def density(self) -> np.ndarray:
+        """P on the phi nodes, (..., n_phi)."""
+        return _phi_node_sum(self.harmonics.T, len(self.phi_nodes)).T
+
+    @property
+    def site_probabilities(self) -> np.ndarray:
+        """The probability of each site bin [phi_n - pi/L, phi_n + pi/L),
+        (..., L): a bin integrates e^{iq phi} to e^{iq phi_n} (2 pi/L)
+        sinc(q/L), a periodic sum over the site numbers n mod L, folded
+        into FFT buffers of at most 2^16 cells."""
+        n_sites, dim = len(self.site_numbers), self.harmonics.shape[-1]
+        bin_integrals = (2.0 * math.pi / n_sites) * np.sinc(
+            np.arange(dim) / n_sites)
+        terms = (self.harmonics * bin_integrals).reshape(-1, dim)
+        probs = np.empty((len(terms), n_sites))
+        chunk = max(1, 2 ** 16 // (dim + n_sites))     # steps a buffer
+        rows = self.site_numbers % n_sites
+        for i in range(0, len(terms), chunk):
+            probs[i:i + chunk] = _periodic_sum(terms[i:i + chunk].T,
+                                               n_sites)[rows].T
+        return probs.reshape(*self.harmonics.shape[:-1], n_sites)
+
+    @property
+    def total(self):
+        """Integral of P over [-pi, pi): 2 pi Re p_0, one per step."""
+        return 2.0 * math.pi * self.harmonics[..., 0].real
 
 
 def _periodic_sum(h: np.ndarray, period: int) -> np.ndarray:
@@ -271,40 +302,44 @@ def marginal_phi(source, indexing: SiteIndexing,
     """Exact P(phi) = (2J+1)/(4 pi) * integral of W sin(theta) d(theta) of a
     state (pure composite or density matrix) on n_phi uniform nodes, or of
     the state a WignerGrid was built from on the grid's phi nodes, plus the
-    probability of each site bin [phi_n - pi/L, phi_n + pi/L).
+    probability of each site bin [phi_n - pi/L, phi_n + pi/L); for every
+    step at once when a pure state's amplitudes carry a leading step axis.
 
     p_q = (2J+1)/(4 pi) * sum_a K[a, a+q] rho[a, a+q] (K: `_theta_kernel`),
-    and a bin integrates e^{iq phi} to e^{iq phi_n} (2 pi/L) sinc(q/L), a
-    periodic sum over the site numbers n mod L.
+    where a pure state gives rho[a, a+q] = u_a conj(u_{a+q}) +
+    d_a conj(d_{a+q}) with no (2J+1)^2 matrix.
     """
     if isinstance(source, WignerGrid):
         source, n_phi = source.state, len(source.phi_nodes)
     elif n_phi is None:
         raise ValueError("n_phi is required unless the source is a grid")
-    spin, rho = _density(source)
-    p = (spin.dim / (4.0 * math.pi)) * (
-        _diagonals(_theta_kernel(spin)) * _diagonals(rho)).sum(axis=-1)
+    if isinstance(source, CoinWalkerState):
+        spin, kd = source.spin, _theta_kernel(source.spin)
+        n, g = spin.dim, np.empty(source.up.shape, complex)
+        for q in range(n):
+            k = kd[q, :n - q]       # vecdot conjugates its first argument
+            g[..., q] = sum(np.vecdot(u[..., q:], k * u[..., :n - q])
+                            for u in (source.up, source.down))
+    else:
+        spin, rho = _density(source)
+        g = (_theta_kernel(spin) * _diagonals(rho)).sum(axis=-1)
+    g *= spin.dim / (4.0 * math.pi)
+    return PhiDistribution(_phi_nodes(n_phi), indexing.site_numbers, g)
 
-    n_sites, sites = indexing.sites, indexing.site_numbers
-    bin_integrals = (2.0 * math.pi / n_sites) * np.sinc(
-        np.arange(spin.dim) / n_sites)
-    site_prob = _periodic_sum(p * bin_integrals, n_sites)[sites % n_sites]
-    return PhiDistribution(_phi_nodes(n_phi), _phi_node_sum(p, n_phi), sites,
-                           site_prob, p)
 
-
-def sigma_from_marginal(dist: PhiDistribution) -> float:
-    """sqrt(<phi^2> - <phi>^2) of P on phi in [-pi, pi), in closed form:
-    over that interval e^{iq phi} integrates against phi to
+def sigma_from_marginal(dist: PhiDistribution):
+    """sqrt(<phi^2> - <phi>^2) of P on phi in [-pi, pi), one per step, in
+    closed form: over that interval e^{iq phi} integrates against phi to
     -2 pi i (-1)^q / q and against phi^2 to 4 pi (-1)^q / q^2."""
     total = dist.total
-    if not abs(total - 1.0) <= 1e-4:
-        raise ValueError(f"marginal integrates to {total!r}, not 1")
+    bad = np.ravel(total)[~(np.abs(np.ravel(total) - 1.0) <= 1e-4)]
+    if bad.size:
+        raise ValueError(f"marginal integrates to {float(bad[0])!r}, not 1")
     p = dist.harmonics
-    q = np.arange(1, len(p))
+    q = np.arange(1, p.shape[-1])
     alt = np.where(q % 2, -1.0, 1.0)
-    mean = 4.0 * math.pi * float(alt / q @ p[1:].imag) / total
-    second = (2.0 * math.pi ** 3 / 3.0 * float(p[0].real)
-              + 8.0 * math.pi * float(alt / (q * q) @ p[1:].real)) / total
-    return math.sqrt(max(0.0, second - mean * mean))
-
+    mean = 4.0 * math.pi * np.vecdot(p[..., 1:].imag, alt / q) / total
+    second = (2.0 * math.pi ** 3 / 3.0 * p[..., 0].real
+              + 8.0 * math.pi * np.vecdot(p[..., 1:].real, alt / (q * q))
+              ) / total
+    return np.sqrt(np.maximum(0.0, second - mean * mean))

@@ -177,12 +177,11 @@ def test_large_spin_statistics_are_admitted_up_to_the_memory_limit(
         tmp_path, capsys):
     # the kernel weights' recursion has no spin limit of its own; only the
     # size estimate refuses a statistics run, before anything is allocated.
-    # The first marginal's kernel build, 80 (N+1)^2 + 2000 (N+1) bytes,
-    # sets the limit.
+    # The kernel build, 68 (N+1)^2 + 2000 (N+1) bytes, sets the limit.
     _parse(["--sites", "40", "--spins", "1600", "--outputs", "sites"])
-    _parse(["--spins", "5164", "--outputs", "sites"])
+    _parse(["--spins", "5599", "--outputs", "sites"])
     with pytest.raises(ConfigError, match="GiB"):
-        _parse(["--spins", "5165", "--outputs", "sites"])
+        _parse(["--spins", "5600", "--outputs", "sites"])
     out = tmp_path / "big"
     assert main(["--spins", "6000", "--outputs", "sites",
                  "--out", str(out)]) == 2
@@ -207,7 +206,8 @@ def test_readme_states_the_admission_limits():
 
 # Small runs, each estimated under 100 MB: the long runs, the wide rings,
 # the wide marginal, the wide grid and N = 800 stress the per-step,
-# per-site-row, FFT, per-cell and kernel-build terms.
+# per-site-row, FFT, per-cell and kernel-build terms; the last run's
+# statistics would exceed its estimate if P(phi) were held for every step.
 GUARDED_RUNS = [
     [],
     ["--sites", "2", "--spins", "1", "--steps", "0"],
@@ -231,6 +231,8 @@ GUARDED_RUNS = [
      "--outputs", "sites,ideal,sigma"],
     ["--sites", "4000", "--spins", "1", "--steps", "99",
      "--outputs", "sites,ideal"],
+    ["--sites", "2", "--spins", "4", "--steps", "500", "--grid-phi", "20000",
+     "--outputs", "sigma"],
 ]
 
 
@@ -442,6 +444,27 @@ def test_unnormalized_marginal_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "marginal_phi", leaky)
     assert main(_tiny_args(tmp_path / "bad", ["--outputs", "sites"])) == 3
     assert "marginal integrates" in capsys.readouterr().err
+
+
+def test_statistics_come_from_one_marginal_call(tmp_path, monkeypatch):
+    """Every step's site bins and spread come from one call on the stacked
+    walk, straight from its amplitudes: no step builds a density matrix."""
+    exact, calls = cli.marginal_phi, []
+
+    def counted(*args):
+        calls.append(args[0])
+        return exact(*args)
+
+    def no_density_matrix(*args):
+        raise AssertionError("reduce_walker called")
+
+    monkeypatch.setattr(cli, "marginal_phi", counted)
+    monkeypatch.setattr(wigner, "reduce_walker", no_density_matrix)
+    out = tmp_path / "stats"
+    assert main(_tiny_args(out, ["--sites", "12", "--steps", "4",
+                                 "--outputs", "sites,sigma,ideal"])) == 0
+    assert [state.up.shape for state in calls] == [(5, 11)]
+    assert len((out / "sigma.csv").read_text().splitlines()) == 1 + 5
 
 
 def test_kernel_sum_rule_violation_exits_3(tmp_path, capsys, monkeypatch):

@@ -224,28 +224,27 @@ def test_site_and_sigma_csvs_match_per_field_references(tmp_path):
     in tables of several chunks, the last one short."""
     idx, state = _state(7, 31, 3)
     ideal = ideal_walk(7, 3, coin_unitary(CoinPulse.hadamard()))
-    per_step = [(0, marginal_phi(state, idx, 50).site_probabilities),
-                *enumerate(ideal, start=1),
-                (5, np.resize(_specials(), 7)), (6, _halves(1)[:7])]
+    table = np.array([marginal_phi(state, idx, 50).site_probabilities,
+                      *ideal, np.resize(_specials(), 7), _halves(1)[:7]])
     # 4500 rows in chunks of 1024: within a step, across steps, and short
-    wide = SiteIndexing(1500)
-    wide_steps = list(zip((0, 7, 1000), _random_bits(4500).reshape(3, -1)))
-    for ring, steps in ((idx, per_step), (wide, wide_steps)):
-        cli.write_sites_csv(steps, ring, tmp_path / "new.csv", header="h")
-        write_sites_csv_per_field(steps, ring, tmp_path / "ref.csv", "h")
+    wide = _random_bits(4500).reshape(3, -1)
+    for ring, probs in ((idx, table), (SiteIndexing(1500), wide)):
+        cli.write_sites_csv(probs, ring, tmp_path / "new.csv", header="h")
+        write_sites_csv_per_field(enumerate(probs), ring,
+                                  tmp_path / "ref.csv", "h")
         assert ((tmp_path / "new.csv").read_bytes()
                 == (tmp_path / "ref.csv").read_bytes())
 
-    values = np.concatenate((_specials(), _halves(1)))
-    rows = [(k, *pair) for k, pair in enumerate(values.reshape(-1, 2))]
-    rows.append((len(rows), 1.0 / 3.0, np.float64(2.0) ** -1074))
+    short = np.concatenate((_specials(), _halves(1),
+                            [1.0 / 3.0, np.float64(2.0) ** -1074]))
     # 3000 rows in chunks of 1365, the last one short
-    long_rows = [(k, *pair) for k, pair in
-                 enumerate(_random_bits(6000, seed=5).reshape(-1, 2))]
-    assert len(long_rows) % (cli._CHUNK_CELLS // 3) != 0
-    for table in (rows, long_rows):
-        cli.write_sigma_csv(table, tmp_path / "new.csv")
-        write_sigma_csv_per_field(table, tmp_path / "ref.csv")
+    long = _random_bits(6000, seed=5)
+    assert len(long) // 2 % (cli._CHUNK_CELLS // 3) != 0
+    for pairs in (short.reshape(-1, 2), long.reshape(-1, 2)):
+        cli.write_sigma_csv(np.c_[np.arange(len(pairs)), pairs],
+                            tmp_path / "new.csv")
+        write_sigma_csv_per_field([(k, *pair) for k, pair in enumerate(pairs)],
+                                  tmp_path / "ref.csv")
         assert ((tmp_path / "new.csv").read_bytes()
                 == (tmp_path / "ref.csv").read_bytes())
 

@@ -227,10 +227,25 @@ def test_ideal_sigma_examples():
         == pytest.approx(math.sqrt(2.0) * idx.delta_phi, abs=1e-12)
 
 
+def test_ideal_sigma_of_every_step_at_once():
+    idx = SiteIndexing(12)
+    probs = ideal_walk(12, 5, HADAMARD)
+    assert probs.shape == (6, 12)
+    sigmas = ideal_sigma(probs, idx)
+    assert sigmas.shape == (6,)
+    for k, row in enumerate(probs):
+        assert ideal_sigma(row, idx) == sigmas[k]
+
+
 def test_ideal_sigma_rejects_unnormalized():
     idx = SiteIndexing(6)
     with pytest.raises(ValueError):
         ideal_sigma(np.full(6, 0.1), idx)
+    # one bad row among good ones
+    probs = ideal_walk(6, 2, HADAMARD)
+    probs[1, 0] += 1e-6
+    with pytest.raises(ValueError):
+        ideal_sigma(probs, idx)
 
 
 def test_ideal_sigma_rejects_nan():

@@ -7,14 +7,15 @@ import warnings
 import numpy as np
 import pytest
 
-from blochwalk import (CoinPulse, DensityMatrix, NumericalInvariantError,
-                       PhiDistribution, SiteIndexing, SpinQuantum,
-                       WalkSchedule, cg_l0_family, evolve, ideal_sigma,
+from blochwalk import (CoinPulse, CoinWalkerState, DensityMatrix,
+                       NumericalInvariantError, PhiDistribution, SiteIndexing,
+                       SpinQuantum, WalkSchedule, cg_l0_family, evolve,
+                       ideal_sigma,
                        initial_state, kernel_weights, marginal_phi,
                        reduce_walker, sigma_from_marginal, small_d_matrix,
                        wigner_grid)
 from blochwalk.su2 import _jy_eigensystem
-from blochwalk.wigner import (_gauss_legendre, _phi_node_sum,
+from blochwalk.wigner import (_diagonals, _gauss_legendre, _phi_node_sum,
                               _theta_frame_stack, _theta_kernel)
 
 from oracles import (grid_marginal, grid_sigma, phi_node_sum_by_gather,
@@ -63,14 +64,14 @@ def test_projection_flip_alternates_coupling_signs(two_j, two_m):
 
 @pytest.mark.parametrize("two_j", [1, 2, 7, 30, 31, 80, 200, 201])
 def test_theta_kernel_matches_quadrature(two_j):
+    # the cache holds K's upper diagonals, kd[q, a] = K[a, a+q]
     spin = SpinQuantum(two_j)
-    kernel = _theta_kernel(spin)
-    assert kernel.dtype == np.float64
-    assert np.abs(kernel - theta_kernel_gl(spin)).max() < 1e-13
-    assert np.abs(kernel - kernel.T).max() < 1e-14
+    kd = _theta_kernel(spin)
+    assert kd.dtype == np.float64 and kd.shape == (spin.dim, spin.dim)
+    assert np.abs(kd - _diagonals(theta_kernel_gl(spin))).max() < 1e-13
     # sum_m Delta_m = 1 and d(t) is orthogonal, so K_aa = integral sin t dt
     # / (2J + 1) is 2/(2J + 1) for every a
-    assert np.abs(np.diag(kernel) * spin.dim / 2.0 - 1.0).max() < 1e-12
+    assert np.abs(kd[0] * spin.dim / 2.0 - 1.0).max() < 1e-12
 
 
 @pytest.mark.parametrize("two_j", [1, 2, 30, 31])
@@ -401,8 +402,7 @@ def _flat_distribution(p0):
     nodes = -math.pi + 2.0 * math.pi * np.arange(24) / 24.0
     harmonics = np.zeros(11, dtype=complex)
     harmonics[0] = p0
-    return PhiDistribution(nodes, np.full(24, p0), np.arange(-2, 4),
-                           np.full(6, p0 * math.pi / 3.0), harmonics)
+    return PhiDistribution(nodes, np.arange(-2, 4), harmonics)
 
 
 def test_flat_distribution_spread():
@@ -443,6 +443,40 @@ def test_marginal_of_state_equals_marginal_of_its_grid():
                  "site_probabilities", "harmonics"):
         assert np.array_equal(getattr(via_grid, name), getattr(direct, name))
     assert np.array_equal(direct.phi_nodes, grid.phi_nodes)
+
+
+@pytest.mark.parametrize("sites,two_j,steps,theta0", [
+    (6, 50, 2, math.pi / 2.0), (7, 31, 3, 1.1), (40, 200, 9, math.pi / 2.0),
+    # 3000 sites: the site bins of 31 steps take two FFT buffers
+    (2, 4, 30, 0.4), (3000, 1, 30, math.pi / 2.0),
+])
+def test_stacked_marginal_matches_each_step(sites, two_j, steps, theta0):
+    """Row k of one all-steps call is the one-step call on step k, and
+    matches the density-matrix path of the same state, harmonics, site bins
+    and P(phi) alike; the spread, taken for all steps at once, is each
+    step's own."""
+    idx = SiteIndexing(sites, theta0)
+    spin = SpinQuantum(two_j)
+    states = evolve(initial_state(idx, spin), CoinPulse.hadamard(),
+                    WalkSchedule.site_aligned(idx, steps))
+    stacked = marginal_phi(CoinWalkerState(
+        spin, np.array([s.up for s in states]),
+        np.array([s.down for s in states])), idx, 2 * sites)
+    assert stacked.harmonics.shape == (steps + 1, spin.dim)
+    assert stacked.site_probabilities.shape == (steps + 1, sites)
+    sigmas = sigma_from_marginal(stacked)
+    for k, state in enumerate(states):
+        one = marginal_phi(state, idx, 2 * sites)
+        assert np.array_equal(stacked.harmonics[k], one.harmonics)
+        assert sigma_from_marginal(one) == sigmas[k]
+        for ref in (one, marginal_phi(reduce_walker(state), idx, 2 * sites)):
+            scale = np.abs(ref.harmonics).max()
+            assert np.abs(stacked.harmonics[k] - ref.harmonics).max() \
+                <= 1e-14 * scale
+            assert np.abs(stacked.site_probabilities[k]
+                          - ref.site_probabilities).max() <= 1e-14 * scale
+            assert np.abs(stacked.density[k] - ref.density).max() \
+                <= 1e-14 * scale
 
 
 def test_marginal_input_validation():
