@@ -28,8 +28,8 @@ from . import __version__
 from .coherent import SiteIndexing
 from .render import render_heatmap_svg, write_hashed
 from .su2 import SpinQuantum
-from .walk import (CoinPulse, CoinWalkerState, WalkSchedule, coin_unitary,
-                   evolve, ideal_sigma, ideal_walk, initial_state)
+from .walk import (CoinPulse, WalkSchedule, coin_unitary, evolve,
+                   ideal_sigma, ideal_walk, initial_state)
 # unused here, but perfbench/tracer.py binds blochwalk.cli.kernel_weights
 from .wigner import (NumericalInvariantError, kernel_weights, marginal_phi,
                      sigma_from_marginal, wigner_grid)
@@ -194,16 +194,18 @@ def _estimated_bytes(config: RunConfig) -> int:
     wigner = "wigner" in config.outputs
     files = ("marginal" in config.outputs) + wigner * (1 + config.svg)
     total = 256 * 1024                                   # floor
-    # per step: the evolved state twice (the states and their stacked copy
-    # while it is made), the harmonics, and the files the step writes
-    total += (config.steps + 1) * (64 * dim + 500 + 400 * files)
+    kernel = bool(config.outputs & KERNEL_OUTPUTS)
+    # per step: with a kernel output, the walk's stacked amplitudes, the
+    # harmonics and one weighted slice of them; the step's residual or its
+    # `k` cells in a sites CSV; and the manifest entries of its files
+    total += (config.steps + 1) * (kernel * 64 * dim + 150 + 700 * files)
     # the ideal walk, and per step the site probabilities it and `sites` keep
     kept = bool(config.outputs & {"ideal", "sigma"})
     kept += "sites" in config.outputs
     total += 128 * config.sites + 8 * kept * rows
     # a Wigner CSV chunk holds at least one row of grid_phi cells
     total += 160 * max(_CHUNK_CELLS, wigner * config.grid_phi)
-    if config.outputs & KERNEL_OUTPUTS:
+    if kernel:
         total += 68 * dim * dim + 2000 * dim             # K build
         total += 64 * (config.grid_phi + config.sites + 2 * dim)   # FFTs
     if wigner:
@@ -456,15 +458,6 @@ def run_experiment(config: RunConfig) -> dict:
     out.mkdir(parents=True, exist_ok=True)
 
     indexing = SiteIndexing(config.sites, config.theta0)
-    spin = SpinQuantum(config.spins)
-    schedule = WalkSchedule.site_aligned(indexing, config.steps)
-    states = evolve(initial_state(indexing, spin), config.pulse(), schedule)
-    # every step's amplitudes as one array per coin branch, in place of the
-    # per-step states
-    walk = CoinWalkerState(spin, np.array([s.up for s in states]),
-                           np.array([s.down for s in states]))
-    del states
-
     if config.outputs & {"ideal", "sigma"}:
         ideal = ideal_walk(config.sites, config.steps,
                            coin_unitary(config.pulse()))
@@ -473,6 +466,9 @@ def run_experiment(config: RunConfig) -> dict:
     residuals: list[float] = []
 
     if config.outputs & KERNEL_OUTPUTS:
+        walk = evolve(initial_state(indexing, SpinQuantum(config.spins)),
+                      config.pulse(),
+                      WalkSchedule.site_aligned(indexing, config.steps))
         dist = marginal_phi(walk, indexing, config.grid_phi)
         residuals = np.abs(dist.total - 1.0)
         bad = np.flatnonzero(~(residuals <= 1e-4))
@@ -485,8 +481,7 @@ def run_experiment(config: RunConfig) -> dict:
     for k in range(config.steps + 1):       # the per-step files
         grid = None
         if "wigner" in config.outputs:
-            grid = wigner_grid(CoinWalkerState(spin, walk.up[k], walk.down[k]),
-                               (config.grid_theta, config.grid_phi))
+            grid = wigner_grid(walk[k], (config.grid_theta, config.grid_phi))
             grid_residual = abs(grid.normalization() - 1.0)
             if not grid_residual <= 1e-4:
                 raise NumericalInvariantError(

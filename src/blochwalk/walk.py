@@ -1,10 +1,10 @@
-"""One period of the coin-conditioned walk U(T) = M * C on the composite
-coin (x) walker system, plus the ideal orthogonal-state walk used as the
-reference.
+"""The coin-conditioned walk U(T) = M * C on the composite coin (x) walker
+system, plus the ideal orthogonal-state walk used as the reference.
 
 The composite state is stored as two walker branches (coin up / coin down);
 both the coin flip and the conditional shift act blockwise, so a step is a
-2x2 mix plus two diagonal phase scalings, O(2J+1) total.
+2x2 mix plus two diagonal phase scalings, O(2J+1) total.  `evolve` writes
+a walk into one (steps + 1, 2J + 1) array per branch; walk[k] is step k.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ __all__ = [
     "WalkSchedule",
     "DensityMatrix",
     "coin_unitary",
-    "conditional_shift",
-    "step",
     "evolve",
     "reduce_walker",
     "initial_state",
@@ -42,6 +40,10 @@ class CoinWalkerState:
     spin: SpinQuantum
     up: np.ndarray = field(repr=False)
     down: np.ndarray = field(repr=False)
+
+    def __getitem__(self, k) -> "CoinWalkerState":
+        """Step k of a stacked walk, as views of its amplitudes."""
+        return CoinWalkerState(self.spin, self.up[k], self.down[k])
 
 
 @dataclass(frozen=True)
@@ -105,33 +107,20 @@ def initial_state(indexing: SiteIndexing, spin: SpinQuantum,
     return CoinWalkerState(spin, (cu / scale) * w, (cd / scale) * w)
 
 
-def conditional_shift(state: CoinWalkerState,
-                      schedule: WalkSchedule) -> CoinWalkerState:
-    """M: R_z(+kappa T) on the up branch, R_z(-kappa T) on the down branch."""
-    fwd = rz_phases(state.spin, schedule.kappa_T)
-    return CoinWalkerState(state.spin, fwd * state.up,
-                           fwd.conj() * state.down)
-
-
-def step(state: CoinWalkerState, pulse: CoinPulse,
-         schedule: WalkSchedule) -> CoinWalkerState:
-    """One period U(T) = M * C: coin flip first, then conditional shift."""
-    u = coin_unitary(pulse)
-    mixed = CoinWalkerState(
-        state.spin,
-        u[0, 0] * state.up + u[0, 1] * state.down,
-        u[1, 0] * state.up + u[1, 1] * state.down,
-    )
-    return conditional_shift(mixed, schedule)
-
-
 def evolve(initial: CoinWalkerState, pulse: CoinPulse,
-           schedule: WalkSchedule) -> list[CoinWalkerState]:
-    """States after 0 .. schedule.steps applications of U(T)."""
-    states = [initial]
-    for _ in range(schedule.steps):
-        states.append(step(states[-1], pulse, schedule))
-    return states
+           schedule: WalkSchedule) -> CoinWalkerState:
+    """The states after 0 .. schedule.steps periods U(T) = M * C, stacked
+    along a leading step axis: each period flips the coin, then M applies
+    R_z(+kappa T) to the up branch and R_z(-kappa T) to the down branch."""
+    c = coin_unitary(pulse)
+    fwd = rz_phases(initial.spin, schedule.kappa_T)
+    back = fwd.conj()
+    up, down = np.empty((2, schedule.steps + 1, initial.spin.dim), complex)
+    up[0], down[0] = initial.up, initial.down
+    for k in range(1, schedule.steps + 1):
+        up[k] = fwd * (c[0, 0] * up[k - 1] + c[0, 1] * down[k - 1])
+        down[k] = back * (c[1, 0] * up[k - 1] + c[1, 1] * down[k - 1])
+    return CoinWalkerState(initial.spin, up, down)
 
 
 def reduce_walker(state: CoinWalkerState) -> DensityMatrix:

@@ -20,9 +20,10 @@ K(pi - theta) = J K(theta) J with J the index reversal, so the row at
 pi - theta_i takes K_i against J rho^T J.  The cache holds each K_i's upper
 diagonals, diagonal-major (kd[q, i, a] = K_i[a, a+q]), so the harmonics of
 every row come from one batched real product of kd with the diagonals of
-rho and J rho^T J, and a grid costs that product plus one inverse FFT of
-length n_phi per row.  P(phi) and the site bins are periodic sums of
-harmonics too, summed the same way (`_periodic_sum`).
+rho and J rho^T J (rho's read backwards; a pure state's straight from its
+amplitudes, `_rho_diagonals`), and a grid costs that product plus one
+inverse FFT of length n_phi per row.  P(phi) and the site bins are periodic
+sums of harmonics too, summed the same way (`_periodic_sum`).
 """
 
 from __future__ import annotations
@@ -36,10 +37,11 @@ import numpy as np
 # numpy loads its fft module on first use; loading it with this module keeps
 # that cost out of the first periodic sum, which the CLI may run on its own
 import numpy.fft  # noqa: F401
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .coherent import SiteIndexing
 from .su2 import SpinQuantum, _jy_eigensystem, cg_l0_family, small_d_matrix
-from .walk import CoinWalkerState, DensityMatrix, reduce_walker
+from .walk import CoinWalkerState, DensityMatrix
 
 __all__ = [
     "NumericalInvariantError",
@@ -182,20 +184,25 @@ def _theta_kernel(spin: SpinQuantum) -> np.ndarray:
     return kd
 
 
-def _density(state) -> tuple[SpinQuantum, np.ndarray]:
-    """The walker's density matrix: rho = |up><up| + |down><down| for a
-    pure composite state."""
+def _rho_diagonals(state) -> tuple[SpinQuantum, np.ndarray]:
+    """rho's upper diagonals t[q, a] = rho[a, a+q], zero where a + q > 2J.
+    A pure composite state gives rho[a, a+q] = u_a conj(u_{a+q}) +
+    d_a conj(d_{a+q}) from windows of its zero-padded conjugate amplitudes,
+    win[a, q] = conj(u_{a+q}), with no (2J+1)^2 matrix."""
     if isinstance(state, CoinWalkerState):
-        return state.spin, reduce_walker(state).entries
+        n = state.spin.dim
+        win = sliding_window_view(np.pad(np.conj((state.up, state.down)),
+                                         ((0, 0), (0, n - 1))), n, axis=1)
+        return state.spin, state.up * win[0].T + state.down * win[1].T
     if isinstance(state, DensityMatrix):
-        return state.spin, state.entries
+        return state.spin, _diagonals(state.entries)
     raise TypeError(f"expected CoinWalkerState or DensityMatrix, "
                     f"got {type(state).__name__}")
 
 
 def wigner_grid(state, resolution: tuple[int, int]) -> WignerGrid:
-    """Evaluate W on the product grid for a pure composite state or a
-    density matrix.
+    """Evaluate W on the product grid for one pure composite state (a step
+    of a walk) or a density matrix.
 
     Row i is g_i[0] + 2 Re sum_q g_i[q] e^{i q phi} with the harmonics
     g_i[q] = sum_a K_i[a, a+q] rho[a, a+q] of the node's kernel K_i, summed
@@ -206,15 +213,19 @@ def wigner_grid(state, resolution: tuple[int, int]) -> WignerGrid:
     misses 1 by more than 1e-4 (resolution too low for this j).
     """
     n_theta, n_phi = resolution
-    spin, rho = _density(state)
+    if isinstance(state, CoinWalkerState) and state.up.ndim != 1:
+        raise ValueError("wigner_grid takes one step of a walk; index the "
+                         "stacked walk (states[k])")
+    spin, rho = _rho_diagonals(state)
     if n_theta < 2:
         raise ValueError("need at least 2 theta nodes")
 
     theta, w_theta, kd = _theta_frame_stack(spin.two_j, n_theta)
-    # the diagonals of rho and of J rho^T J, as 4 real columns Re, Im per q
+    # the diagonals of rho and of J rho^T J, as 4 real columns Re, Im per
+    # q; J rho^T J's q-th is row q of rho's table reversed, from entry q on
     cols = np.empty((spin.dim, spin.dim, 2), complex)
-    cols[..., 0] = _diagonals(rho)
-    cols[..., 1] = _diagonals(rho.T[::-1, ::-1])
+    cols[..., 0] = rho
+    cols[..., 1] = _diagonals(rho[:, ::-1]).T
     g = (kd @ cols.view(float)).view(complex)     # (q, node, 2)
     mirrored = g[:, :n_theta - kd.shape[1], 1]
     harmonics = np.concatenate((g[:, :, 0], mirrored[:, ::-1]), axis=1)
@@ -321,8 +332,8 @@ def marginal_phi(source, indexing: SiteIndexing,
             g[..., q] = sum(np.vecdot(u[..., q:], k * u[..., :n - q])
                             for u in (source.up, source.down))
     else:
-        spin, rho = _density(source)
-        g = (_theta_kernel(spin) * _diagonals(rho)).sum(axis=-1)
+        spin, rho = _rho_diagonals(source)
+        g = (_theta_kernel(spin) * rho).sum(axis=-1)
     g *= spin.dim / (4.0 * math.pi)
     return PhiDistribution(_phi_nodes(n_phi), indexing.site_numbers, g)
 

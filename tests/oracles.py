@@ -4,17 +4,17 @@ Everything here is built from first principles (ladder operators, closed
 forms for low-rank couplings, the Racah sum, pointwise kernel traces,
 ordinary least squares, the analytic coherent-state overlap, the
 total-variation distance) without touching the implementation paths under
-test.  The closed-form walk references take their site states from
-`site_state` and check the evolution.  The amplitude-based grid evaluator
-(one d-matrix per theta node, rho split into weighted vectors) is the
-reference for `wigner_grid`, and the complex J_y eigendecomposition
-`small_d_by_jy` the reference for the real `small_d_matrix`.  The theta
-Gauss-Legendre kernel and the grid-quadrature marginal are the references
-for the exact marginal; the per-cell Wigner CSV and SVG writers and the
-per-node site binning last in the file are the byte-for-byte references
-for the vectorized emitters and the grid marginal's binning.  The
-roots-of-unity gather at the end is the reference for the FFT periodic
-sums on the phi nodes and the site bins.
+test.  The per-step walk is the reference for the stacked `evolve`, and the
+closed-form walk references take their site states from `site_state` and
+check the evolution.  The amplitude-based grid evaluator (one d-matrix per
+theta node, rho split into weighted vectors) is the reference for
+`wigner_grid`, and the complex J_y eigendecomposition `small_d_by_jy` the
+reference for the real `small_d_matrix`.  The theta Gauss-Legendre kernel
+and the grid-quadrature marginal are the references for the exact marginal;
+the per-cell Wigner CSV and SVG writers and the per-node site binning last
+in the file are the byte-for-byte references for the vectorized emitters
+and the grid marginal's binning.  The roots-of-unity gather at the end is
+the reference for the FFT periodic sums on the phi nodes and the site bins.
 """
 
 import math
@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from blochwalk import (CoinWalkerState, DensityMatrix, NumericalInvariantError,
-                       SiteIndexing, SpinQuantum, kernel_weights, rz_phases,
-                       site_state, small_d_matrix)
+                       SiteIndexing, SpinQuantum, coin_unitary, kernel_weights,
+                       rz_phases, site_state, small_d_matrix)
 
 
 def _check_jm(two_j: int, two_m: int, name: str) -> None:
@@ -230,8 +230,25 @@ def linear_fit_r2(x, y):
 
 
 # ---------------------------------------------------------------------------
-# Closed-form references for the first two Hadamard steps
+# The walk one period at a time, and closed-form references for the first
+# two Hadamard steps
 # ---------------------------------------------------------------------------
+
+def evolve_per_step(initial: CoinWalkerState, pulse,
+                    schedule) -> list[CoinWalkerState]:
+    """The states after 0 .. schedule.steps periods, one new state a
+    period: the coin flip mixes the two branches, then R_z(+kappa T) turns
+    the up branch and R_z(-kappa T) the down branch."""
+    u = coin_unitary(pulse)
+    states = [initial]
+    for _ in range(schedule.steps):
+        s = states[-1]
+        fwd = rz_phases(s.spin, schedule.kappa_T)
+        states.append(CoinWalkerState(
+            s.spin, fwd * (u[0, 0] * s.up + u[0, 1] * s.down),
+            fwd.conj() * (u[1, 0] * s.up + u[1, 1] * s.down)))
+    return states
+
 
 def aligned_site_state(indexing: SiteIndexing, spin: SpinQuantum,
                        n: int) -> np.ndarray:

@@ -28,7 +28,8 @@ def test_package_exports_every_module_name():
 def test_removed_names_are_not_exported():
     for name in ("KernelWeights", "phi_moment", "wigner_at",
                  "rotated_dicke_frame", "cg_coefficient", "lnfact",
-                 "overlap_modulus", "tv_distance"):
+                 "overlap_modulus", "tv_distance", "step",
+                 "conditional_shift"):
         assert name not in blochwalk.__all__
         assert not hasattr(blochwalk, name), name
         assert all(not hasattr(m, name) for m in MODULES), name

@@ -24,6 +24,7 @@ import pytest
 
 import blochwalk.cli as cli
 import blochwalk.su2 as su2
+import blochwalk.walk as walk
 import blochwalk.wigner as wigner
 from blochwalk import (CoinPulse, SiteIndexing, SpinQuantum, WalkSchedule,
                        evolve, initial_state)
@@ -206,8 +207,9 @@ def test_readme_states_the_admission_limits():
 
 # Small runs, each estimated under 100 MB: the long runs, the wide rings,
 # the wide marginal, the wide grid and N = 800 stress the per-step,
-# per-site-row, FFT, per-cell and kernel-build terms; the last run's
-# statistics would exceed its estimate if P(phi) were held for every step.
+# per-site-row, FFT, per-cell and kernel-build terms; the 500-step run's
+# statistics would exceed its estimate if P(phi) were held for every step,
+# and the last run's if the walk's amplitudes were held twice.
 GUARDED_RUNS = [
     [],
     ["--sites", "2", "--spins", "1", "--steps", "0"],
@@ -233,6 +235,7 @@ GUARDED_RUNS = [
      "--outputs", "sites,ideal"],
     ["--sites", "2", "--spins", "4", "--steps", "500", "--grid-phi", "20000",
      "--outputs", "sigma"],
+    ["--sites", "2", "--spins", "100", "--steps", "5000", "--outputs", "sigma"],
 ]
 
 
@@ -447,24 +450,65 @@ def test_unnormalized_marginal_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_statistics_come_from_one_marginal_call(tmp_path, monkeypatch):
-    """Every step's site bins and spread come from one call on the stacked
-    walk, straight from its amplitudes: no step builds a density matrix."""
-    exact, calls = cli.marginal_phi, []
+    """Every step's site bins and spread come from one marginal call on the
+    stacked walk that `evolve` returns, and every grid from a step of that
+    stack: no step builds a density matrix or copies its amplitudes."""
+    walks, calls, grid_states = [], [], []
+    exact_evolve, exact_marginal = cli.evolve, cli.marginal_phi
+    exact_grid = cli.wigner_grid
+
+    def recorded(*args):
+        walks.append(exact_evolve(*args))
+        return walks[-1]
 
     def counted(*args):
         calls.append(args[0])
-        return exact(*args)
+        return exact_marginal(*args)
+
+    def gridded(state, resolution):
+        grid_states.append(state)
+        return exact_grid(state, resolution)
 
     def no_density_matrix(*args):
         raise AssertionError("reduce_walker called")
 
+    monkeypatch.setattr(cli, "evolve", recorded)
     monkeypatch.setattr(cli, "marginal_phi", counted)
-    monkeypatch.setattr(wigner, "reduce_walker", no_density_matrix)
+    monkeypatch.setattr(cli, "wigner_grid", gridded)
+    monkeypatch.setattr(walk, "reduce_walker", no_density_matrix)
+    assert not hasattr(cli, "reduce_walker")
+    assert not hasattr(wigner, "reduce_walker")
     out = tmp_path / "stats"
-    assert main(_tiny_args(out, ["--sites", "12", "--steps", "4",
-                                 "--outputs", "sites,sigma,ideal"])) == 0
-    assert [state.up.shape for state in calls] == [(5, 11)]
+    assert main(_tiny_args(out, ["--sites", "12", "--steps", "4"])) == 0
+    [stack] = walks
+    assert len(calls) == 1 and calls[0] is stack
+    assert stack.up.shape == (5, 11)
+    assert len(grid_states) == 5
+    for k, state in enumerate(grid_states):
+        for branch in ("up", "down"):
+            assert np.shares_memory(getattr(state, branch),
+                                    getattr(stack, branch))
+            assert np.array_equal(getattr(state, branch),
+                                  getattr(stack, branch)[k])
     assert len((out / "sigma.csv").read_text().splitlines()) == 1 + 5
+
+
+def test_ideal_output_evolves_no_walk(tmp_path, monkeypatch):
+    # the ideal walk needs no coin-walker state, so its spin count is not
+    # charged to the memory estimate either
+    _parse(["--spins", "100000", "--steps", "10000", "--outputs", "ideal"])
+    with pytest.raises(ConfigError, match="GiB"):
+        _parse(["--spins", "100000", "--steps", "10000",
+                "--outputs", "ideal,sigma"])
+
+    def no_walk(*args):
+        raise AssertionError("evolve called")
+
+    monkeypatch.setattr(cli, "evolve", no_walk)
+    out = tmp_path / "ideal"
+    assert main(_tiny_args(out, ["--outputs", "ideal"])) == 0
+    assert sorted(p.name for p in out.iterdir()) \
+        == ["ideal.csv", "manifest.json"]
 
 
 def test_kernel_sum_rule_violation_exits_3(tmp_path, capsys, monkeypatch):

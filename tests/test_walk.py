@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from blochwalk import (CoinPulse, CoinWalkerState, SiteIndexing, SpinQuantum,
-                       WalkSchedule, coin_unitary, conditional_shift, evolve,
-                       ideal_sigma, ideal_walk, initial_state, reduce_walker,
-                       site_state, step)
+                       WalkSchedule, coin_unitary, evolve, ideal_sigma,
+                       ideal_walk, initial_state, reduce_walker, site_state)
 
-from oracles import step1_reference, step2_reference, validate_density_matrix
+from oracles import (evolve_per_step, step1_reference, step2_reference,
+                     validate_density_matrix)
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
@@ -54,16 +54,18 @@ def test_coin_unitary_is_unitary():
 
 
 # ---------------------------------------------------------------------------
-# conditional shift and single steps
+# conditional shift, single steps and the stacked walk
 # ---------------------------------------------------------------------------
 
 def test_conditional_shift_moves_branches_oppositely():
+    # with no coin flip a period is the conditional shift alone
     idx = SiteIndexing(6)
     spin = SpinQuantum(30)
     sched = WalkSchedule.site_aligned(idx, 1)
     w0 = site_state(idx, spin, 0)
-    shifted = conditional_shift(CoinWalkerState(spin, w0 / math.sqrt(2.0),
-                                                w0 / math.sqrt(2.0)), sched)
+    shifted = evolve(CoinWalkerState(spin, w0 / math.sqrt(2.0),
+                                     w0 / math.sqrt(2.0)),
+                     CoinPulse((0.0, 0.0, 0.0)), sched)[1]
     up_target = site_state(idx, spin, 1)
     down_target = site_state(idx, spin, -1)
     assert abs(np.vdot(up_target, shifted.up)) * math.sqrt(2.0) \
@@ -77,10 +79,33 @@ def test_step_without_coin_flip_is_pure_shift():
     spin = SpinQuantum(30)
     sched = WalkSchedule.site_aligned(idx, 1)
     state = initial_state(idx, spin)
-    moved = step(state, CoinPulse((0.0, 0.0, 0.0)), sched)
+    moved = evolve(state, CoinPulse((0.0, 0.0, 0.0)), sched)[1]
     target = site_state(idx, spin, 1)
     assert abs(np.vdot(target, moved.up)) == pytest.approx(1.0, abs=1e-12)
     assert np.abs(moved.down).max() == 0.0
+
+
+@pytest.mark.parametrize("pulse,coin,steps", [
+    (CoinPulse.hadamard(), (1.0, 0.0), 7),
+    (CoinPulse((0.3, -0.7, 1.1)), (1.0, 0.0), 7),
+    (CoinPulse.hadamard(), (1.0, 1.0j), 7),
+    (CoinPulse.hadamard(), (1.0, 0.0), 0),
+], ids=["hadamard", "custom", "coin-1-1j", "no-steps"])
+def test_evolve_rows_match_per_step_reference(pulse, coin, steps):
+    """Row k of the stacked walk is, bit for bit, the state after k
+    periods applied one at a time, and walk[k] is that row."""
+    idx = SiteIndexing(7, 1.1)
+    spin = SpinQuantum(31)
+    initial = initial_state(idx, spin, coin)
+    sched = WalkSchedule.site_aligned(idx, steps)
+    walk = evolve(initial, pulse, sched)
+    assert walk.up.shape == walk.down.shape == (steps + 1, spin.dim)
+    reference = evolve_per_step(initial, pulse, sched)
+    assert len(list(walk)) == len(reference) == steps + 1
+    for k, state in enumerate(reference):
+        assert walk[k].up.tobytes() == state.up.tobytes()
+        assert walk[k].down.tobytes() == state.down.tobytes()
+        assert np.shares_memory(walk[k].up, walk.up)
 
 
 def test_norm_preserved_over_many_steps():

@@ -7,16 +7,16 @@ import warnings
 import numpy as np
 import pytest
 
-from blochwalk import (CoinPulse, CoinWalkerState, DensityMatrix,
-                       NumericalInvariantError, PhiDistribution, SiteIndexing,
-                       SpinQuantum, WalkSchedule, cg_l0_family, evolve,
-                       ideal_sigma,
+from blochwalk import (CoinPulse, DensityMatrix, NumericalInvariantError,
+                       PhiDistribution, SiteIndexing, SpinQuantum,
+                       WalkSchedule, cg_l0_family, evolve, ideal_sigma,
                        initial_state, kernel_weights, marginal_phi,
                        reduce_walker, sigma_from_marginal, small_d_matrix,
                        wigner_grid)
 from blochwalk.su2 import _jy_eigensystem
 from blochwalk.wigner import (_diagonals, _gauss_legendre, _phi_node_sum,
-                              _theta_frame_stack, _theta_kernel)
+                              _rho_diagonals, _theta_frame_stack,
+                              _theta_kernel)
 
 from oracles import (grid_marginal, grid_sigma, phi_node_sum_by_gather,
                      site_bins_by_gather, theta_kernel_gl, tv_distance,
@@ -154,18 +154,25 @@ def test_grid_normalization_along_the_walk():
     (6, 30, 0.05, None),
     (5, 24, 1.1,
      tuple(np.random.default_rng(2022).uniform(-math.pi, math.pi, 3))),
+    (2, 1, math.pi / 2.0, None),
 ], ids=["equator", "half-integer-j", "two-sites", "three-sites", "near-pole",
-        "random-pulse"])
+        "random-pulse", "spin-half"])
 def test_pure_state_path_matches_density_path(sites, two_j, theta0, h):
+    """The amplitudes give rho's upper diagonals with the bits of the
+    density matrix's, so the two paths give the same grid."""
     idx = SiteIndexing(sites, theta0)
     spin = SpinQuantum(two_j)
     pulse = CoinPulse.hadamard() if h is None else CoinPulse(h)
     states = evolve(initial_state(idx, spin), pulse,
                     WalkSchedule.site_aligned(idx, 2))
+    rho = reduce_walker(states[2])
+    upper = np.add.outer(np.arange(spin.dim), np.arange(spin.dim)) < spin.dim
+    assert np.array_equal(_rho_diagonals(states[2])[1][upper],
+                          _diagonals(rho.entries)[upper])
     res = (two_j + 2, max(8 * sites, sites * (two_j // sites + 1)))
     direct = wigner_grid(states[2], res)
-    via_rho = wigner_grid(reduce_walker(states[2]), res)
-    assert np.abs(direct.values - via_rho.values).max() < 1e-10
+    via_rho = wigner_grid(rho, res)
+    assert np.array_equal(direct.values, via_rho.values)
     _assert_matches_vector_reference(direct, states[2])
     for grid in (direct, via_rho):
         assert grid.normalization() == pytest.approx(1.0, abs=1e-10)
@@ -222,6 +229,12 @@ def test_mirrored_rows_match_vector_reference(n_theta):
             grid = wigner_grid(state, (n_theta, 24))
         assert grid.values.shape == (n_theta, 24)
         _assert_matches_vector_reference(grid, state)
+
+
+def test_grid_refuses_a_stacked_walk():
+    _, _, states = _evolved(6, 10, 2)
+    with pytest.raises(ValueError, match=r"states\[k\]"):
+        wigner_grid(states, (12, 24))
 
 
 def test_grid_matches_pointwise_oracle():
@@ -459,9 +472,7 @@ def test_stacked_marginal_matches_each_step(sites, two_j, steps, theta0):
     spin = SpinQuantum(two_j)
     states = evolve(initial_state(idx, spin), CoinPulse.hadamard(),
                     WalkSchedule.site_aligned(idx, steps))
-    stacked = marginal_phi(CoinWalkerState(
-        spin, np.array([s.up for s in states]),
-        np.array([s.down for s in states])), idx, 2 * sites)
+    stacked = marginal_phi(states, idx, 2 * sites)
     assert stacked.harmonics.shape == (steps + 1, spin.dim)
     assert stacked.site_probabilities.shape == (steps + 1, sites)
     sigmas = sigma_from_marginal(stacked)
