@@ -31,8 +31,8 @@ from .su2 import SpinQuantum
 from .walk import (CoinPulse, WalkSchedule, coin_unitary, evolve,
                    ideal_sigma, ideal_walk, initial_state)
 # unused here, but perfbench/tracer.py binds blochwalk.cli.kernel_weights
-from .wigner import (NumericalInvariantError, kernel_weights, marginal_phi,
-                     sigma_from_marginal, wigner_grid)
+from .wigner import (NumericalInvariantError, _stack_bytes, kernel_weights,
+                     marginal_phi, sigma_from_marginal, wigner_grid)
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run_experiment",
            "main"]
@@ -195,10 +195,10 @@ def _estimated_bytes(config: RunConfig) -> int:
     files = ("marginal" in config.outputs) + wigner * (1 + config.svg)
     total = 256 * 1024                                   # floor
     kernel = bool(config.outputs & KERNEL_OUTPUTS)
-    # per step: with a kernel output, the walk's stacked amplitudes, the
-    # harmonics and one weighted slice of them; the step's residual or its
-    # `k` cells in a sites CSV; and the manifest entries of its files
-    total += (config.steps + 1) * (kernel * 64 * dim + 150 + 700 * files)
+    # per step of a kernel output: the walk's stacked amplitudes, the
+    # harmonics and one weighted slice of them; the step's residual; and
+    # the manifest entries of its files
+    total += kernel * (config.steps + 1) * (64 * dim + 150 + 700 * files)
     # the ideal walk, and per step the site probabilities it and `sites` keep
     kept = bool(config.outputs & {"ideal", "sigma"})
     kept += "sites" in config.outputs
@@ -209,7 +209,7 @@ def _estimated_bytes(config: RunConfig) -> int:
         total += 68 * dim * dim + 2000 * dim             # K build
         total += 64 * (config.grid_phi + config.sites + 2 * dim)   # FFTs
     if wigner:
-        total += 8 * ((config.grid_theta + 1) // 2) * dim * dim  # stack
+        total += _stack_bytes(config.spins, config.grid_theta)  # stack
         total += 64 * dim * config.grid_theta + 32 * dim * dim   # harmonics
         total += 104 * config.grid_theta * config.grid_phi  # W, FFT, colours
     return total
@@ -430,14 +430,16 @@ def write_sites_csv(probabilities, indexing: SiteIndexing, path,
     """One line per site of every step k, from the (steps, sites) array of
     probabilities; returns the sha256."""
     flat = np.reshape(probabilities, -1)
-    step_cells = _python_cells(np.arange(len(flat) // indexing.sites), "%d")
     site_cells = np.stack((_python_cells(indexing.site_numbers, "%d"),
                            _sci_cells(indexing.site_numbers
                                       * indexing.delta_phi)), axis=1)
 
     def cells(rows):
         step, site = divmod(np.arange(rows.start, rows.stop), indexing.sites)
-        return step_cells[step], site_cells[site], _sci_cells(flat[rows])
+        # the k cells of the chunk's steps only, each formatted once
+        step_cells = _python_cells(np.arange(step[0], step[-1] + 1), "%d")
+        return (step_cells[step - step[0]], site_cells[site],
+                _sci_cells(flat[rows]))
 
     return _write_csv(path, header + "\n", len(flat), 4, cells)
 

@@ -17,13 +17,16 @@ cos theta; an odd-q harmonic carries a factor sin theta and converges only
 algebraically in n_theta.  The kernels K_i are cached per spin and
 resolution, for half the nodes only: the nodes are symmetric about pi/2 and
 K(pi - theta) = J K(theta) J with J the index reversal, so the row at
-pi - theta_i takes K_i against J rho^T J.  The cache holds each K_i's upper
-diagonals, diagonal-major (kd[q, i, a] = K_i[a, a+q]), so the harmonics of
-every row come from one batched real product of kd with the diagonals of
-rho and J rho^T J (rho's read backwards; a pure state's straight from its
-amplitudes, `_rho_diagonals`), and a grid costs that product plus one
-inverse FFT of length n_phi per row.  P(phi) and the site bins are periodic
-sums of harmonics too, summed the same way (`_periodic_sum`).
+pi - theta_i takes K_i against J rho^T J.  K_i is real symmetric, so its
+diagonals q and n - q (n = 2J + 1) fill one row of length n, and the cache
+holds each K_i's n//2 + 1 wrapped diagonals (kw[p, i, a] =
+K_i[a, (a+p) mod n]), half its n^2 entries.  rho and J rho^T J are read on
+the same index pairs (a pure state's straight from its amplitudes,
+`_rho_entries`), so the harmonics of every row come from one batched real
+product of kw with the heads of those rows and, apart, their tails, and a
+grid costs that product plus one inverse FFT of length n_phi per row.
+P(phi) and the site bins are periodic sums of harmonics too, summed the
+same way (`_periodic_sum`).
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ import numpy as np
 # numpy loads its fft module on first use; loading it with this module keeps
 # that cost out of the first periodic sum, which the CLI may run on its own
 import numpy.fft  # noqa: F401
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .coherent import SiteIndexing
 from .su2 import SpinQuantum, _jy_eigensystem, cg_l0_family, small_d_matrix
@@ -136,25 +138,43 @@ def _gauss_legendre(n_theta: int):
     return theta, w
 
 
-# Two entries bound the memory: each stack holds ceil(n_theta/2) (2J+1)^2
-# floats.
+def _wrapped_pairs(n: int):
+    """(lo, hi) = (min, max) of the index pairs (a, (a + p) mod n) of the
+    wrapped diagonals p = 0 .. n//2, each (n//2 + 1, n): the head a < n - p
+    of row p is diagonal p, the tail diagonal n - p, and [lo, hi] is each
+    pair's entry on or above the main diagonal."""
+    a = np.arange(n)
+    b = (a + np.arange(n // 2 + 1)[:, None]) % n
+    return np.minimum(a, b), np.maximum(a, b)
+
+
+def _stack_bytes(two_j: int, n_theta: int) -> int:
+    """The size of `_theta_frame_stack`'s kernel array, unbuilt."""
+    n = two_j + 1
+    return 8 * (n // 2 + 1) * ((n_theta + 1) // 2) * n
+
+
+# Two entries bound the memory: each stack holds `_stack_bytes`.
 @functools.lru_cache(maxsize=2)
 def _theta_frame_stack(two_j: int, n_theta: int):
-    """(theta_nodes, GL weights, kernel diagonals) for one (j, resolution),
-    all read-only.  The nodes are symmetric about pi/2 and
+    """(theta_nodes, GL weights, wrapped kernel diagonals) for one
+    (j, resolution), all read-only.  The nodes are symmetric about pi/2 and
     K(pi - theta) = J K(theta) J (J reverses the index), so only the
     kernels K_i = d(theta_i) diag(Delta) d(theta_i)^T of the
-    ceil(n_theta/2) nodes with theta_i <= pi/2 are kept, diagonal-major:
-    kd[q, i, a] = K_i[a, a+q]."""
+    ceil(n_theta/2) nodes with theta_i <= pi/2 are kept, as
+    kw[p, i, a] = K_i[a, (a + p) mod n] (n = 2J + 1, p = 0 .. n//2; at even
+    n, row n/2 holds diagonal n/2 twice), each entry read from K_i's upper
+    triangle, as the computed product is symmetric only to rounding."""
     theta, w = _gauss_legendre(n_theta)
     spin = SpinQuantum(two_j)
     delta = kernel_weights(spin)
-    kd = np.empty((two_j + 1, (n_theta + 1) // 2, two_j + 1))
-    for i in range(kd.shape[1]):
+    lo, hi = _wrapped_pairs(spin.dim)
+    kw = np.empty((len(lo), (n_theta + 1) // 2, spin.dim))
+    for i in range(kw.shape[1]):
         d = small_d_matrix(spin, float(theta[i]))
-        kd[:, i] = _diagonals((d * delta) @ d.T)
-    kd.flags.writeable = False          # cached: every grid shares it
-    return theta, w, kd
+        kw[:, i] = ((d * delta) @ d.T)[lo, hi]
+    kw.flags.writeable = False          # cached: every grid shares it
+    return theta, w, kw
 
 
 @functools.lru_cache(maxsize=4)
@@ -184,20 +204,43 @@ def _theta_kernel(spin: SpinQuantum) -> np.ndarray:
     return kd
 
 
-def _rho_diagonals(state) -> tuple[SpinQuantum, np.ndarray]:
-    """rho's upper diagonals t[q, a] = rho[a, a+q], zero where a + q > 2J.
-    A pure composite state gives rho[a, a+q] = u_a conj(u_{a+q}) +
-    d_a conj(d_{a+q}) from windows of its zero-padded conjugate amplitudes,
-    win[a, q] = conj(u_{a+q}), with no (2J+1)^2 matrix."""
-    if isinstance(state, CoinWalkerState):
-        n = state.spin.dim
-        win = sliding_window_view(np.pad(np.conj((state.up, state.down)),
-                                         ((0, 0), (0, n - 1))), n, axis=1)
-        return state.spin, state.up * win[0].T + state.down * win[1].T
-    if isinstance(state, DensityMatrix):
-        return state.spin, _diagonals(state.entries)
+def _spin_of(state) -> SpinQuantum:
+    if isinstance(state, (CoinWalkerState, DensityMatrix)):
+        return state.spin
     raise TypeError(f"expected CoinWalkerState or DensityMatrix, "
                     f"got {type(state).__name__}")
+
+
+def _rho_entries(state, rows, cols) -> np.ndarray:
+    """rho[rows, cols] of a density matrix, or of a pure composite state
+    as u_r conj(u_c) + d_r conj(d_c) with no (2J+1)^2 matrix."""
+    if isinstance(state, CoinWalkerState):
+        return (state.up[rows] * np.conj(state.up[cols])
+                + state.down[rows] * np.conj(state.down[cols]))
+    return state.entries[rows, cols]
+
+
+def _grid_harmonics(state, kw: np.ndarray, n_theta: int) -> np.ndarray:
+    """The harmonics g_i[q] = sum_a K_i[a, a+q] rho[a, a+q], (n, n_theta)
+    with n = 2J + 1, of every row from the stack's wrapped diagonals kw;
+    the mirrored row pi - theta_i takes K_i against J rho^T J, whose
+    [a, b] is rho[n-1-b, n-1-a].  rho is Hermitian, so its upper entry of
+    each index pair serves head and tail.  Heads and tails go in separate
+    product columns, so each head sums as the unfolded diagonal did."""
+    n = kw.shape[-1]
+    lo, hi = _wrapped_pairs(n)
+    # [head | tail, p, a, rho | J rho^T J], each half zero in the other
+    cols = np.empty((2, len(lo), n, 2), complex)
+    cols[..., 0] = _rho_entries(state, lo, hi)
+    cols[..., 1] = _rho_entries(state, n - 1 - hi, n - 1 - lo)
+    tail = lo < np.arange(n)
+    cols[0][tail] = 0.0
+    cols[1][~tail] = 0.0
+    g = (kw @ cols.view(float)).view(complex)     # (half, p, node, 2)
+    # rows p = (n-1)//2 .. 1 of the tails are harmonics n - p ascending
+    g = np.concatenate((g[0], g[1, (n - 1) // 2:0:-1]))
+    mirrored = g[:, :n_theta - kw.shape[1], 1]
+    return np.concatenate((g[:, :, 0], mirrored[:, ::-1]), axis=1)
 
 
 def wigner_grid(state, resolution: tuple[int, int]) -> WignerGrid:
@@ -205,32 +248,24 @@ def wigner_grid(state, resolution: tuple[int, int]) -> WignerGrid:
     of a walk) or a density matrix.
 
     Row i is g_i[0] + 2 Re sum_q g_i[q] e^{i q phi} with the harmonics
-    g_i[q] = sum_a K_i[a, a+q] rho[a, a+q] of the node's kernel K_i, summed
-    on the phi nodes as `marginal_phi` sums P(phi), so n_phi <= 2J aliases
-    exactly.  The mirrored row theta_{n-1-i} = pi - theta_i takes the same
-    K_i diagonals against those of J rho^T J, so all harmonics come from
-    one batched real product.  Warns when the discretized normalization
-    misses 1 by more than 1e-4 (resolution too low for this j).
+    g_i[q] = sum_a K_i[a, a+q] rho[a, a+q] of the node's kernel K_i
+    (`_grid_harmonics`), summed on the phi nodes as `marginal_phi` sums
+    P(phi), so n_phi <= 2J aliases exactly.  Warns when the discretized
+    normalization misses 1 by more than 1e-4 (resolution too low for this
+    j).
     """
     n_theta, n_phi = resolution
+    spin = _spin_of(state)
     if isinstance(state, CoinWalkerState) and state.up.ndim != 1:
         raise ValueError("wigner_grid takes one step of a walk; index the "
                          "stacked walk (states[k])")
-    spin, rho = _rho_diagonals(state)
     if n_theta < 2:
-        raise ValueError("need at least 2 theta nodes")
+        raise ValueError(f"n_theta must be >= 2, got {n_theta}")
+    if n_phi < 1:
+        raise ValueError(f"n_phi must be >= 1, got {n_phi}")
 
-    theta, w_theta, kd = _theta_frame_stack(spin.two_j, n_theta)
-    # the diagonals of rho and of J rho^T J, as 4 real columns Re, Im per
-    # q; J rho^T J's q-th is row q of rho's table reversed, from entry q on
-    cols = np.empty((spin.dim, spin.dim, 2), complex)
-    cols[..., 0] = rho
-    cols[..., 1] = _diagonals(rho[:, ::-1]).T
-    g = (kd @ cols.view(float)).view(complex)     # (q, node, 2)
-    mirrored = g[:, :n_theta - kd.shape[1], 1]
-    harmonics = np.concatenate((g[:, :, 0], mirrored[:, ::-1]), axis=1)
-    values = _phi_node_sum(harmonics, n_phi).T
-
+    theta, w_theta, kw = _theta_frame_stack(spin.two_j, n_theta)
+    values = _phi_node_sum(_grid_harmonics(state, kw, n_theta), n_phi).T
     grid = WignerGrid(spin, theta, w_theta, _phi_nodes(n_phi), values, state)
     residual = abs(grid.normalization() - 1.0)
     if not residual <= 1e-4:
@@ -324,16 +359,18 @@ def marginal_phi(source, indexing: SiteIndexing,
         source, n_phi = source.state, len(source.phi_nodes)
     elif n_phi is None:
         raise ValueError("n_phi is required unless the source is a grid")
+    if n_phi < 1:
+        raise ValueError(f"n_phi must be >= 1, got {n_phi}")
+    spin = _spin_of(source)
+    kd = _theta_kernel(spin)
     if isinstance(source, CoinWalkerState):
-        spin, kd = source.spin, _theta_kernel(source.spin)
         n, g = spin.dim, np.empty(source.up.shape, complex)
         for q in range(n):
             k = kd[q, :n - q]       # vecdot conjugates its first argument
             g[..., q] = sum(np.vecdot(u[..., q:], k * u[..., :n - q])
                             for u in (source.up, source.down))
     else:
-        spin, rho = _rho_diagonals(source)
-        g = (_theta_kernel(spin) * rho).sum(axis=-1)
+        g = (kd * _diagonals(source.entries)).sum(axis=-1)
     g *= spin.dim / (4.0 * math.pi)
     return PhiDistribution(_phi_nodes(n_phi), indexing.site_numbers, g)
 

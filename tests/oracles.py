@@ -8,8 +8,10 @@ test.  The per-step walk is the reference for the stacked `evolve`, and the
 closed-form walk references take their site states from `site_state` and
 check the evolution.  The amplitude-based grid evaluator (one d-matrix per
 theta node, rho split into weighted vectors) is the reference for
-`wigner_grid`, and the complex J_y eigendecomposition `small_d_by_jy` the
-reference for the real `small_d_matrix`.  The theta Gauss-Legendre kernel
+`wigner_grid`, the unfolded diagonal-major product the reference for the
+grid harmonics from the folded kernel stack, and the complex J_y
+eigendecomposition `small_d_by_jy` the reference for the real
+`small_d_matrix`.  The theta Gauss-Legendre kernel
 and the grid-quadrature marginal are the references for the exact marginal;
 the per-cell Wigner CSV and SVG writers and the per-node site binning last
 in the file are the byte-for-byte references for the vectorized emitters
@@ -182,6 +184,32 @@ def wigner_grid_by_vectors(state, resolution) -> np.ndarray:
         values[i] = weights @ (np.abs(amps) ** 2 * coefs[None, :, None]) \
             .sum(axis=1)
     return values
+
+
+def grid_harmonics_unfolded(rho: DensityMatrix, n_theta: int) -> np.ndarray:
+    """The harmonics g_i[q] = sum_a K_i[a, a+q] rho[a, a+q] of every grid
+    row, (2J+1, n_theta), from the unfolded diagonal-major product: one
+    real batched product of the upper diagonals kd[q, i, a] = K_i[a, a+q]
+    (zero past the end) of the kernels of the nodes theta_i <= pi/2 with
+    the diagonals of rho and of J rho^T J, which the mirrored row
+    pi - theta_i takes."""
+    spin, n = rho.spin, rho.spin.dim
+    x, _ = np.polynomial.legendre.leggauss(n_theta)
+    half = (n_theta + 1) // 2
+    delta = kernel_weights(spin)
+    kd = np.zeros((n, half, n))
+    for i, t in enumerate(np.arccos(x[::-1])[:half]):
+        d = small_d_matrix(spin, float(t))
+        k = (d * delta) @ d.T
+        for q in range(n):
+            kd[q, i, :n - q] = np.diagonal(k, q)
+    cols = np.zeros((n, n, 2), complex)
+    for c, m in enumerate((rho.entries, rho.entries[::-1, ::-1].T)):
+        for q in range(n):
+            cols[q, :n - q, c] = np.diagonal(m, q)
+    g = (kd @ cols.view(float)).view(complex)
+    return np.concatenate((g[:, :, 0], g[:, :n_theta - half, 1][:, ::-1]),
+                          axis=1)
 
 
 def validate_density_matrix(rho: DensityMatrix) -> None:

@@ -152,26 +152,59 @@ def test_oversized_runs_exit_2(argv, tmp_path, capsys):
 
 def test_size_limit_admits_the_ballistic_run():
     _parse(["--sites", "40", "--spins", "200", "--steps", "9"])
-    # the grid keeps ceil(n_theta/2) node kernels, which sets the limit at
-    # the default resolution
-    _parse(["--spins", "788"])
-    with pytest.raises(ConfigError, match="GiB"):
-        _parse(["--spins", "789"])
+
+
+# the largest N each kind of run admits at the default sites, steps and
+# resolution: the grid's kernel stack of ceil(n_theta/2)
+# (floor((N+1)/2) + 1) (N+1) doubles sets the first, the build of the
+# theta kernel the second
+WIGNER_LIMIT, STATISTICS_LIMIT = 978, 5599
+
+
+@pytest.mark.parametrize("outputs,limit", [
+    ("wigner", WIGNER_LIMIT),
+    ("marginal,sites,sigma,ideal", STATISTICS_LIMIT),
+], ids=["wigner", "statistics"])
+def test_admission_limit_is_sharp(outputs, limit, tmp_path, capsys):
+    # reached through the size estimate alone: N = limit is admitted, and
+    # N + 1 is refused with one error line before anything is written
+    _parse(["--spins", str(limit), "--outputs", outputs])
+    out = tmp_path / "big"
+    assert main(["--spins", str(limit + 1), "--outputs", outputs,
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("blochwalk: error: ")
+    assert captured.err.count("\n") == 1 and "GiB" in captured.err
+    assert "Traceback" not in captured.err
+    assert not out.exists()
 
 
 def test_size_limit_charges_the_d_stack_to_wigner_output_only(tmp_path,
                                                              capsys):
-    # the exact marginal needs O(N^2) memory, so statistics at N = 800 are
-    # admitted; a Wigner grid at that size is still refused, from the
-    # estimate alone
+    # the exact marginal needs O(N^2) memory, so statistics above the
+    # Wigner limit are admitted; a Wigner grid at that size is refused,
+    # from the estimate alone
     _parse(["--sites", "40", "--spins", "800", "--steps", "9",
             "--outputs", "sites,sigma,ideal", "--no-svg"])
-    _parse(["--spins", "800", "--outputs", "marginal"])
+    _parse(["--spins", "1000", "--outputs", "marginal"])
     out = tmp_path / "big"
-    assert main(["--spins", "800", "--outputs", "wigner",
+    assert main(["--spins", "1000", "--outputs", "wigner",
                  "--out", str(out)]) == 2
     assert "GiB" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spins,grid_theta", [
+    (1, 2), (2, 5), (10, 13), (11, 12), (200, 202), (201, 203)])
+def test_estimate_charges_the_stack_as_built(spins, grid_theta,
+                                             monkeypatch):
+    config = _parse(["--spins", str(spins), "--grid-theta", str(grid_theta),
+                     "--outputs", "wigner"])
+    with_stack = cli._estimated_bytes(config)
+    monkeypatch.setattr(cli, "_stack_bytes", lambda two_j, n_theta: 0)
+    assert with_stack - cli._estimated_bytes(config) \
+        == wigner._theta_frame_stack(spins, grid_theta)[2].nbytes
 
 
 def test_large_spin_statistics_are_admitted_up_to_the_memory_limit(
@@ -179,10 +212,8 @@ def test_large_spin_statistics_are_admitted_up_to_the_memory_limit(
     # the kernel weights' recursion has no spin limit of its own; only the
     # size estimate refuses a statistics run, before anything is allocated.
     # The kernel build, 68 (N+1)^2 + 2000 (N+1) bytes, sets the limit.
+    # (`test_admission_limit_is_sharp` pins the limit itself)
     _parse(["--sites", "40", "--spins", "1600", "--outputs", "sites"])
-    _parse(["--spins", "5599", "--outputs", "sites"])
-    with pytest.raises(ConfigError, match="GiB"):
-        _parse(["--spins", "5600", "--outputs", "sites"])
     out = tmp_path / "big"
     assert main(["--spins", "6000", "--outputs", "sites",
                  "--out", str(out)]) == 2
@@ -191,18 +222,16 @@ def test_large_spin_statistics_are_admitted_up_to_the_memory_limit(
 
 
 def test_readme_states_the_admission_limits():
-    # README's two limits at the default sites and steps: the stated N is
-    # admitted by the size estimate and N + 1 is refused
+    # README's two limits at the default sites and steps are the sharp
+    # ones of `test_admission_limit_is_sharp`
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     text = " ".join(readme.split())
-    limits = {"wigner": r"the N <= (\d+) limit at the default resolution",
-              "marginal,sites,sigma,ideal":
-                  r"Without `wigner` output, the estimate admits N <= (\d+)"}
-    for outputs, pattern in limits.items():
-        n = int(re.search(pattern, text).group(1))
-        _parse(["--spins", str(n), "--outputs", outputs])
-        with pytest.raises(ConfigError, match="GiB"):
-            _parse(["--spins", str(n + 1), "--outputs", outputs])
+    limits = {r"the N <= (\d+) limit at the default resolution":
+                  WIGNER_LIMIT,
+              r"Without `wigner` output, the estimate admits N <= (\d+)":
+                  STATISTICS_LIMIT}
+    for pattern, limit in limits.items():
+        assert int(re.search(pattern, text).group(1)) == limit
 
 
 # Small runs, each estimated under 100 MB: the long runs, the wide rings,

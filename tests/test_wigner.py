@@ -14,13 +14,14 @@ from blochwalk import (CoinPulse, DensityMatrix, NumericalInvariantError,
                        reduce_walker, sigma_from_marginal, small_d_matrix,
                        wigner_grid)
 from blochwalk.su2 import _jy_eigensystem
-from blochwalk.wigner import (_diagonals, _gauss_legendre, _phi_node_sum,
-                              _rho_diagonals, _theta_frame_stack,
-                              _theta_kernel)
+from blochwalk.wigner import (_diagonals, _gauss_legendre, _grid_harmonics,
+                              _phi_node_sum, _rho_entries, _theta_frame_stack,
+                              _theta_kernel, _wrapped_pairs)
 
-from oracles import (grid_marginal, grid_sigma, phi_node_sum_by_gather,
-                     site_bins_by_gather, theta_kernel_gl, tv_distance,
-                     wigner_at, wigner_grid_by_vectors)
+from oracles import (grid_harmonics_unfolded, grid_marginal, grid_sigma,
+                     phi_node_sum_by_gather, site_bins_by_gather,
+                     theta_kernel_gl, tv_distance, wigner_at,
+                     wigner_grid_by_vectors)
 
 
 def _evolved(sites, two_j, steps):
@@ -158,17 +159,19 @@ def test_grid_normalization_along_the_walk():
 ], ids=["equator", "half-integer-j", "two-sites", "three-sites", "near-pole",
         "random-pulse", "spin-half"])
 def test_pure_state_path_matches_density_path(sites, two_j, theta0, h):
-    """The amplitudes give rho's upper diagonals with the bits of the
-    density matrix's, so the two paths give the same grid."""
+    """The amplitudes give rho's wrapped diagonals, and J rho^T J's, with
+    the bits of the density matrix's, so the two paths give the same
+    grid."""
     idx = SiteIndexing(sites, theta0)
     spin = SpinQuantum(two_j)
     pulse = CoinPulse.hadamard() if h is None else CoinPulse(h)
     states = evolve(initial_state(idx, spin), pulse,
                     WalkSchedule.site_aligned(idx, 2))
     rho = reduce_walker(states[2])
-    upper = np.add.outer(np.arange(spin.dim), np.arange(spin.dim)) < spin.dim
-    assert np.array_equal(_rho_diagonals(states[2])[1][upper],
-                          _diagonals(rho.entries)[upper])
+    lo, hi = _wrapped_pairs(spin.dim)
+    for rows, cols in ((lo, hi), (spin.two_j - hi, spin.two_j - lo)):
+        assert np.array_equal(_rho_entries(states[2], rows, cols),
+                              _rho_entries(rho, rows, cols))
     res = (two_j + 2, max(8 * sites, sites * (two_j // sites + 1)))
     direct = wigner_grid(states[2], res)
     via_rho = wigner_grid(rho, res)
@@ -194,6 +197,74 @@ def test_full_rank_density_matrix_matches_vector_reference():
     grid = wigner_grid(state, (27, 40))
     assert grid.normalization() == pytest.approx(1.0, abs=1e-12)
     _assert_matches_vector_reference(grid, state)
+
+
+@pytest.mark.parametrize("n", [2, 3, 11, 12])
+def test_stack_holds_the_wrapped_kernel_diagonals(n):
+    """kw[p, i, a] = K_i[a, (a+p) mod n] for p = 0 .. n//2, read bit for
+    bit from the upper triangle of the d-matrix product: diagonal p in
+    the head, diagonal n - p in the tail, and at even n row n/2 holding
+    diagonal n/2 twice."""
+    spin = SpinQuantum(n - 1)
+    n_theta = n + 3
+    theta, _, kw = _theta_frame_stack(spin.two_j, n_theta)
+    assert kw.shape == (n // 2 + 1, (n_theta + 1) // 2, n)
+    delta = kernel_weights(spin)
+    a = np.arange(n)
+    for i in range(kw.shape[1]):
+        d = small_d_matrix(spin, float(theta[i]))
+        k = (d * delta) @ d.T
+        upper = np.triu(k) + np.triu(k, 1).T
+        for p in range(n // 2 + 1):
+            b = (a + p) % n
+            assert np.array_equal(kw[p, i], upper[a, b])
+            assert np.abs(kw[p, i] - k[a, b]).max() <= 1e-15
+            assert np.array_equal(kw[p, i, :n - p], np.diagonal(k, p))
+            assert np.array_equal(kw[p, i, n - p:], np.diagonal(k, n - p))
+        if n % 2 == 0:
+            assert np.array_equal(kw[n // 2, i, n // 2:],
+                                  kw[n // 2, i, :n // 2])
+
+
+@pytest.mark.parametrize("two_j,n_theta,kind", [
+    (1, 3, "walk"), (2, 4, "walk"), (30, 32, "walk"), (31, 33, "walk"),
+    (30, 31, "walk"), (200, 202, "walk"), (10, 13, "mixed"),
+    (25, 27, "mixed"), (26, 28, "mixed"),
+])
+def test_grid_harmonics_match_the_unfolded_product(two_j, n_theta, kind):
+    """The folded stack gives the unfolded product's harmonics q <= n//2
+    bit for bit; the tails, summed at other positions of the same
+    product, within 1e-15 of the largest."""
+    spin = SpinQuantum(two_j)
+    if kind == "walk":
+        idx = SiteIndexing(6, 1.1)
+        state = evolve(initial_state(idx, spin), CoinPulse.hadamard(),
+                       WalkSchedule.site_aligned(idx, 3))[3]
+        rho = reduce_walker(state)
+    else:
+        rng = np.random.default_rng(two_j)
+        a = rng.normal(size=(spin.dim,) * 2) \
+            + 1j * rng.normal(size=(spin.dim,) * 2)
+        rho = a @ a.conj().T
+        state = rho = DensityMatrix(spin, rho / np.trace(rho).real)
+    g = _grid_harmonics(state, _theta_frame_stack(two_j, n_theta)[2],
+                        n_theta)
+    ref = grid_harmonics_unfolded(rho, n_theta)
+    head = spin.dim // 2 + 1
+    assert g.shape == ref.shape == (spin.dim, n_theta)
+    assert np.array_equal(g[:head], ref[:head])
+    assert np.abs(g - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("call", ["grid", "marginal"])
+@pytest.mark.parametrize("n_phi", [0, -3])
+def test_phi_node_count_must_be_positive(call, n_phi):
+    idx, _, states = _evolved(6, 10, 1)
+    with pytest.raises(ValueError, match="n_phi"):
+        if call == "grid":
+            wigner_grid(states[1], (12, n_phi))
+        else:
+            marginal_phi(states, idx, n_phi)
 
 
 @pytest.mark.parametrize("two_j", [1, 2, 30, 61])
@@ -251,8 +322,8 @@ def test_cached_arrays_are_read_only():
     spin = SpinQuantum(10)
     rho = DensityMatrix(spin, np.eye(spin.dim, dtype=complex) / spin.dim)
     grid = wigner_grid(rho, (12, 24))
-    # the stack keeps ceil(n_theta/2) kernels, diagonal-major
-    assert _theta_frame_stack(10, 13)[2].shape == (11, 7, 11)
+    # the stack keeps ceil(n_theta/2) kernels as n//2 + 1 wrapped diagonals
+    assert _theta_frame_stack(10, 13)[2].shape == (6, 7, 11)
     cached = (grid.theta_nodes, grid.theta_weights, kernel_weights(spin),
               _theta_kernel(spin), *_theta_frame_stack(10, 12),
               *_theta_frame_stack(10, 13), *_jy_eigensystem(10),
