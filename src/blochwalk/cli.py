@@ -116,8 +116,8 @@ def _read_config_file(parser: argparse.ArgumentParser,
     `--key value` (`svg = true|false` as `--svg` / `--no-svg`) into one
     namespace, which the first line fills with every default."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     ns = argparse.Namespace()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -246,6 +246,8 @@ def parse_config(argv=None) -> RunConfig:
         grid_phi = max(8 * sites, sites * (spins // sites + 1))
     if grid_phi < sites:
         raise ConfigError(f"--grid-phi must be >= sites, got {grid_phi}")
+    if "\0" in ns.out:
+        raise ConfigError(f"--out must not contain a NUL byte, got {ns.out!r}")
 
     config = RunConfig(
         sites=sites, spins=spins, steps=steps, coin=ns.coin,

@@ -4,11 +4,14 @@ azimuthal marginal with its site-binned probabilities and its spread.
 Both go through the same harmonics.  With K = d(theta) diag(Delta)
 d(theta)^T, W(theta, phi) = sum_{a,b} K[a, b] rho[a, b] e^{i q phi}
 (q = b - a), so each theta gives a trigonometric polynomial in phi whose
-harmonics are the diagonal sums of K o rho.  The marginal integrates W
-sin(theta) over theta first, which turns K into one state-independent real
-symmetric matrix (`_theta_kernel`, closed form from the J_y eigensystem),
-against which a pure state's amplitudes give the harmonics of every step
-at once; its site bins and spread are closed-form sums over them.
+harmonics are the diagonal sums of K o rho.  Every kernel is real
+symmetric, so its diagonals q and n - q (n = 2J + 1) share one row of
+length n: each is kept as its n//2 + 1 wrapped diagonals kw[p, a] =
+K[a, (a+p) mod n], half its n^2 entries.  The marginal integrates W
+sin(theta) over theta first, which turns K into one state-independent
+kernel (`_theta_kernel`, closed form from the J_y eigensystem), against
+which a pure state's amplitudes give the harmonics of every step at once;
+its site bins and spread are closed-form sums over them.
 
 The grid serves `wigner` output only: Gauss-Legendre nodes in cos(theta)
 crossed with a uniform phi grid on [-pi, pi).  The cos-theta rule is exact
@@ -17,16 +20,14 @@ cos theta; an odd-q harmonic carries a factor sin theta and converges only
 algebraically in n_theta.  The kernels K_i are cached per spin and
 resolution, for half the nodes only: the nodes are symmetric about pi/2 and
 K(pi - theta) = J K(theta) J with J the index reversal, so the row at
-pi - theta_i takes K_i against J rho^T J.  K_i is real symmetric, so its
-diagonals q and n - q (n = 2J + 1) fill one row of length n, and the cache
-holds each K_i's n//2 + 1 wrapped diagonals (kw[p, i, a] =
-K_i[a, (a+p) mod n]), half its n^2 entries.  rho and J rho^T J are read on
+pi - theta_i takes K_i against J rho^T J.  rho and J rho^T J are read on
 the same index pairs (a pure state's straight from its amplitudes,
 `_rho_entries`), so the harmonics of every row come from one batched real
-product of kw with the heads of those rows and, apart, their tails, and a
-grid costs that product plus one inverse FFT of length n_phi per row.
-P(phi) and the site bins are periodic sums of harmonics too, summed the
-same way (`_periodic_sum`).
+product of the stacked kw with the heads of those rows and, apart, their
+tails (`_grid_harmonics`; a density matrix's marginal takes it with K as
+a one-node stack), and a grid costs that product plus one inverse FFT of
+length n_phi per row.  P(phi) and the site bins are periodic sums of
+harmonics too, summed the same way (`_periodic_sum`).
 """
 
 from __future__ import annotations
@@ -113,17 +114,6 @@ class WignerGrid:
                      * self.phi_spacing)
 
 
-def _diagonals(a: np.ndarray) -> np.ndarray:
-    """d[..., q, i] = a[..., i, i+q] for q = 0 .. n-1 over the last two
-    axes, zero where i + q >= n.  With the rows of each matrix laid end to
-    end in rows of n+1, a[i, i+q] falls in column q; triu clears the entries
-    that would wrap in from the lower triangle."""
-    n, lead = a.shape[-1], a.shape[:-2]
-    flat = np.concatenate((np.triu(a).reshape(*lead, n * n),
-                           np.zeros((*lead, n), a.dtype)), axis=-1)
-    return flat.reshape(*lead, n, n + 1)[..., :n].swapaxes(-1, -2)
-
-
 # An entry holds 16 n_theta bytes; eight entries let a scan cycling a few
 # resolutions past the two-entry stack cache still hit.
 @functools.lru_cache(maxsize=8)
@@ -179,10 +169,11 @@ def _theta_frame_stack(two_j: int, n_theta: int):
 
 @functools.lru_cache(maxsize=4)
 def _theta_kernel(spin: SpinQuantum) -> np.ndarray:
-    """kd[q, a] = K[a, a+q] for K[a, b] = integral_0^pi sin(t) sum_m
-    Delta_m d_am(t) d_bm(t) dt, read-only.  Cached for four spins: an entry
-    holds 8 (2J+1)(2J+2) bytes (0.3 MB at N = 200, 8 MB at N = 1000), and a
-    scan cycling up to four spin counts still hits.
+    """kw[p, a] = K[a, (a+p) mod n] (p = 0 .. n//2, n = 2J + 1, read from
+    the upper triangle as in `_theta_frame_stack`) for K[a, b] =
+    integral_0^pi sin(t) sum_m Delta_m d_am(t) d_bm(t) dt, read-only.
+    Cached for four spins: an entry holds 8 (n//2 + 1) n bytes (0.16 MB at
+    N = 200, 4 MB at N = 1000), and a scan cycling four spin counts hits.
 
     With the signed real form of `small_d_matrix`,
     d(t) = s o (R diag(cos lam t + sin lam t) R^T), the integral is
@@ -199,9 +190,9 @@ def _theta_kernel(spin: SpinQuantum) -> np.ndarray:
     odd_one = np.abs(n) == 1
     g[odd_one] = 0.5 * math.pi * n[odd_one]
     m = (r.T * kernel_weights(spin)) @ r
-    kd = _diagonals(signs * ((r @ (m * g)) @ r.T))
-    kd.flags.writeable = False          # cached: every marginal shares it
-    return kd
+    kw = (signs * ((r @ (m * g)) @ r.T))[_wrapped_pairs(spin.dim)]
+    kw.flags.writeable = False          # cached: every marginal shares it
+    return kw
 
 
 def _spin_of(state) -> SpinQuantum:
@@ -353,7 +344,7 @@ def marginal_phi(source, indexing: SiteIndexing,
 
     p_q = (2J+1)/(4 pi) * sum_a K[a, a+q] rho[a, a+q] (K: `_theta_kernel`),
     where a pure state gives rho[a, a+q] = u_a conj(u_{a+q}) +
-    d_a conj(d_{a+q}) with no (2J+1)^2 matrix.
+    d_a conj(d_{a+q}) one diagonal at a time, with no (2J+1)^2 matrix.
     """
     if isinstance(source, WignerGrid):
         source, n_phi = source.state, len(source.phi_nodes)
@@ -362,15 +353,17 @@ def marginal_phi(source, indexing: SiteIndexing,
     if n_phi < 1:
         raise ValueError(f"n_phi must be >= 1, got {n_phi}")
     spin = _spin_of(source)
-    kd = _theta_kernel(spin)
+    kw = _theta_kernel(spin)
     if isinstance(source, CoinWalkerState):
         n, g = spin.dim, np.empty(source.up.shape, complex)
         for q in range(n):
-            k = kd[q, :n - q]       # vecdot conjugates its first argument
+            k = kw[q, :n - q] if 2 * q <= n else kw[n - q, q:]
+            # vecdot conjugates its first argument
             g[..., q] = sum(np.vecdot(u[..., q:], k * u[..., :n - q])
                             for u in (source.up, source.down))
     else:
-        g = (kd * _diagonals(source.entries)).sum(axis=-1)
+        # the integrated kernel is a one-node stack with no mirrored rows
+        g = _grid_harmonics(source, kw[:, None], 1)[:, 0]
     g *= spin.dim / (4.0 * math.pi)
     return PhiDistribution(_phi_nodes(n_phi), indexing.site_numbers, g)
 

@@ -9,7 +9,8 @@ closed-form walk references take their site states from `site_state` and
 check the evolution.  The amplitude-based grid evaluator (one d-matrix per
 theta node, rho split into weighted vectors) is the reference for
 `wigner_grid`, the unfolded diagonal-major product the reference for the
-grid harmonics from the folded kernel stack, and the complex J_y
+grid harmonics from the folded kernel stack, the diagonal-major table the
+reference for the theta kernel's wrapped diagonals, and the complex J_y
 eigendecomposition `small_d_by_jy` the reference for the real
 `small_d_matrix`.  The theta Gauss-Legendre kernel
 and the grid-quadrature marginal are the references for the exact marginal;
@@ -210,6 +211,17 @@ def grid_harmonics_unfolded(rho: DensityMatrix, n_theta: int) -> np.ndarray:
     g = (kd @ cols.view(float)).view(complex)
     return np.concatenate((g[:, :, 0], g[:, :n_theta - half, 1][:, ::-1]),
                           axis=1)
+
+
+def upper_diagonals(a: np.ndarray) -> np.ndarray:
+    """The diagonal-major table d[q, i] = a[i, i+q], q = 0 .. n-1, zero
+    where i + q >= n, against which the theta kernel's wrapped diagonals
+    are checked bit for bit.  With the rows of a laid end to end in rows
+    of n+1, a[i, i+q] falls in column q; triu clears the entries that
+    would wrap in from the lower triangle."""
+    n = a.shape[-1]
+    flat = np.concatenate((np.triu(a).reshape(n * n), np.zeros(n, a.dtype)))
+    return flat.reshape(n, n + 1)[:, :n].T
 
 
 def validate_density_matrix(rho: DensityMatrix) -> None:

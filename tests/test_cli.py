@@ -112,6 +112,23 @@ def test_config_file_errors(tmp_path):
         parse_config(["--config", str(tmp_path / "missing.cfg")])
 
 
+@pytest.mark.parametrize("content", [
+    b"sites = 6\n\xff\xfe = 3\n",
+    b"out = o\x00x\n",
+], ids=["not-utf-8", "nul-in-out"])
+def test_unusable_config_file_exits_2(content, tmp_path, monkeypatch, capsys):
+    # refused with one error line before any estimate, run or directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_bytes(content)
+    assert main(["--config", "run.cfg"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("blochwalk: error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert os.listdir(tmp_path) == ["run.cfg"]
+
+
 @pytest.mark.parametrize("argv", [
     ["--sites", "1"],
     ["--spins", "0"],
@@ -268,6 +285,18 @@ GUARDED_RUNS = [
 ]
 
 
+def _package_caches():
+    """Every cache (an attribute with `cache_clear`) of every loaded module
+    of the package, so that a cache added later is cleared before a
+    measurement too; a module not yet loaded holds nothing to clear."""
+    caches = {id(obj): obj
+              for name, module in list(sys.modules.items())
+              if name.partition(".")[0] == "blochwalk"
+              for obj in vars(module).values()
+              if callable(getattr(obj, "cache_clear", None))}
+    return list(caches.values())
+
+
 def _assert_fields_finite(out_dir):
     """Every field below the header of every CSV is a finite number; only
     the site fields of a marginal CSV's off-center nodes are blank."""
@@ -286,9 +315,11 @@ def test_memory_estimate_bounds_the_measured_peak(argv, tmp_path):
     config = _parse([*argv, "--out", str(tmp_path)])
     estimate = cli._estimated_bytes(config)
     assert estimate < 100 * 10 ** 6
-    for cache in (wigner.kernel_weights, wigner._theta_kernel,
-                  wigner._theta_frame_stack, wigner._gauss_legendre,
-                  su2._jy_eigensystem):
+    caches = _package_caches()
+    assert {wigner.kernel_weights, wigner._theta_kernel,
+            wigner._theta_frame_stack, wigner._gauss_legendre,
+            su2._jy_eigensystem} <= set(caches)
+    for cache in caches:
         cache.cache_clear()
     tracemalloc.start()
     try:

@@ -14,13 +14,13 @@ from blochwalk import (CoinPulse, DensityMatrix, NumericalInvariantError,
                        reduce_walker, sigma_from_marginal, small_d_matrix,
                        wigner_grid)
 from blochwalk.su2 import _jy_eigensystem
-from blochwalk.wigner import (_diagonals, _gauss_legendre, _grid_harmonics,
-                              _phi_node_sum, _rho_entries, _theta_frame_stack,
-                              _theta_kernel, _wrapped_pairs)
+from blochwalk.wigner import (_gauss_legendre, _grid_harmonics, _phi_node_sum,
+                              _rho_entries, _theta_frame_stack, _theta_kernel,
+                              _wrapped_pairs)
 
 from oracles import (grid_harmonics_unfolded, grid_marginal, grid_sigma,
                      phi_node_sum_by_gather, site_bins_by_gather,
-                     theta_kernel_gl, tv_distance, wigner_at,
+                     theta_kernel_gl, tv_distance, upper_diagonals, wigner_at,
                      wigner_grid_by_vectors)
 
 
@@ -63,16 +63,38 @@ def test_projection_flip_alternates_coupling_signs(two_j, two_m):
 # theta kernel K (closed form) against Gauss-Legendre in theta
 # ---------------------------------------------------------------------------
 
+def _theta_kernel_in_full(spin):
+    """K with the arithmetic `_theta_kernel` gathers its wrapped diagonals
+    from, the reference for that layout bit for bit."""
+    lam, r, signs = _jy_eigensystem(spin.two_j)
+    n = lam[:, None] - lam[None, :]
+    g = np.zeros(n.shape)
+    even = n % 2 == 0
+    g[even] = 2.0 / (1.0 - n[even] ** 2)
+    odd_one = np.abs(n) == 1
+    g[odd_one] = 0.5 * math.pi * n[odd_one]
+    m = (r.T * kernel_weights(spin)) @ r
+    return signs * ((r @ (m * g)) @ r.T)
+
+
 @pytest.mark.parametrize("two_j", [1, 2, 7, 30, 31, 80, 200, 201])
 def test_theta_kernel_matches_quadrature(two_j):
-    # the cache holds K's upper diagonals, kd[q, a] = K[a, a+q]
+    # the cache holds K's wrapped diagonals, kw[p, a] = K[a, (a+p) mod n]
     spin = SpinQuantum(two_j)
-    kd = _theta_kernel(spin)
-    assert kd.dtype == np.float64 and kd.shape == (spin.dim, spin.dim)
-    assert np.abs(kd - _diagonals(theta_kernel_gl(spin))).max() < 1e-13
+    n = spin.dim
+    kw = _theta_kernel(spin)
+    assert kw.dtype == np.float64 and kw.shape == (n // 2 + 1, n)
+    lo, hi = _wrapped_pairs(n)
+    assert np.abs(kw - theta_kernel_gl(spin)[lo, hi]).max() < 1e-13
+    # heads and tails are, bit for bit, diagonals p and n - p of the
+    # closed-form K's diagonal-major table
+    kd = upper_diagonals(_theta_kernel_in_full(spin))
+    for p in range(n // 2 + 1):
+        assert np.array_equal(kw[p, :n - p], kd[p, :n - p])
+        assert np.array_equal(kw[p, n - p:], kd[n - p, :p] if p else [])
     # sum_m Delta_m = 1 and d(t) is orthogonal, so K_aa = integral sin t dt
     # / (2J + 1) is 2/(2J + 1) for every a
-    assert np.abs(kd[0] * spin.dim / 2.0 - 1.0).max() < 1e-12
+    assert np.abs(kw[0] * n / 2.0 - 1.0).max() < 1e-12
 
 
 @pytest.mark.parametrize("two_j", [1, 2, 30, 31])
@@ -161,7 +183,7 @@ def test_grid_normalization_along_the_walk():
 def test_pure_state_path_matches_density_path(sites, two_j, theta0, h):
     """The amplitudes give rho's wrapped diagonals, and J rho^T J's, with
     the bits of the density matrix's, so the two paths give the same
-    grid."""
+    grid, and the same marginal to rounding."""
     idx = SiteIndexing(sites, theta0)
     spin = SpinQuantum(two_j)
     pulse = CoinPulse.hadamard() if h is None else CoinPulse(h)
@@ -177,10 +199,19 @@ def test_pure_state_path_matches_density_path(sites, two_j, theta0, h):
     via_rho = wigner_grid(rho, res)
     assert np.array_equal(direct.values, via_rho.values)
     _assert_matches_vector_reference(direct, states[2])
-    for grid in (direct, via_rho):
+    dists = [marginal_phi(grid, idx) for grid in (direct, via_rho)]
+    for grid, dist in zip((direct, via_rho), dists):
         assert grid.normalization() == pytest.approx(1.0, abs=1e-10)
-        site_sum = marginal_phi(grid, idx).site_probabilities.sum()
-        assert site_sum == pytest.approx(1.0, abs=1e-12)
+        assert dist.site_probabilities.sum() == pytest.approx(1.0, abs=1e-12)
+    # the amplitudes' diagonal loop and the density matrix's one-node
+    # product give the same marginal
+    pure, mixed = dists
+    assert np.abs(pure.harmonics - mixed.harmonics).max() \
+        <= 1e-15 * np.abs(pure.harmonics).max()
+    assert np.abs(pure.site_probabilities
+                  - mixed.site_probabilities).max() <= 1e-15
+    assert abs(sigma_from_marginal(pure)
+               - sigma_from_marginal(mixed)) <= 1e-14
 
 
 def _assert_matches_vector_reference(grid, state):
@@ -324,6 +355,7 @@ def test_cached_arrays_are_read_only():
     grid = wigner_grid(rho, (12, 24))
     # the stack keeps ceil(n_theta/2) kernels as n//2 + 1 wrapped diagonals
     assert _theta_frame_stack(10, 13)[2].shape == (6, 7, 11)
+    assert _theta_kernel(spin).shape == (6, 11)     # one kernel, same layout
     cached = (grid.theta_nodes, grid.theta_weights, kernel_weights(spin),
               _theta_kernel(spin), *_theta_frame_stack(10, 12),
               *_theta_frame_stack(10, 13), *_jy_eigensystem(10),
