@@ -15,10 +15,11 @@ from .wigner import WignerGrid
 
 __all__ = ["render_heatmap_svg", "write_hashed"]
 
-# diverging blue -> white -> red anchors (negative, zero, positive)
-_NEG = np.array([33.0, 102.0, 172.0])
-_MID = np.array([247.0, 247.0, 247.0])
-_POS = np.array([178.0, 24.0, 43.0])
+# diverging blue -> white -> red anchors (negative, zero, positive), one
+# (R, G, B) each
+_NEG = (33.0, 102.0, 172.0)
+_MID = (247.0, 247.0, 247.0)
+_POS = (178.0, 24.0, 43.0)
 
 
 def write_hashed(path, chunks) -> str:
@@ -41,9 +42,12 @@ def _cell_colors(values: np.ndarray, vmax: float) -> np.ndarray:
         t = np.zeros_like(values)
     else:
         t = np.clip(values / vmax, -1.0, 1.0)
-    anchor = np.where((t >= 0.0)[..., None], _POS, _NEG)
-    rgb = np.rint(_MID + (anchor - _MID) * np.abs(t)[..., None]).astype(np.int64)
-    return (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
+    up, size = t >= 0.0, np.abs(t)
+    colors = np.zeros(values.shape, np.int64)
+    for shift, neg, mid, pos in zip((16, 8, 0), _NEG, _MID, _POS):
+        channel = np.rint(mid + np.where(up, pos - mid, neg - mid) * size)
+        colors |= channel.astype(np.int64) << shift
+    return colors
 
 
 def render_heatmap_svg(grid: WignerGrid, path,

@@ -85,25 +85,50 @@ def cg_l0_family(two_j: int) -> np.ndarray:
 @functools.lru_cache(maxsize=4)
 def _jy_eigensystem(two_j: int):
     """(lam, R, s), all read-only: J_x = R diag(lam) R^T in the Dicke basis
-    with real orthogonal R and lam snapped to the exact m grid, and the
-    quarter-turn signs s[a, b] = Re i^(a-b) + Im i^(a-b).
+    with real orthogonal R, the exact eigenvalues lam_k = k - J in
+    ascending order, and the quarter-turn signs s[a, b] = Re i^(a-b) +
+    Im i^(a-b).
 
     J_y = P J_x P^+ with P = diag(i^a), so J_y = V diag(lam) V^+ with
-    V = P R: the J_y eigensystem without complex arithmetic.  Cached for
-    four spins: an entry holds 16 (2J+1)^2 bytes (0.6 MB at N = 200, 16 MB
-    at N = 1000), and a scan cycling up to four spin counts still hits."""
-    dim = two_j + 1
-    m = (two_j - 2.0 * np.arange(dim)) / 2.0
-    j = two_j / 2.0
-    raise_amp = np.sqrt(j * (j + 1.0) - m[1:] * (m[1:] + 1.0))
-    jx = np.diag(raise_amp / 2.0, 1)
-    eigvals, eigvecs = np.linalg.eigh(jx + jx.T)
-    eigvals = np.round(2.0 * eigvals) / 2.0
-    k = np.arange(dim)
-    signs = np.array([1.0, 1.0, -1.0, -1.0])[(k[:, None] - k) % 4]
-    for a in (eigvals, eigvecs, signs):
-        a.flags.writeable = False
-    return eigvals, eigvecs, signs
+    V = P R: the J_y eigensystem without complex arithmetic.  J_x is
+    tridiagonal, c_a = <a|J_x|a+1> = sqrt((a+1)(2J-a))/2, so every column
+    obeys c_{a-1} v_{a-1} + c_a v_{a+1} = lam_k v_a; all columns run at
+    once from 1 at the edge row a = 0 down to the middle row, the direction
+    in which the wanted solution grows, each divided by 2^500 whenever it
+    passes it, as in `cg_l0_family`.  J_x commutes with the index reversal,
+    so the other half follows from the parity
+    v_{2J-a} = (-1)^(2J-k) v_a (at odd 2J+1 an odd column's middle entry is
+    0), and each column is finally normalized.  No eigensolver, O(J^2)
+    work.  Cached for four spins: an entry holds 16 (2J+1)^2 bytes (0.6 MB
+    at N = 200, 16 MB at N = 1000), and a scan cycling up to four spin
+    counts still hits."""
+    n = two_j + 1
+    lam = np.arange(n) - two_j / 2.0
+    rows = np.arange(1, n)
+    c = np.sqrt(rows * (n - rows)) / 2.0    # c[a - 1] = <a-1|J_x|a>
+    r = np.zeros((n, n))
+    r[0] = 1.0
+    for a in range(1, (n + 1) // 2):
+        r[a] = lam * r[a - 1]
+        if a > 1:
+            r[a] -= c[a - 2] * r[a - 2]
+        r[a] /= c[a - 1]
+        big = np.abs(r[a]) > _BIG
+        if big.any():
+            r[:a + 1, big] /= _BIG
+    parity = np.where((two_j - np.arange(n)) % 2, -1.0, 1.0)
+    np.multiply(r[:n // 2][::-1], parity, out=r[n - n // 2:])
+    if n % 2:
+        r[n // 2, parity < 0] = 0.0
+    r /= np.sqrt(np.einsum("ak,ak->k", r, r))
+    # s[a, b] depends on a and b mod 4 only: one 4 x 4 block, tiled
+    k = np.arange(4)
+    block = np.array([1.0, 1.0, -1.0, -1.0])[(k[:, None] - k) % 4]
+    reps = -(-n // 4)
+    signs = np.tile(block, (reps, reps))[:n, :n]
+    for x in (lam, r, signs):
+        x.flags.writeable = False
+    return lam, r, signs
 
 
 def small_d_matrix(spin: SpinQuantum, beta: float) -> np.ndarray:

@@ -138,6 +138,13 @@ def _wrapped_pairs(n: int):
     return np.minimum(a, b), np.maximum(a, b)
 
 
+def _wrapped_index(n: int) -> np.ndarray:
+    """The flat index lo * n + hi of `_wrapped_pairs(n)` into an n x n
+    array, which one `take` gathers."""
+    lo, hi = _wrapped_pairs(n)
+    return lo * n + hi
+
+
 def _stack_bytes(two_j: int, n_theta: int) -> int:
     """The size of `_theta_frame_stack`'s kernel array, unbuilt."""
     n = two_j + 1
@@ -158,11 +165,11 @@ def _theta_frame_stack(two_j: int, n_theta: int):
     theta, w = _gauss_legendre(n_theta)
     spin = SpinQuantum(two_j)
     delta = kernel_weights(spin)
-    lo, hi = _wrapped_pairs(spin.dim)
-    kw = np.empty((len(lo), (n_theta + 1) // 2, spin.dim))
+    flat = _wrapped_index(spin.dim)
+    kw = np.empty((len(flat), (n_theta + 1) // 2, spin.dim))
     for i in range(kw.shape[1]):
         d = small_d_matrix(spin, float(theta[i]))
-        kw[:, i] = ((d * delta) @ d.T)[lo, hi]
+        kw[:, i] = ((d * delta) @ d.T).take(flat)
     kw.flags.writeable = False          # cached: every grid shares it
     return theta, w, kw
 
@@ -190,25 +197,40 @@ def _theta_kernel(spin: SpinQuantum) -> np.ndarray:
     odd_one = np.abs(n) == 1
     g[odd_one] = 0.5 * math.pi * n[odd_one]
     m = (r.T * kernel_weights(spin)) @ r
-    kw = (signs * ((r @ (m * g)) @ r.T))[_wrapped_pairs(spin.dim)]
+    kw = (signs * ((r @ (m * g)) @ r.T)).take(_wrapped_index(spin.dim))
     kw.flags.writeable = False          # cached: every marginal shares it
     return kw
 
 
 def _spin_of(state) -> SpinQuantum:
-    if isinstance(state, (CoinWalkerState, DensityMatrix)):
-        return state.spin
-    raise TypeError(f"expected CoinWalkerState or DensityMatrix, "
-                    f"got {type(state).__name__}")
+    """The state's spin, once its arrays are checked against it: a density
+    matrix (2J+1, 2J+1), a pure state's branches of one shape with 2J+1
+    on the last axis."""
+    if isinstance(state, DensityMatrix):
+        n = state.spin.dim
+        if state.entries.shape != (n, n):
+            raise ValueError(f"density matrix entries have shape "
+                             f"{state.entries.shape}, not {(n, n)}")
+    elif isinstance(state, CoinWalkerState):
+        up, down = np.shape(state.up), np.shape(state.down)
+        if up != down or up[-1:] != (state.spin.dim,):
+            raise ValueError(f"walker branches have shapes {up} and {down}; "
+                             f"both need {state.spin.dim} on the last axis")
+    else:
+        raise TypeError(f"expected CoinWalkerState or DensityMatrix, "
+                        f"got {type(state).__name__}")
+    return state.spin
 
 
 def _rho_entries(state, rows, cols) -> np.ndarray:
-    """rho[rows, cols] of a density matrix, or of a pure composite state
-    as u_r conj(u_c) + d_r conj(d_c) with no (2J+1)^2 matrix."""
+    """rho[rows, cols] of a density matrix, through the flat index of its
+    (2J+1, 2J+1) entries (`_spin_of` checked the shape), or of a pure
+    composite state as u_r conj(u_c) + d_r conj(d_c) with no (2J+1)^2
+    matrix."""
     if isinstance(state, CoinWalkerState):
         return (state.up[rows] * np.conj(state.up[cols])
                 + state.down[rows] * np.conj(state.down[cols]))
-    return state.entries[rows, cols]
+    return state.entries.take(rows * state.spin.dim + cols)
 
 
 def _grid_harmonics(state, kw: np.ndarray, n_theta: int) -> np.ndarray:
@@ -224,9 +246,9 @@ def _grid_harmonics(state, kw: np.ndarray, n_theta: int) -> np.ndarray:
     cols = np.empty((2, len(lo), n, 2), complex)
     cols[..., 0] = _rho_entries(state, lo, hi)
     cols[..., 1] = _rho_entries(state, n - 1 - hi, n - 1 - lo)
-    tail = lo < np.arange(n)
-    cols[0][tail] = 0.0
-    cols[1][~tail] = 0.0
+    tail = (lo < np.arange(n))[..., None]
+    np.copyto(cols[0], 0.0, where=tail)
+    np.copyto(cols[1], 0.0, where=~tail)
     g = (kw @ cols.view(float)).view(complex)     # (half, p, node, 2)
     # rows p = (n-1)//2 .. 1 of the tails are harmonics n - p ascending
     g = np.concatenate((g[0], g[1, (n - 1) // 2:0:-1]))

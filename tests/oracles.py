@@ -10,9 +10,10 @@ check the evolution.  The amplitude-based grid evaluator (one d-matrix per
 theta node, rho split into weighted vectors) is the reference for
 `wigner_grid`, the unfolded diagonal-major product the reference for the
 grid harmonics from the folded kernel stack, the diagonal-major table the
-reference for the theta kernel's wrapped diagonals, and the complex J_y
+reference for the theta kernel's wrapped diagonals, the complex J_y
 eigendecomposition `small_d_by_jy` the reference for the real
-`small_d_matrix`.  The theta Gauss-Legendre kernel
+`small_d_matrix`, and the dense J_x `eigh` the reference for the recursion
+that builds its eigensystem.  The theta Gauss-Legendre kernel
 and the grid-quadrature marginal are the references for the exact marginal;
 the per-cell Wigner CSV and SVG writers and the per-node site binning last
 in the file are the byte-for-byte references for the vectorized emitters
@@ -69,6 +70,17 @@ def small_d_by_jy(spin: SpinQuantum, beta: float) -> np.ndarray:
     lam, v = np.linalg.eigh(jy)
     lam = np.round(2.0 * lam) / 2.0
     return ((v * np.exp(-1j * beta * lam)) @ v.conj().T).real
+
+
+def jx_eigensystem_by_eigh(two_j: int):
+    """(lam, R) of the real tridiagonal J_x in the Dicke basis from LAPACK's
+    dense symmetric eigensolver, eigenvalues ascending: the reference for
+    `_jy_eigensystem`'s three-term recursion (columns agree up to sign)."""
+    dim = two_j + 1
+    j = two_j / 2.0
+    m = (two_j - 2.0 * np.arange(dim)) / 2.0
+    half_raise = np.sqrt(j * (j + 1.0) - m[1:] * (m[1:] + 1.0)) / 2.0
+    return np.linalg.eigh(np.diag(half_raise, 1) + np.diag(half_raise, -1))
 
 
 def cg_l1_closed_form(two_j: int, two_m: int) -> float:

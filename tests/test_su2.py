@@ -12,8 +12,11 @@ import pytest
 from blochwalk import (SpinQuantum, cg_l0_family, coherent_state, rz_phases,
                        small_d_matrix)
 
+from blochwalk.su2 import _jy_eigensystem
+
 from oracles import (angular_momentum_matrices, cg_coefficient,
-                     cg_l1_closed_form, cg_l2_closed_form, rotated_dicke_frame,
+                     cg_l1_closed_form, cg_l2_closed_form,
+                     jx_eigensystem_by_eigh, rotated_dicke_frame,
                      small_d_by_jy)
 
 
@@ -131,6 +134,20 @@ def test_cg_l0_family_sum_rule_per_m(two_j):
 # ---------------------------------------------------------------------------
 # small-d rotation matrices
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("two_j", [*range(41), 99, 100, 401, 800, 1201,
+                                   1599, 1600])
+def test_jx_eigensystem_matches_dense_eigh(two_j):
+    # the recursion's eigenvalues are the exact m grid, and each column is
+    # the eigensolver's up to sign; past about 2J = 1600 the oracle's dense
+    # eigh takes over a second.  Uncached, so the large spins are not kept.
+    lam, r, _ = _jy_eigensystem.__wrapped__(two_j)
+    assert np.array_equal(lam, np.arange(two_j + 1) - two_j / 2.0)
+    _, v = jx_eigensystem_by_eigh(two_j)
+    sign = np.where(np.einsum("ak,ak->k", r, v) < 0.0, -1.0, 1.0)
+    assert np.abs(r - v * sign).max() <= 1e-13
+    assert np.abs(r.T @ r - np.eye(two_j + 1)).max() <= 1e-13
+
 
 def test_d_matrix_spin_half_analytic():
     beta = 0.7

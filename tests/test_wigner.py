@@ -7,12 +7,12 @@ import warnings
 import numpy as np
 import pytest
 
-from blochwalk import (CoinPulse, DensityMatrix, NumericalInvariantError,
-                       PhiDistribution, SiteIndexing, SpinQuantum,
-                       WalkSchedule, cg_l0_family, evolve, ideal_sigma,
-                       initial_state, kernel_weights, marginal_phi,
-                       reduce_walker, sigma_from_marginal, small_d_matrix,
-                       wigner_grid)
+from blochwalk import (CoinPulse, CoinWalkerState, DensityMatrix,
+                       NumericalInvariantError, PhiDistribution, SiteIndexing,
+                       SpinQuantum, WalkSchedule, cg_l0_family, evolve,
+                       ideal_sigma, initial_state, kernel_weights,
+                       marginal_phi, reduce_walker, sigma_from_marginal,
+                       small_d_matrix, wigner_grid)
 from blochwalk.su2 import _jy_eigensystem
 from blochwalk.wigner import (_gauss_legendre, _grid_harmonics, _phi_node_sum,
                               _rho_entries, _theta_frame_stack, _theta_kernel,
@@ -451,6 +451,48 @@ def test_grid_input_validation():
         wigner_grid(states[0], (1, 8))
     with pytest.raises(TypeError):
         wigner_grid(np.eye(11), (12, 24))
+
+
+@pytest.mark.parametrize("branches,message", [
+    ((np.eye(6) / 6,), r"density matrix entries have shape \(6, 6\), "
+                       r"not \(5, 5\)"),
+    ((np.eye(4) / 4,), r"shape \(4, 4\), not \(5, 5\)"),
+    ((np.ones(5), np.ones(4)), r"walker branches have shapes \(5,\) and "
+                               r"\(4,\)"),
+    ((np.ones(6), np.ones(6)), r"shapes \(6,\) and \(6,\); both need 5"),
+], ids=["rho_6x6", "rho_4x4", "branches_differ", "branches_6"])
+def test_mis_shaped_states_are_refused(branches, message):
+    # a state's arrays must match its spin, 2J + 1 = 5 here: a 6 x 6
+    # density matrix would give a grid of its top-left 5 x 5 block
+    spin = SpinQuantum(4)
+    if len(branches) == 1:
+        state = DensityMatrix(spin, branches[0].astype(complex))
+    else:
+        state = CoinWalkerState(spin, *(b / 3.0 + 0j for b in branches))
+    with pytest.raises(ValueError, match=message):
+        wigner_grid(state, (6, 10))
+    with pytest.raises(ValueError, match=message):
+        marginal_phi(state, SiteIndexing(2), 10)
+
+
+@pytest.mark.parametrize("n_theta", [11, 12])
+def test_grid_builds_one_d_matrix_per_kept_node(n_theta, monkeypatch):
+    # the benchmark's traced `su2.small_d_matrix.calls` and `wigner.dstack.*`
+    # count the calls through this binding: a stack build makes one
+    # d-matrix per node with theta <= pi/2, a cached stack none
+    calls = []
+
+    def counted(spin, beta):
+        calls.append(beta)
+        return small_d_matrix(spin, beta)
+
+    monkeypatch.setattr("blochwalk.wigner.small_d_matrix", counted)
+    _theta_frame_stack.cache_clear()
+    _, _, states = _evolved(6, 8, 1)
+    wigner_grid(states[1], (n_theta, 24))
+    assert len(calls) == (n_theta + 1) // 2
+    wigner_grid(states[0], (n_theta, 24))
+    assert len(calls) == (n_theta + 1) // 2
 
 
 # ---------------------------------------------------------------------------
