@@ -121,11 +121,10 @@ def _jy_eigensystem(two_j: int):
     if n % 2:
         r[n // 2, parity < 0] = 0.0
     r /= np.sqrt(np.einsum("ak,ak->k", r, r))
-    # s[a, b] depends on a and b mod 4 only: one 4 x 4 block, tiled
-    k = np.arange(4)
-    block = np.array([1.0, 1.0, -1.0, -1.0])[(k[:, None] - k) % 4]
-    reps = -(-n // 4)
-    signs = np.tile(block, (reps, reps))[:n, :n]
+    # s repeats every fourth row: four rows, tiled (and C-contiguous)
+    four = np.array([1.0, 1.0, -1.0, -1.0])[
+        (np.arange(4)[:, None] - np.arange(n)) % 4]
+    signs = np.tile(four, (-(-n // 4), 1))[:n]
     for x in (lam, r, signs):
         x.flags.writeable = False
     return lam, r, signs

@@ -11,7 +11,6 @@ import pytest
 
 from blochwalk import (SpinQuantum, cg_l0_family, coherent_state, rz_phases,
                        small_d_matrix)
-
 from blochwalk.su2 import _jy_eigensystem
 
 from oracles import (angular_momentum_matrices, cg_coefficient,
