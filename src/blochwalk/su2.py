@@ -97,8 +97,8 @@ def _jy_eigensystem(two_j: int):
     in which the wanted solution grows, each divided by 2^500 whenever it
     passes it, as in `cg_l0_family`.  J_x commutes with the index reversal,
     so the other half follows from the parity
-    v_{2J-a} = (-1)^(2J-k) v_a (at odd 2J+1 an odd column's middle entry is
-    0), and each column is finally normalized.  No eigensolver, O(J^2)
+    v_{2J-a} = (-1)^(2J-k) v_a (at odd 2J+1 a column of parity -1 has 0 in
+    its middle row), and each column is finally normalized.  No eigensolver, O(J^2)
     work.  Cached for four spins: an entry holds 16 (2J+1)^2 bytes (0.6 MB
     at N = 200, 16 MB at N = 1000), and a scan cycling up to four spin
     counts still hits."""
