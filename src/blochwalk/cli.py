@@ -206,7 +206,7 @@ def _estimated_bytes(config: RunConfig) -> int:
     # a Wigner CSV chunk holds at least one row of grid_phi cells
     total += 160 * max(_CHUNK_CELLS, wigner * config.grid_phi)
     if kernel:
-        total += 68 * dim * dim + 2000 * dim             # K build
+        total += 36 * dim * dim + 2000 * dim             # K build
         total += 64 * (config.grid_phi + config.sites + 2 * dim)   # FFTs
     if wigner:
         total += _stack_bytes(config.spins, config.grid_theta)  # stack
@@ -260,7 +260,7 @@ def parse_config(argv=None) -> RunConfig:
             f"the run needs about {need / 2 ** 30:.1f} GiB of memory, above "
             f"the {MAX_RUN_BYTES / 2 ** 30:.0f} GiB limit; lower --spins, "
             "--steps, --sites or the grid resolution")
-    if steps >= sites / 2:
+    if steps >= sites / 2 and "sigma" in config.outputs:
         warnings.warn(
             f"steps k={steps} reaches the wrap-around regime (k >= L/2); "
             "the reported standard deviation uses unwrapped angles and is "

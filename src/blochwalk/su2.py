@@ -42,9 +42,24 @@ class SpinQuantum:
         return (self.two_j - 2.0 * np.arange(self.dim)) / 2.0
 
 
-# one m's recursion values are divided by this once they pass it; a power of
-# two, so the division is exact
+# a column's recursion values are divided by this once they pass it; a power
+# of two, so the division is exact
 _BIG = 2.0 ** 500
+
+
+def _recursion(x, a, b, c) -> np.ndarray:
+    """h[i + 1] = (a[i] x h[i] - b[i] h[i-1]) / c[i] for every column of x
+    at once from h[0] = 1, as a square array whose rows past len(c) stay
+    zero; h[-1], the last row, is still 0 when i = 0.  A column's values so
+    far are divided by 2^500 whenever it passes that bound."""
+    h = np.zeros((len(x), len(x)))
+    h[0] = 1.0
+    for i in range(len(c)):
+        h[i + 1] = (a[i] * x * h[i] - b[i] * h[i - 1]) / c[i]
+        big = np.abs(h[i + 1]) > _BIG
+        if big.any():
+            h[:i + 2, big] /= _BIG
+    return h
 
 
 def cg_l0_family(two_j: int) -> np.ndarray:
@@ -52,30 +67,24 @@ def cg_l0_family(two_j: int) -> np.ndarray:
     and l = 0 .. 2J (columns).
 
     All m run at once through the three-term recursion of the 3j symbol
-    (j j l; -m m 0), downward in l from an arbitrary scale: 1 at l = 2j and
-    0 at l = 2j + 1.  Downward is the stable direction: the wanted solution
-    grows toward small l.  One m's values are divided by 2^500 whenever
-    they pass it, and each row is finally normalized by its own l = 0
-    value, so c[:, 0] = 1 exactly and no closed-form start (about 2^-2J,
-    which leaves the doubles past 2J ~ 1040) is needed at any j.
+    (j j l; -m m 0) (`_recursion`), downward in l from an arbitrary scale:
+    1 at l = 2j and 0 at l = 2j + 1.  Downward is the stable direction: the
+    wanted solution grows toward small l.  Each row is finally normalized by
+    its own l = 0 value, so c[:, 0] = 1 exactly and no closed-form start
+    (about 2^-2J, which leaves the doubles past 2J ~ 1040) is needed at any j.
     """
     if two_j < 0:
         raise ValueError(f"negative angular momentum two_j={two_j}")
     n = two_j + 1
-    two_m = two_j - 2.0 * np.arange(n)
     ls = np.arange(n + 1)
     # l^2 sqrt((2j+1)^2 - l^2)
     edge = ls * ls * np.sqrt(float(n * n) - ls * ls)
-    h = np.zeros((n + 1, n))            # h[l, i], l = 0 .. 2j + 1
-    h[two_j] = 1.0
-    for l in range(two_j, 0, -1):
-        h[l - 1] = (-(2 * l + 1) * l * (l + 1) * two_m * h[l]
-                    - l * edge[l + 1] * h[l + 1]) / ((l + 1) * edge[l])
-        big = np.abs(h[l - 1]) > _BIG
-        if big.any():
-            h[l - 1:, big] /= _BIG
+    down = ls[two_j:0:-1]                  # the step from l to l - 1
+    h = _recursion(two_j - 2.0 * np.arange(n),
+                   -(2 * down + 1) * down * (down + 1),
+                   down * edge[down + 1], (down + 1) * edge[down])[::-1]
     signs = np.where(ls[:n] % 2 == 0, 1.0, -1.0)
-    return (signs[:, None] * h[:n] / h[0]).T
+    return (signs[:, None] * h / h[0]).T
 
 
 # ---------------------------------------------------------------------------
@@ -87,47 +96,34 @@ def _jy_eigensystem(two_j: int):
     """(lam, R, s), all read-only: J_x = R diag(lam) R^T in the Dicke basis
     with real orthogonal R, the exact eigenvalues lam_k = k - J in
     ascending order, and the quarter-turn signs s[a, b] = Re i^(a-b) +
-    Im i^(a-b).
+    Im i^(a-b), a view of its values for a - b = 2J .. -2J.
 
     J_y = P J_x P^+ with P = diag(i^a), so J_y = V diag(lam) V^+ with
     V = P R: the J_y eigensystem without complex arithmetic.  J_x is
-    tridiagonal, c_a = <a|J_x|a+1> = sqrt((a+1)(2J-a))/2, so every column
-    obeys c_{a-1} v_{a-1} + c_a v_{a+1} = lam_k v_a; all columns run at
-    once from 1 at the edge row a = 0 down to the middle row, the direction
-    in which the wanted solution grows, each divided by 2^500 whenever it
-    passes it, as in `cg_l0_family`.  J_x commutes with the index reversal,
-    so the other half follows from the parity
+    tridiagonal, c_a = <a-1|J_x|a> = sqrt(a(2J+1-a))/2, so every column
+    obeys c_a v_{a-1} + c_{a+1} v_{a+1} = lam_k v_a: all columns run at
+    once through `_recursion` from 1 at the edge row a = 0 to the middle
+    row, the direction in which the wanted solution grows.  J_x commutes
+    with the index reversal, so the other half follows from the parity
     v_{2J-a} = (-1)^(2J-k) v_a (at odd 2J+1 a column of parity -1 has 0 in
-    its middle row), and each column is finally normalized.  No eigensolver, O(J^2)
-    work.  Cached for four spins: an entry holds 16 (2J+1)^2 bytes (0.6 MB
-    at N = 200, 16 MB at N = 1000), and a scan cycling up to four spin
-    counts still hits."""
+    its middle row), and each column is finally normalized.  No
+    eigensolver, O(J^2) work.  Cached for four spins: an entry holds R's
+    8 (2J+1)^2 bytes (0.3 MB at N = 200, 8 MB at N = 1000), and a scan
+    cycling up to four spin counts still hits."""
     n = two_j + 1
     lam = np.arange(n) - two_j / 2.0
-    rows = np.arange(1, n)
-    c = np.sqrt(rows * (n - rows)) / 2.0    # c[a - 1] = <a-1|J_x|a>
-    r = np.zeros((n, n))
-    r[0] = 1.0
-    for a in range(1, (n + 1) // 2):
-        r[a] = lam * r[a - 1]
-        if a > 1:
-            r[a] -= c[a - 2] * r[a - 2]
-        r[a] /= c[a - 1]
-        big = np.abs(r[a]) > _BIG
-        if big.any():
-            r[:a + 1, big] /= _BIG
-    parity = np.where((two_j - np.arange(n)) % 2, -1.0, 1.0)
+    a = np.arange(n)
+    c = np.sqrt(a * (n - a)) / 2.0
+    r = _recursion(lam, np.ones(n), c, c[1:(n + 1) // 2])
+    parity = np.where((two_j - a) % 2, -1.0, 1.0)
     np.multiply(r[:n // 2][::-1], parity, out=r[n - n // 2:])
     if n % 2:
         r[n // 2, parity < 0] = 0.0
     r /= np.sqrt(np.einsum("ak,ak->k", r, r))
-    # s repeats every fourth row: four rows, tiled (and C-contiguous)
-    four = np.array([1.0, 1.0, -1.0, -1.0])[
-        (np.arange(4)[:, None] - np.arange(n)) % 4]
-    signs = np.tile(four, (-(-n // 4), 1))[:n]
-    for x in (lam, r, signs):
-        x.flags.writeable = False
-    return lam, r, signs
+    lam.flags.writeable = r.flags.writeable = False
+    # s[a, b] = table[2J - a + b]; the view is read-only
+    table = np.array([1.0, 1.0, -1.0, -1.0])[np.arange(two_j, -n, -1) % 4]
+    return lam, r, np.lib.stride_tricks.sliding_window_view(table, n)[::-1]
 
 
 def small_d_matrix(spin: SpinQuantum, beta: float) -> np.ndarray:

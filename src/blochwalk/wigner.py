@@ -185,19 +185,22 @@ def _theta_kernel(spin: SpinQuantum) -> np.ndarray:
     With the signed real form of `small_d_matrix`,
     d(t) = s o (R diag(cos lam t + sin lam t) R^T), the integral is
     K = s o (R (M o G) R^T) with the real M = R^T diag(Delta) R and
-    G_kl = g(lam_k - lam_l), g(n) = integral_0^pi sin(t) (cos nt + sin nt)
-    dt: 2/(1 - n^2) for even n, n pi/2 for n = +-1 and 0 otherwise
-    (lam_k - lam_l is an integer).
+    G_kl = g(lam_k - lam_l) = g(k - l), g(d) = integral_0^pi sin(t)
+    (cos dt + sin dt) dt: 2/(1 - d^2) for even d, d pi/2 for d = +-1 and
+    0 otherwise.  G is a view of its 2n - 1 values, as s is, and both are
+    applied in place, so a first build, the eigensystem and kernel weights
+    included, peaks at 32 n^2 bytes (`cli._estimated_bytes` charges 36).
     """
-    lam, r, signs = _jy_eigensystem(spin.two_j)
-    n = lam[:, None] - lam[None, :]
-    g = np.zeros(n.shape)
-    even = n % 2 == 0
-    g[even] = 2.0 / (1.0 - n[even] ** 2)
-    odd_one = np.abs(n) == 1
-    g[odd_one] = 0.5 * math.pi * n[odd_one]
+    _, r, signs = _jy_eigensystem(spin.two_j)
+    d = np.arange(spin.two_j, -spin.dim, -1.0)     # G[k, l] = g[2J - k + l]
+    g = np.where(np.abs(d) == 1, 0.5 * math.pi * d, 0.0)
+    even = d % 2 == 0
+    g[even] = 2.0 / (1.0 - d[even] ** 2)
     m = (r.T * kernel_weights(spin)) @ r
-    kw = (signs * ((r @ (m * g)) @ r.T)).take(_wrapped_index(spin.dim))
+    m *= np.lib.stride_tricks.sliding_window_view(g, spin.dim)[::-1]
+    m = (r @ m) @ r.T
+    m *= signs
+    kw = m.take(_wrapped_index(spin.dim))
     kw.flags.writeable = False          # cached: every marginal shares it
     return kw
 

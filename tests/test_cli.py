@@ -175,7 +175,7 @@ def test_size_limit_admits_the_ballistic_run():
 # resolution: the grid's kernel stack of ceil(n_theta/2)
 # (floor((N+1)/2) + 1) (N+1) doubles sets the first, the build of the
 # theta kernel the second
-WIGNER_LIMIT, STATISTICS_LIMIT = 978, 5599
+WIGNER_LIMIT, STATISTICS_LIMIT = 983, 7687
 
 
 @pytest.mark.parametrize("outputs,limit", [
@@ -228,11 +228,11 @@ def test_large_spin_statistics_are_admitted_up_to_the_memory_limit(
         tmp_path, capsys):
     # the kernel weights' recursion has no spin limit of its own; only the
     # size estimate refuses a statistics run, before anything is allocated.
-    # The kernel build, 68 (N+1)^2 + 2000 (N+1) bytes, sets the limit.
+    # The kernel build, 36 (N+1)^2 + 2000 (N+1) bytes, sets the limit.
     # (`test_admission_limit_is_sharp` pins the limit itself)
     _parse(["--sites", "40", "--spins", "1600", "--outputs", "sites"])
     out = tmp_path / "big"
-    assert main(["--spins", "6000", "--outputs", "sites",
+    assert main(["--spins", "8000", "--outputs", "sites",
                  "--out", str(out)]) == 2
     assert "GiB" in capsys.readouterr().err
     assert not out.exists()
@@ -285,18 +285,6 @@ GUARDED_RUNS = [
 ]
 
 
-def _package_caches():
-    """Every cache (an attribute with `cache_clear`) of every loaded module
-    of the package, so that a cache added later is cleared before a
-    measurement too; a module not yet loaded holds nothing to clear."""
-    caches = {id(obj): obj
-              for name, module in list(sys.modules.items())
-              if name.partition(".")[0] == "blochwalk"
-              for obj in vars(module).values()
-              if callable(getattr(obj, "cache_clear", None))}
-    return list(caches.values())
-
-
 def _assert_fields_finite(out_dir):
     """Every field below the header of every CSV is a finite number; only
     the site fields of a marginal CSV's off-center nodes are blank."""
@@ -311,22 +299,23 @@ def _assert_fields_finite(out_dir):
 @pytest.mark.parametrize("argv", GUARDED_RUNS,
                          ids=lambda argv: "_".join(a.removeprefix("--")
                                                    for a in argv) or "default")
-def test_memory_estimate_bounds_the_measured_peak(argv, tmp_path):
-    config = _parse([*argv, "--out", str(tmp_path)])
-    estimate = cli._estimated_bytes(config)
+def test_memory_estimate_bounds_the_measured_peak(argv, tmp_path,
+                                                   cleared_caches):
+    argv = [*argv, "--out", str(tmp_path)]
+    estimate = cli._estimated_bytes(_parse(argv))
     assert estimate < 100 * 10 ** 6
-    caches = _package_caches()
     assert {wigner.kernel_weights, wigner._theta_kernel,
             wigner._theta_frame_stack, wigner._gauss_legendre,
-            su2._jy_eigensystem} <= set(caches)
-    for cache in caches:
-        cache.cache_clear()
+            su2._jy_eigensystem} <= set(cleared_caches)
     tracemalloc.start()
     try:
-        run_experiment(config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert code == 0
     assert peak <= estimate
     _assert_fields_finite(tmp_path)
 
@@ -334,6 +323,15 @@ def test_memory_estimate_bounds_the_measured_peak(argv, tmp_path):
 def test_wraparound_warning():
     with pytest.warns(UserWarning, match="wrap-around"):
         parse_config(["--sites", "6", "--steps", "3", "--spins", "10"])
+
+
+def test_no_wraparound_warning_without_sigma_output():
+    # the warning concerns the reported standard deviation, so a run that
+    # writes none parses without it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        parse_config(["--sites", "6", "--steps", "3",
+                      "--outputs", "sites,wigner"])
 
 
 @pytest.mark.parametrize("extra, code, message", [

@@ -148,6 +148,17 @@ def test_jx_eigensystem_matches_dense_eigh(two_j):
     assert np.abs(r.T @ r - np.eye(two_j + 1)).max() <= 1e-13
 
 
+@pytest.mark.parametrize("two_j", [0, 1, 2, 3, 10, 201])
+def test_quarter_turn_signs_match_the_powers_of_i(two_j):
+    # s[a, b] = Re i^(a-b) + Im i^(a-b) bit for bit, from e^{i pi (a-b)/2}
+    # rounded to its exact parts
+    _, _, s = _jy_eigensystem.__wrapped__(two_j)
+    a = np.arange(two_j + 1)
+    z = np.exp(0.5j * np.pi * (a[:, None] - a[None, :]))
+    assert s.shape == (two_j + 1, two_j + 1)
+    assert np.array_equal(s, np.rint(z.real) + np.rint(z.imag))
+
+
 def test_d_matrix_spin_half_analytic():
     beta = 0.7
     c, s = math.cos(beta / 2.0), math.sin(beta / 2.0)

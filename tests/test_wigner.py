@@ -2,6 +2,7 @@
 marginal, its site bins and its spread."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -75,6 +76,22 @@ def _theta_kernel_in_full(spin):
     g[odd_one] = 0.5 * math.pi * n[odd_one]
     m = (r.T * kernel_weights(spin)) @ r
     return signs * ((r @ (m * g)) @ r.T)
+
+
+def test_theta_kernel_first_build_peaks_under_40_n_squared_bytes(
+        cleared_caches):
+    # G and s are views of their 2n - 1 values, applied in place, so a
+    # first build (the eigensystem and the kernel weights included) holds
+    # about 32 n^2 bytes at its peak; (N+1)^2 difference tables and masks
+    # took it to 62 n^2
+    spin = SpinQuantum(1000)
+    tracemalloc.start()
+    try:
+        _theta_kernel(spin)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * spin.dim ** 2
 
 
 @pytest.mark.parametrize("two_j", [1, 2, 7, 30, 31, 80, 200, 201])
