@@ -65,8 +65,8 @@ def coherent_state(spin: SpinQuantum, theta: float, phi: float) -> np.ndarray:
     basis |J,m>, m = J .. -J.
 
     Amplitude on |J,m> is sqrt(C(2J, J-m)) cos^{J+m}(t/2) sin^{J-m}(t/2)
-    e^{i(J-m)phi}; the binomial factor is evaluated in the log domain so the
-    state stays unit norm at J = 100 arbitrarily close to the poles.
+    e^{i(J-m)phi}; the binomial factor is evaluated in the log domain, and
+    the magnitudes are divided by their `math.fsum` norm before the phase.
     """
     if not 0.0 <= theta <= math.pi:
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
@@ -88,7 +88,9 @@ def coherent_state(spin: SpinQuantum, theta: float, phi: float) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         log_mag += np.where(exp_cos > 0, exp_cos * log_c, 0.0)
         log_mag += np.where(exp_sin > 0, exp_sin * log_s, 0.0)
-    return np.exp(log_mag) * np.exp(1j * k * phi)
+    mag = np.exp(log_mag)
+    mag /= math.sqrt(math.fsum(mag * mag))
+    return mag * np.exp(1j * k * phi)
 
 
 def site_state(indexing: SiteIndexing, spin: SpinQuantum, n: int) -> np.ndarray:

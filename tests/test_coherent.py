@@ -51,6 +51,15 @@ def test_unit_norm_at_large_j(theta):
     assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("two_j", [10, 200, 1000, 3000])
+def test_norm_is_one_to_rounding(two_j):
+    # the cumulative log-factorial sums alone miss 1 by up to 3.4e-11 at
+    # 2J = 3000; the normalized magnitudes miss it by a few units of 1e-16
+    for theta in (0.3, 1.0, math.pi / 2.0):
+        state = coherent_state(SpinQuantum(two_j), theta, 0.7)
+        assert abs(math.fsum((state * state.conj()).real) - 1.0) <= 1e-15
+
+
 def test_theta_out_of_range_raises():
     with pytest.raises(ValueError):
         coherent_state(SpinQuantum(2), -0.1, 0.0)
