@@ -206,7 +206,7 @@ def _estimated_bytes(config: RunConfig) -> int:
     # a Wigner CSV chunk holds at least one row of grid_phi cells
     total += 160 * max(_CHUNK_CELLS, wigner * config.grid_phi)
     if kernel:
-        total += 36 * dim * dim + 2000 * dim             # K build
+        total += 32 * dim * dim + 2000 * dim             # K build
         total += 64 * (config.grid_phi + config.sites + 2 * dim)   # FFTs
     if wigner:
         total += _stack_bytes(config.spins, config.grid_theta)  # stack

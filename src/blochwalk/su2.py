@@ -67,11 +67,11 @@ def cg_l0_family(two_j: int) -> np.ndarray:
     and l = 0 .. 2J (columns).
 
     All m run at once through the three-term recursion of the 3j symbol
-    (j j l; -m m 0) (`_recursion`), downward in l from an arbitrary scale:
-    1 at l = 2j and 0 at l = 2j + 1.  Downward is the stable direction: the
-    wanted solution grows toward small l.  Each row is finally normalized by
-    its own l = 0 value, so c[:, 0] = 1 exactly and no closed-form start
-    (about 2^-2J, which leaves the doubles past 2J ~ 1040) is needed at any j.
+    (j j l; -m m 0) (`_recursion`) with `a` negated, downward in l (the
+    stable direction) from 1 at l = 2j and 0 at l = 2j + 1: row l comes out
+    times (-1)^(2j-l) exactly, so each row, divided in place by its l = 0
+    value, has c[:, 0] = 1 and the sign (-1)^l, with no closed-form start
+    (about 2^-2J, which leaves the doubles past 2J ~ 1040) at any j.
     """
     if two_j < 0:
         raise ValueError(f"negative angular momentum two_j={two_j}")
@@ -81,10 +81,10 @@ def cg_l0_family(two_j: int) -> np.ndarray:
     edge = ls * ls * np.sqrt(float(n * n) - ls * ls)
     down = ls[two_j:0:-1]                  # the step from l to l - 1
     h = _recursion(two_j - 2.0 * np.arange(n),
-                   -(2 * down + 1) * down * (down + 1),
+                   (2 * down + 1) * down * (down + 1),
                    down * edge[down + 1], (down + 1) * edge[down])[::-1]
-    signs = np.where(ls[:n] % 2 == 0, 1.0, -1.0)
-    return (signs[:, None] * h / h[0]).T
+    h /= h[0]
+    return h.T
 
 
 # ---------------------------------------------------------------------------

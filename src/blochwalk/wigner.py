@@ -66,7 +66,7 @@ class NumericalInvariantError(RuntimeError):
 def kernel_weights(spin: SpinQuantum) -> np.ndarray:
     """Stratonovich-Weyl kernel eigenvalues (read-only), indexed m = J..-J:
     Delta_{j,m} = sum_l (2l+1)/(2j+1) <j m; l 0 | j m>, l = 0 .. 2j, each an
-    exactly rounded sum over one row of the `cg_l0_family` table.
+    exactly rounded sum of one `cg_l0_family` row, weighted a row at a time.
 
     They sum to 1 (only the l = 0 coupling survives the m-sum) but are not
     symmetric under m -> -m: flipping m flips the sign of every odd-l
@@ -77,11 +77,11 @@ def kernel_weights(spin: SpinQuantum) -> np.ndarray:
     tj = spin.two_j
     lcoef = (2.0 * np.arange(tj + 1) + 1.0) / (tj + 1.0)
     table = cg_l0_family(tj)
-    residual = np.abs(table * table @ lcoef - 1.0).max()
+    residual = np.abs(np.einsum("ml,ml,l->m", table, table, lcoef) - 1).max()
     if not residual <= 1e-10:
         raise NumericalInvariantError(
             f"Clebsch-Gordan sum rule off by {residual:.2e} at two_j={tj}")
-    delta = np.fromiter(map(math.fsum, table * lcoef), float, spin.dim)
+    delta = np.fromiter((math.fsum(row * lcoef) for row in table), float)
     delta.flags.writeable = False       # cached: callers share this array
     return delta
 
@@ -128,21 +128,18 @@ def _gauss_legendre(n_theta: int):
     return theta, w
 
 
-def _wrapped_pairs(n: int):
-    """(lo, hi) = (min, max) of the index pairs (a, (a + p) mod n) of the
-    wrapped diagonals p = 0 .. n//2, each (n//2 + 1, n): the head a < n - p
-    of row p is diagonal p, the tail diagonal n - p, and [lo, hi] is each
-    pair's entry on or above the main diagonal."""
-    a = np.arange(n)
-    b = (a + np.arange(n // 2 + 1)[:, None]) % n
-    return np.minimum(a, b), np.maximum(a, b)
-
-
 def _wrapped_index(n: int) -> np.ndarray:
-    """The flat index lo * n + hi of `_wrapped_pairs(n)` into an n x n
-    array, which one `take` gathers."""
-    lo, hi = _wrapped_pairs(n)
-    return lo * n + hi
+    """The flat index lo * n + hi of the wrapped diagonals p = 0 .. n//2 of
+    an n x n array, (n//2 + 1, n), built in place for one `take`: (lo, hi)
+    = (min, max) of (a, (a + p) mod n) is on or above the main diagonal; the
+    head a < n - p of row p is diagonal p, the tail diagonal n - p."""
+    a = np.arange(n)
+    b = np.arange(n // 2 + 1)[:, None] + a
+    b %= n
+    lo = np.minimum(a, b)
+    lo *= n
+    lo += np.maximum(a, b, out=b)
+    return lo
 
 
 def _stack_bytes(two_j: int, n_theta: int) -> int:
@@ -187,9 +184,9 @@ def _theta_kernel(spin: SpinQuantum) -> np.ndarray:
     K = s o (R (M o G) R^T) with the real M = R^T diag(Delta) R and
     G_kl = g(lam_k - lam_l) = g(k - l), g(d) = integral_0^pi sin(t)
     (cos dt + sin dt) dt: 2/(1 - d^2) for even d, d pi/2 for d = +-1 and
-    0 otherwise.  G is a view of its 2n - 1 values, as s is, and both are
-    applied in place, so a first build, the eigensystem and kernel weights
-    included, peaks at 32 n^2 bytes (`cli._estimated_bytes` charges 36).
+    0 otherwise.  G is a view of its 2n - 1 values, as s is; both apply in
+    place and the last product writes into M, so a first build (R, M and one
+    product live) peaks at 24 n^2 bytes (`cli._estimated_bytes` charges 32).
     """
     _, r, signs = _jy_eigensystem(spin.two_j)
     d = np.arange(spin.two_j, -spin.dim, -1.0)     # G[k, l] = g[2J - k + l]
@@ -198,7 +195,7 @@ def _theta_kernel(spin: SpinQuantum) -> np.ndarray:
     g[even] = 2.0 / (1.0 - d[even] ** 2)
     m = (r.T * kernel_weights(spin)) @ r
     m *= np.lib.stride_tricks.sliding_window_view(g, spin.dim)[::-1]
-    m = (r @ m) @ r.T
+    np.matmul(r @ m, r.T, out=m)
     m *= signs
     kw = m.take(_wrapped_index(spin.dim))
     kw.flags.writeable = False          # cached: every marginal shares it
@@ -244,7 +241,7 @@ def _grid_harmonics(state, kw: np.ndarray, n_theta: int) -> np.ndarray:
     each index pair serves head and tail.  Heads and tails go in separate
     product columns, so each head sums as the unfolded diagonal did."""
     n = kw.shape[-1]
-    lo, hi = _wrapped_pairs(n)
+    lo, hi = np.divmod(_wrapped_index(n), n)
     # [head | tail, p, a, rho | J rho^T J], each half zero in the other
     cols = np.empty((2, len(lo), n, 2), complex)
     cols[..., 0] = _rho_entries(state, lo, hi)

@@ -175,7 +175,7 @@ def test_size_limit_admits_the_ballistic_run():
 # resolution: the grid's kernel stack of ceil(n_theta/2)
 # (floor((N+1)/2) + 1) (N+1) doubles sets the first, the build of the
 # theta kernel the second
-WIGNER_LIMIT, STATISTICS_LIMIT = 983, 7687
+WIGNER_LIMIT, STATISTICS_LIMIT = 984, 8152
 
 
 @pytest.mark.parametrize("outputs,limit", [
@@ -228,11 +228,11 @@ def test_large_spin_statistics_are_admitted_up_to_the_memory_limit(
         tmp_path, capsys):
     # the kernel weights' recursion has no spin limit of its own; only the
     # size estimate refuses a statistics run, before anything is allocated.
-    # The kernel build, 36 (N+1)^2 + 2000 (N+1) bytes, sets the limit.
+    # The kernel build, 32 (N+1)^2 + 2000 (N+1) bytes, sets the limit.
     # (`test_admission_limit_is_sharp` pins the limit itself)
     _parse(["--sites", "40", "--spins", "1600", "--outputs", "sites"])
     out = tmp_path / "big"
-    assert main(["--spins", "8000", "--outputs", "sites",
+    assert main(["--spins", "9000", "--outputs", "sites",
                  "--out", str(out)]) == 2
     assert "GiB" in capsys.readouterr().err
     assert not out.exists()

@@ -118,6 +118,22 @@ def test_norm_preserved_over_many_steps():
     assert _norm(s) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("theta0", [math.pi / 2, 1.0], ids=["equator", "1"])
+@pytest.mark.parametrize("pulse", [CoinPulse.hadamard(),
+                                   CoinPulse((0.3, -0.7, 1.1))],
+                         ids=["hadamard", "custom"])
+@pytest.mark.parametrize("two_j", [1, 10, 200, 1000])
+def test_dicke_populations_do_not_change_along_the_walk(two_j, pulse,
+                                                        theta0):
+    """P_k(m) = |u_m|^2 + |d_m|^2 is the same at every step: the coin mixes
+    (u_m, d_m) unitarily for each m, and R_z only adds phases."""
+    idx = SiteIndexing(7, theta0)
+    walk = evolve(initial_state(idx, SpinQuantum(two_j)), pulse,
+                  WalkSchedule.site_aligned(idx, 50))
+    populations = np.abs(walk.up) ** 2 + np.abs(walk.down) ** 2
+    assert np.abs(populations - populations[0]).max() <= 1e-13
+
+
 def test_schedule_validation():
     idx = SiteIndexing(6)
     with pytest.raises(ValueError):

@@ -17,7 +17,7 @@ from blochwalk import (CoinPulse, CoinWalkerState, DensityMatrix,
 from blochwalk.su2 import _jy_eigensystem
 from blochwalk.wigner import (_gauss_legendre, _grid_harmonics, _phi_node_sum,
                               _rho_entries, _theta_frame_stack, _theta_kernel,
-                              _wrapped_pairs)
+                              _wrapped_index)
 
 from oracles import (grid_harmonics_unfolded, grid_marginal, grid_sigma,
                      phi_node_sum_by_gather, site_bins_by_gather,
@@ -94,6 +94,22 @@ def test_theta_kernel_first_build_peaks_under_40_n_squared_bytes(
     assert peak <= 40 * spin.dim ** 2
 
 
+def test_theta_kernel_first_build_peaks_under_28_n_squared_bytes(
+        cleared_caches):
+    # the Clebsch-Gordan table is its recursion's own array, the kernel
+    # weights form no product of it, and K's last product writes into M's
+    # buffer, so a first build holds R, M and one product, about 24 n^2
+    # bytes, where the sign table and those copies took it to 32 n^2
+    spin = SpinQuantum(1000)
+    tracemalloc.start()
+    try:
+        _theta_kernel(spin)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 28 * spin.dim ** 2
+
+
 @pytest.mark.parametrize("two_j", [1, 2, 7, 30, 31, 80, 200, 201])
 def test_theta_kernel_matches_quadrature(two_j):
     # the cache holds K's wrapped diagonals, kw[p, a] = K[a, (a+p) mod n]
@@ -101,7 +117,7 @@ def test_theta_kernel_matches_quadrature(two_j):
     n = spin.dim
     kw = _theta_kernel(spin)
     assert kw.dtype == np.float64 and kw.shape == (n // 2 + 1, n)
-    lo, hi = _wrapped_pairs(n)
+    lo, hi = np.divmod(_wrapped_index(n), n)
     assert np.abs(kw - theta_kernel_gl(spin)[lo, hi]).max() < 1e-13
     # heads and tails are, bit for bit, diagonals p and n - p of the
     # closed-form K's diagonal-major table
@@ -207,7 +223,7 @@ def test_pure_state_path_matches_density_path(sites, two_j, theta0, h):
     states = evolve(initial_state(idx, spin), pulse,
                     WalkSchedule.site_aligned(idx, 2))
     rho = reduce_walker(states[2])
-    lo, hi = _wrapped_pairs(spin.dim)
+    lo, hi = np.divmod(_wrapped_index(spin.dim), spin.dim)
     for rows, cols in ((lo, hi), (spin.two_j - hi, spin.two_j - lo)):
         assert np.array_equal(_rho_entries(states[2], rows, cols),
                               _rho_entries(rho, rows, cols))
