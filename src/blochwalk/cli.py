@@ -31,7 +31,7 @@ from .su2 import SpinQuantum
 from .walk import (CoinPulse, WalkSchedule, coin_unitary, evolve,
                    ideal_sigma, ideal_walk, initial_state)
 # unused here, but perfbench/tracer.py binds blochwalk.cli.kernel_weights
-from .wigner import (NumericalInvariantError, _stack_bytes, kernel_weights,
+from .wigner import (NumericalInvariantError, _stack_shape, kernel_weights,
                      marginal_phi, sigma_from_marginal, wigner_grid)
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run_experiment",
@@ -209,7 +209,7 @@ def _estimated_bytes(config: RunConfig) -> int:
         total += 32 * dim * dim + 2000 * dim             # K build
         total += 64 * (config.grid_phi + config.sites + 2 * dim)   # FFTs
     if wigner:
-        total += _stack_bytes(config.spins, config.grid_theta)  # stack
+        total += 8 * math.prod(_stack_shape(config.spins, config.grid_theta))
         total += 64 * dim * config.grid_theta + 32 * dim * dim   # harmonics
         total += 104 * config.grid_theta * config.grid_phi  # W, FFT, colours
     return total

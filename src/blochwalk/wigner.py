@@ -114,9 +114,9 @@ class WignerGrid:
                      * self.phi_spacing)
 
 
-# An entry holds 16 n_theta bytes; eight entries let a scan cycling a few
-# resolutions past the two-entry stack cache still hit.
-@functools.lru_cache(maxsize=8)
+# Four entries of 16 n_theta bytes, as the per-spin tables keep: a scan
+# cycling three resolutions misses only on its first three grids.
+@functools.lru_cache(maxsize=4)
 def _gauss_legendre(n_theta: int):
     """(theta_nodes, weights) of the n_theta-node Gauss-Legendre rule in
     cos(theta), theta ascending in (0, pi), both read-only."""
@@ -142,33 +142,32 @@ def _wrapped_index(n: int) -> np.ndarray:
     return lo
 
 
-def _stack_bytes(two_j: int, n_theta: int) -> int:
-    """The size of `_theta_frame_stack`'s kernel array, unbuilt."""
-    n = two_j + 1
-    return 8 * (n // 2 + 1) * ((n_theta + 1) // 2) * n
+def _stack_shape(two_j: int, n_theta: int) -> tuple[int, int, int]:
+    """The shape of `_theta_frame_stack`'s kernel array, unbuilt."""
+    return (two_j + 1) // 2 + 1, (n_theta + 1) // 2, two_j + 1
 
 
-# Two entries bound the memory: each stack holds `_stack_bytes`.
-@functools.lru_cache(maxsize=2)
-def _theta_frame_stack(two_j: int, n_theta: int):
-    """(theta_nodes, GL weights, wrapped kernel diagonals) for one
-    (j, resolution), all read-only.  The nodes are symmetric about pi/2 and
-    K(pi - theta) = J K(theta) J (J reverses the index), so only the
-    kernels K_i = d(theta_i) diag(Delta) d(theta_i)^T of the
-    ceil(n_theta/2) nodes with theta_i <= pi/2 are kept, as
+# One entry of 8 prod(`_stack_shape`) bytes: a run's grids share one key,
+# and a scan cycling three keys misses on every grid at one entry or two.
+@functools.lru_cache(maxsize=1)
+def _theta_frame_stack(two_j: int, n_theta: int) -> np.ndarray:
+    """The wrapped kernel diagonals of one (j, resolution), read-only.  The
+    nodes are symmetric about pi/2 and K(pi - theta) = J K(theta) J (J
+    reverses the index), so only the kernels
+    K_i = d(theta_i) diag(Delta) d(theta_i)^T of the ceil(n_theta/2)
+    `_gauss_legendre` nodes with theta_i <= pi/2 are kept, as
     kw[p, i, a] = K_i[a, (a + p) mod n] (n = 2J + 1, p = 0 .. n//2; at even
     n, row n/2 holds diagonal n/2 twice), each entry read from K_i's upper
     triangle, as the computed product is symmetric only to rounding."""
-    theta, w = _gauss_legendre(n_theta)
     spin = SpinQuantum(two_j)
     delta = kernel_weights(spin)
     flat = _wrapped_index(spin.dim)
-    kw = np.empty((len(flat), (n_theta + 1) // 2, spin.dim))
-    for i in range(kw.shape[1]):
-        d = small_d_matrix(spin, float(theta[i]))
+    kw = np.empty(_stack_shape(two_j, n_theta))
+    for i, theta in enumerate(_gauss_legendre(n_theta)[0][:kw.shape[1]]):
+        d = small_d_matrix(spin, float(theta))
         kw[:, i] = ((d * delta) @ d.T).take(flat)
     kw.flags.writeable = False          # cached: every grid shares it
-    return theta, w, kw
+    return kw
 
 
 @functools.lru_cache(maxsize=4)
@@ -277,7 +276,8 @@ def wigner_grid(state, resolution: tuple[int, int]) -> WignerGrid:
     if n_phi < 1:
         raise ValueError(f"n_phi must be >= 1, got {n_phi}")
 
-    theta, w_theta, kw = _theta_frame_stack(spin.two_j, n_theta)
+    theta, w_theta = _gauss_legendre(n_theta)
+    kw = _theta_frame_stack(spin.two_j, n_theta)
     values = _phi_node_sum(_grid_harmonics(state, kw, n_theta), n_phi).T
     grid = WignerGrid(spin, theta, w_theta, _phi_nodes(n_phi), values, state)
     residual = abs(grid.normalization() - 1.0)

@@ -409,9 +409,9 @@ def render_heatmap_svg_per_cell(grid, path, indexing=None) -> None:
 
     if indexing is not None:
         for n in indexing.site_numbers:
-            phi_n = n * indexing.delta_phi
-            if not -math.pi <= phi_n < math.pi:
+            if 2 * n >= indexing.sites:     # outside [-pi, pi)
                 continue
+            phi_n = n * indexing.delta_phi
             x = margin_l + plot_w * (phi_n + math.pi) / (2.0 * math.pi)
             y = margin_t + plot_h
             out.append(

@@ -219,9 +219,9 @@ def test_estimate_charges_the_stack_as_built(spins, grid_theta,
     config = _parse(["--spins", str(spins), "--grid-theta", str(grid_theta),
                      "--outputs", "wigner"])
     with_stack = cli._estimated_bytes(config)
-    monkeypatch.setattr(cli, "_stack_bytes", lambda two_j, n_theta: 0)
+    monkeypatch.setattr(cli, "_stack_shape", lambda two_j, n_theta: (0,))
     assert with_stack - cli._estimated_bytes(config) \
-        == wigner._theta_frame_stack(spins, grid_theta)[2].nbytes
+        == wigner._theta_frame_stack(spins, grid_theta).nbytes
 
 
 def test_large_spin_statistics_are_admitted_up_to_the_memory_limit(
@@ -594,6 +594,35 @@ def test_statistics_runs_build_no_grid(tmp_path, monkeypatch):
     # one residual per step: the exact marginal's total-mass error
     assert len(manifest["normalization_residuals"]) == 2
     assert max(manifest["normalization_residuals"]) < 1e-12
+
+
+def test_site_statistics_do_not_depend_on_the_grid_resolution(tmp_path):
+    # README: site probabilities and sigma come from the exact marginal, so
+    # neither the grid resolution nor a grid built beside them moves a byte
+    digests = set()
+    for outputs in ("sites,sigma", "wigner,sites,sigma"):
+        for resolution in ([], ["--grid-theta", "31", "--grid-phi", "97"],
+                           ["--grid-theta", "60", "--grid-phi", "240"]):
+            out = tmp_path / "_".join([outputs, *resolution])
+            assert main(["--sites", "12", "--spins", "30", "--steps", "5",
+                         "--no-svg", "--outputs", outputs, *resolution,
+                         "--out", str(out)]) == 0
+            files = json.loads((out / "manifest.json").read_text())["files"]
+            assert ("wigner_k5.csv" in files) == ("wigner" in outputs)
+            digests.add((files["sites.csv"], files["sigma.csv"]))
+    assert len(digests) == 1
+
+
+def test_a_run_builds_one_kernel_stack(tmp_path, cleared_caches):
+    # every grid of a run shares one (spin, n_theta), so the one-entry
+    # stack cache misses once and hits on every later step, and the size
+    # estimate charges one stack
+    steps = 3
+    assert main(["--sites", "6", "--spins", "10", "--steps", str(steps),
+                 "--outputs", "wigner", "--no-svg",
+                 "--out", str(tmp_path / "run")]) == 0
+    info = wigner._theta_frame_stack.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, steps, 1)
 
 
 def test_default_resolution_is_valid_at_large_spin(tmp_path):

@@ -194,6 +194,22 @@ def test_svg_matches_per_cell_reference(case, with_ticks, tmp_path):
     assert painted == ref
 
 
+@pytest.mark.parametrize("sites", [2, 3, 6, 40, 148, 150, 151, 300, 334,
+                                   1000])
+def test_svg_ticks_every_site_on_the_phi_interval_once(sites, tmp_path):
+    """One tick and label per site n with n * 2 pi/L in [-pi, pi), which
+    leaves out the seam site n = L/2 of an even ring; at L = 150, 300 and
+    334 its angle rounds below pi, and a float test ticked it at the right
+    frame edge."""
+    _, state = _state(6, 1, 0)
+    path = tmp_path / "ticks.svg"
+    render_heatmap_svg(wigner_grid(state, (3, 8)), path, SiteIndexing(sites))
+    text = path.read_text()
+    assert text.count("<line ") == sites - (sites % 2 == 0)
+    assert text.count('font-size="10"') == text.count("<line ")
+    assert 'x1="700.00"' not in text
+
+
 def _long_fields(wide: bytes) -> list[tuple]:
     """(theta, phi, weight_theta, W) text fields of every cell of a wide
     Wigner CSV, row by row."""

@@ -78,22 +78,6 @@ def _theta_kernel_in_full(spin):
     return signs * ((r @ (m * g)) @ r.T)
 
 
-def test_theta_kernel_first_build_peaks_under_40_n_squared_bytes(
-        cleared_caches):
-    # G and s are views of their 2n - 1 values, applied in place, so a
-    # first build (the eigensystem and the kernel weights included) holds
-    # about 32 n^2 bytes at its peak; (N+1)^2 difference tables and masks
-    # took it to 62 n^2
-    spin = SpinQuantum(1000)
-    tracemalloc.start()
-    try:
-        _theta_kernel(spin)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 40 * spin.dim ** 2
-
-
 def test_theta_kernel_first_build_peaks_under_28_n_squared_bytes(
         cleared_caches):
     # the Clebsch-Gordan table is its recursion's own array, the kernel
@@ -271,7 +255,8 @@ def test_stack_holds_the_wrapped_kernel_diagonals(n):
     diagonal n/2 twice."""
     spin = SpinQuantum(n - 1)
     n_theta = n + 3
-    theta, _, kw = _theta_frame_stack(spin.two_j, n_theta)
+    theta = _gauss_legendre(n_theta)[0]
+    kw = _theta_frame_stack(spin.two_j, n_theta)
     assert kw.shape == (n // 2 + 1, (n_theta + 1) // 2, n)
     delta = kernel_weights(spin)
     a = np.arange(n)
@@ -311,8 +296,7 @@ def test_grid_harmonics_match_the_unfolded_product(two_j, n_theta, kind):
             + 1j * rng.normal(size=(spin.dim,) * 2)
         rho = a @ a.conj().T
         state = rho = DensityMatrix(spin, rho / np.trace(rho).real)
-    g = _grid_harmonics(state, _theta_frame_stack(two_j, n_theta)[2],
-                        n_theta)
+    g = _grid_harmonics(state, _theta_frame_stack(two_j, n_theta), n_theta)
     ref = grid_harmonics_unfolded(rho, n_theta)
     head = spin.dim // 2 + 1
     assert g.shape == ref.shape == (spin.dim, n_theta)
@@ -387,11 +371,11 @@ def test_cached_arrays_are_read_only():
     rho = DensityMatrix(spin, np.eye(spin.dim, dtype=complex) / spin.dim)
     grid = wigner_grid(rho, (12, 24))
     # the stack keeps ceil(n_theta/2) kernels as n//2 + 1 wrapped diagonals
-    assert _theta_frame_stack(10, 13)[2].shape == (6, 7, 11)
+    assert _theta_frame_stack(10, 13).shape == (6, 7, 11)
     assert _theta_kernel(spin).shape == (6, 11)     # one kernel, same layout
     cached = (grid.theta_nodes, grid.theta_weights, kernel_weights(spin),
-              _theta_kernel(spin), *_theta_frame_stack(10, 12),
-              *_theta_frame_stack(10, 13), *_jy_eigensystem(10),
+              _theta_kernel(spin), _theta_frame_stack(10, 12),
+              _theta_frame_stack(10, 13), *_jy_eigensystem(10),
               *_jy_eigensystem(9), *_gauss_legendre(12),
               *_gauss_legendre(13))
     for a in cached:
