@@ -209,6 +209,8 @@ def _estimated_bytes(config: RunConfig) -> int:
         total += 32 * dim * dim + 2000 * dim             # K build
         total += 64 * (config.grid_phi + config.sites + 2 * dim)   # FFTs
     if wigner:
+        # the theta rule: leggauss's dense companion matrix and eigvalsh
+        total += 17 * config.grid_theta ** 2
         total += 8 * math.prod(_stack_shape(config.spins, config.grid_theta))
         total += 64 * dim * config.grid_theta + 32 * dim * dim   # harmonics
         total += 104 * config.grid_theta * config.grid_phi  # W, FFT, colours
@@ -242,7 +244,7 @@ def parse_config(argv=None) -> RunConfig:
     grid_phi = ns.grid_phi
     if grid_phi is None:
         # n_phi > 2J integrates W exactly in phi; a multiple of L puts a
-        # node on every site center
+        # node on every site center when L or the multiple is even
         grid_phi = max(8 * sites, sites * (spins // sites + 1))
     if grid_phi < sites:
         raise ConfigError(f"--grid-phi must be >= sites, got {grid_phi}")
@@ -400,19 +402,24 @@ def write_wigner_csv(grid, path) -> str:
 
 def write_marginal_csv(dist, indexing: SiteIndexing, path) -> str:
     """One `phi,P,site_index,site_prob` line per phi node, the site fields
-    blank off the site centers; returns the sha256."""
+    blank off the site centers; returns the sha256.  Site n's center
+    2 pi n/L is node j = n_phi (L + 2n)/(2L) mod n_phi of the nodes
+    -pi + 2 pi j/n_phi exactly when 2L divides n_phi (L + 2n)."""
     density = dist.density              # a PhiDistribution sums it anew
-    site_cells = np.stack((_python_cells(dist.site_numbers, "%d"),
-                           _sci_cells(dist.site_probabilities)), axis=1)
+    n_phi, sites = len(dist.phi_nodes), indexing.sites
+    node, off = np.divmod(n_phi * (sites + 2 * dist.site_numbers), 2 * sites)
+    node %= n_phi
+    # the centered sites by node, ascending (only n = L/2 wraps, to node 0)
+    order = np.flatnonzero(off == 0)[np.argsort(node[off == 0])]
+    node = node[order]
+    site_cells = np.stack((_python_cells(dist.site_numbers[order], "%d"),
+                           _sci_cells(dist.site_probabilities[order])), axis=1)
 
     def cells(rows):
-        phi = dist.phi_nodes[rows]
-        nearest, frac = indexing.nearest_site(phi)
-        centered = np.abs(frac) < 1e-9
-        sites = np.zeros((len(phi), 2, _CELL), np.uint8)    # blank: all _PAD
-        sites[centered] = site_cells[indexing.wrap(nearest[centered])
-                                     - dist.site_numbers[0]]
-        return _sci_cells(np.c_[phi, density[rows]]), sites
+        lo, hi = np.searchsorted(node, (rows.start, rows.stop))
+        fields = np.zeros((rows.stop - rows.start, 2, _CELL), np.uint8)
+        fields[node[lo:hi] - rows.start] = site_cells[lo:hi]  # blank: _PAD
+        return _sci_cells(np.c_[dist.phi_nodes[rows], density[rows]]), fields
 
     return _write_csv(path, "phi,P,site_index,site_prob\n",
                       len(dist.phi_nodes), 4, cells)
@@ -450,6 +457,17 @@ def write_sites_csv(probabilities, indexing: SiteIndexing, path,
 # Experiment runner
 # ---------------------------------------------------------------------------
 
+def _residuals(totals: np.ndarray, bound: float, what: str) -> np.ndarray:
+    """|total - 1| per step; NumericalInvariantError names the first step
+    whose total misses 1 by more than bound, or is NaN."""
+    residuals = np.abs(totals - 1.0)
+    bad = np.flatnonzero(~(residuals <= bound))
+    if bad.size:
+        raise NumericalInvariantError(
+            f"step {bad[0]}: {what} {float(totals[bad[0]])!r}, not 1")
+    return residuals
+
+
 def run_experiment(config: RunConfig) -> dict:
     """Evolve the walk and write every requested artifact.
 
@@ -465,6 +483,9 @@ def run_experiment(config: RunConfig) -> dict:
     if config.outputs & {"ideal", "sigma"}:
         ideal = ideal_walk(config.sites, config.steps,
                            coin_unitary(config.pulse()))
+        if "sigma" in config.outputs:   # ideal_sigma's own bound
+            _residuals(ideal.sum(axis=1), 1e-9,
+                       "the ideal walk's site probabilities sum to")
 
     written: dict[str, str] = {}        # file name -> sha256
     residuals: list[float] = []
@@ -474,13 +495,8 @@ def run_experiment(config: RunConfig) -> dict:
                       config.pulse(),
                       WalkSchedule.site_aligned(indexing, config.steps))
         dist = marginal_phi(walk, indexing, config.grid_phi)
-        residuals = np.abs(dist.total - 1.0)
-        bad = np.flatnonzero(~(residuals <= 1e-4))
-        if bad.size:
-            raise NumericalInvariantError(
-                f"step {bad[0]}: azimuthal marginal integrates to "
-                f"{float(dist.total[bad[0]])!r}, not 1")
-        residuals = residuals.tolist()
+        residuals = _residuals(dist.total, 1e-4,
+                               "azimuthal marginal integrates to").tolist()
 
     for k in range(config.steps + 1):       # the per-step files
         grid = None

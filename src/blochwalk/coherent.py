@@ -42,14 +42,6 @@ class SiteIndexing:
         r = n % self.sites
         return r - self.sites * (2 * r > self.sites)
 
-    def nearest_site(self, phi):
-        """Unwrapped nearest site number of each angle, and the angle's
-        offset from that site center in units of delta_phi.  Ties round to
-        even, as round() does."""
-        u = np.asarray(phi) / self.delta_phi
-        n = np.rint(u)
-        return n.astype(int), u - n
-
     @property
     def site_numbers(self) -> np.ndarray:
         """All site indices in the balanced range, ascending."""

@@ -50,15 +50,14 @@ def _cell_colors(values: np.ndarray, vmax: float) -> np.ndarray:
     return colors
 
 
-def render_heatmap_svg(grid: WignerGrid, path,
-                       indexing: SiteIndexing | None = None) -> str:
+def render_heatmap_svg(grid: WignerGrid, path, indexing: SiteIndexing) -> str:
     """Write an SVG heatmap of W(theta, phi) and return its sha256.
 
     phi runs left to right over [-pi, pi), theta top to bottom over [0, pi];
     the color scale is symmetric about zero (bounds +/- max|W|) so negative
-    interference fringes stand out.  When a site ring is given, phi ticks
-    are drawn at the site centers n * delta_phi.  A grid holding NaN or
-    +/-inf raises ValueError before anything is written.
+    interference fringes stand out.  phi ticks are drawn at the ring's site
+    centers n * delta_phi.  A grid holding NaN or +/-inf raises ValueError
+    before anything is written.
     """
     width, height = 720, 400
     margin_l, margin_r, margin_t, margin_b = 50, 20, 16, 36
@@ -88,18 +87,17 @@ def render_heatmap_svg(grid: WignerGrid, path,
         f'text-anchor="middle" transform="rotate(-90 14 '
         f'{margin_t + plot_h / 2:.1f})">theta (rad)</text>']
 
-    if indexing is not None:
-        for n in indexing.site_numbers:
-            if 2 * n >= indexing.sites:     # phi_n >= pi, in exact integers
-                continue
-            phi_n = n * indexing.delta_phi
-            x = margin_l + plot_w * (phi_n + math.pi) / (2.0 * math.pi)
-            y = margin_t + plot_h
-            tail += [
-                f'<line x1="{x:.2f}" y1="{y}" x2="{x:.2f}" y2="{y + 5}" '
-                f'stroke="black" stroke-width="1"/>',
-                f'<text x="{x:.2f}" y="{y + 17}" font-size="10" '
-                f'text-anchor="middle">{int(n)}</text>']
+    for n in indexing.site_numbers:
+        if 2 * n >= indexing.sites:         # phi_n >= pi, in exact integers
+            continue
+        phi_n = n * indexing.delta_phi
+        x = margin_l + plot_w * (phi_n + math.pi) / (2.0 * math.pi)
+        y = margin_t + plot_h
+        tail += [
+            f'<line x1="{x:.2f}" y1="{y}" x2="{x:.2f}" y2="{y + 5}" '
+            f'stroke="black" stroke-width="1"/>',
+            f'<text x="{x:.2f}" y="{y + 17}" font-size="10" '
+            f'text-anchor="middle">{int(n)}</text>']
 
     tail += [f'<text x="{margin_l}" y="{margin_t - 4}" font-size="11">'
              f'W range +/- {vmax:.6e}</text>', "</svg>"]

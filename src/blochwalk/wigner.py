@@ -360,15 +360,19 @@ def marginal_phi(source, indexing: SiteIndexing,
                  n_phi: int | None = None) -> PhiDistribution:
     """Exact P(phi) = (2J+1)/(4 pi) * integral of W sin(theta) d(theta) of a
     state (pure composite or density matrix) on n_phi uniform nodes, or of
-    the state a WignerGrid was built from on the grid's phi nodes, plus the
-    probability of each site bin [phi_n - pi/L, phi_n + pi/L); for every
-    step at once when a pure state's amplitudes carry a leading step axis.
+    the state a WignerGrid was built from on the grid's phi nodes (n_phi
+    then must be omitted), plus the probability of each site bin
+    [phi_n - pi/L, phi_n + pi/L); for every step at once when a pure
+    state's amplitudes carry a leading step axis.
 
     p_q = (2J+1)/(4 pi) * sum_a K[a, a+q] rho[a, a+q] (K: `_theta_kernel`),
     where a pure state gives rho[a, a+q] = u_a conj(u_{a+q}) +
     d_a conj(d_{a+q}) one diagonal at a time, with no (2J+1)^2 matrix.
     """
     if isinstance(source, WignerGrid):
+        if n_phi is not None:
+            raise ValueError("n_phi must be omitted for a grid, whose phi "
+                             "nodes are fixed")
         source, n_phi = source.state, len(source.phi_nodes)
     elif n_phi is None:
         raise ValueError("n_phi is required unless the source is a grid")

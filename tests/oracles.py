@@ -362,7 +362,7 @@ def _color(value: float, vmax: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def render_heatmap_svg_per_cell(grid, path, indexing=None) -> None:
+def render_heatmap_svg_per_cell(grid, path, indexing: SiteIndexing) -> None:
     """The heatmap SVG built one cell at a time, colour by `_color`."""
     width, height = 720, 400
     margin_l, margin_r, margin_t, margin_b = 50, 20, 16, 36
@@ -407,19 +407,18 @@ def render_heatmap_svg_per_cell(grid, path, indexing=None) -> None:
         f'text-anchor="middle" transform="rotate(-90 14 '
         f'{margin_t + plot_h / 2:.1f})">theta (rad)</text>')
 
-    if indexing is not None:
-        for n in indexing.site_numbers:
-            if 2 * n >= indexing.sites:     # outside [-pi, pi)
-                continue
-            phi_n = n * indexing.delta_phi
-            x = margin_l + plot_w * (phi_n + math.pi) / (2.0 * math.pi)
-            y = margin_t + plot_h
-            out.append(
-                f'<line x1="{x:.2f}" y1="{y}" x2="{x:.2f}" y2="{y + 5}" '
-                f'stroke="black" stroke-width="1"/>')
-            out.append(
-                f'<text x="{x:.2f}" y="{y + 17}" font-size="10" '
-                f'text-anchor="middle">{int(n)}</text>')
+    for n in indexing.site_numbers:
+        if 2 * n >= indexing.sites:         # outside [-pi, pi)
+            continue
+        phi_n = n * indexing.delta_phi
+        x = margin_l + plot_w * (phi_n + math.pi) / (2.0 * math.pi)
+        y = margin_t + plot_h
+        out.append(
+            f'<line x1="{x:.2f}" y1="{y}" x2="{x:.2f}" y2="{y + 5}" '
+            f'stroke="black" stroke-width="1"/>')
+        out.append(
+            f'<text x="{x:.2f}" y="{y + 17}" font-size="10" '
+            f'text-anchor="middle">{int(n)}</text>')
 
     out.append(
         f'<text x="{margin_l}" y="{margin_t - 4}" font-size="11">'
@@ -499,6 +498,15 @@ class GridMarginal:
         return 2.0 * math.pi / len(self.phi_nodes)
 
 
+def nearest_site(indexing: SiteIndexing, phi):
+    """Unwrapped nearest site number of each angle, and the angle's offset
+    from that site center in units of delta_phi.  Ties round to even, as
+    round() does."""
+    u = np.asarray(phi) / indexing.delta_phi
+    n = np.rint(u)
+    return n.astype(int), u - n
+
+
 def grid_marginal(grid, indexing: SiteIndexing) -> GridMarginal:
     """P(phi) as the cos-theta Gauss-Legendre sum of the grid, and the site
     bins as the rectangle rule over the phi nodes: a node on a bin edge
@@ -508,7 +516,7 @@ def grid_marginal(grid, indexing: SiteIndexing) -> GridMarginal:
     density = ((grid.spin.two_j + 1) / (4.0 * math.pi)
                * grid.theta_weights @ grid.values)
     sites = indexing.site_numbers
-    nearest, frac = indexing.nearest_site(grid.phi_nodes)
+    nearest, frac = nearest_site(indexing, grid.phi_nodes)
     edge = np.abs(np.abs(frac) - 0.5) < 1e-9
     other = nearest + np.where(frac > 0, 1, -1)
     mass = density * grid.phi_spacing

@@ -12,7 +12,7 @@ from blochwalk import (CoinPulse, SiteIndexing, SpinQuantum, WalkSchedule,
                        evolve, initial_state, marginal_phi, wigner_grid)
 from blochwalk import cli
 from blochwalk.cli import write_marginal_csv
-from oracles import (grid_marginal, marginal_phi_per_node,
+from oracles import (grid_marginal, marginal_phi_per_node, nearest_site,
                      write_marginal_csv_per_row)
 
 
@@ -100,12 +100,42 @@ def test_marginal_csv_keeps_signed_zeros(tmp_path):
 
 def test_cases_put_nodes_on_bin_edges():
     idx, grid = _half_integer_nodes()
-    _, frac = idx.nearest_site(grid.phi_nodes)
+    _, frac = nearest_site(idx, grid.phi_nodes)
     assert (np.abs(np.abs(frac) - 0.5) < 1e-9).sum() == 40
     idx, grid = _odd_sites()
-    nearest, frac = idx.nearest_site(grid.phi_nodes)
+    nearest, frac = nearest_site(idx, grid.phi_nodes)
     assert grid.phi_nodes[0] == -math.pi
     assert abs(frac[0]) == pytest.approx(0.5, abs=1e-12)
     assert {int(idx.wrap(nearest[0])), int(idx.wrap(nearest[0] + 1))} \
         == {3, -3}
     assert (np.abs(np.abs(frac) - 0.5) < 1e-9).sum() == 1
+
+
+SWEEP_SITES = [*range(2, 60), 97, 128, 150, 151, 300, 334, 1000, 4000]
+
+
+def _sweep_pairs():
+    """(L, n_phi) with n_phi >= L: node counts that are a multiple of L,
+    of 2L, coprime to it, and neither."""
+    for sites in SWEEP_SITES:
+        for n_phi in sorted({sites, sites + 1, 2 * sites - 1, 2 * sites,
+                             3 * sites + 7, 8 * sites, 97, 1024}):
+            if n_phi >= sites:
+                yield sites, n_phi
+
+
+def test_marginal_csv_places_site_centers_as_the_per_row_reference(
+        tmp_path):
+    """The integer center rule of `write_marginal_csv` against the float
+    rule of its per-row reference, on exact N = 3 marginals."""
+    pairs = list(_sweep_pairs())
+    assert len(pairs) == 515
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    for sites, n_phi in pairs:
+        idx = SiteIndexing(sites)
+        walk = evolve(initial_state(idx, SpinQuantum(3)), CoinPulse.hadamard(),
+                      WalkSchedule.site_aligned(idx, 1))
+        dist = marginal_phi(walk[1], idx, n_phi)
+        write_marginal_csv(dist, idx, new)
+        write_marginal_csv_per_row(dist, idx, ref)
+        assert new.read_bytes() == ref.read_bytes(), (sites, n_phi)

@@ -158,6 +158,9 @@ def test_bad_arguments_exit_2(argv, capsys):
     ["--steps", "100000000", "--outputs", "ideal"],
     ["--spins", "1000"],
     ["--spins", "100", "--grid-theta", "1000000"],
+    # the theta rule's companion matrix alone is 3.2 GB
+    ["--sites", "2", "--spins", "1", "--grid-theta", "20000",
+     "--outputs", "wigner", "--no-svg"],
 ])
 def test_oversized_runs_exit_2(argv, tmp_path, capsys):
     # refused from the size estimate, before anything is allocated or any
@@ -175,7 +178,10 @@ def test_size_limit_admits_the_ballistic_run():
 # resolution: the grid's kernel stack of ceil(n_theta/2)
 # (floor((N+1)/2) + 1) (N+1) doubles sets the first, the build of the
 # theta kernel the second
-WIGNER_LIMIT, STATISTICS_LIMIT = 984, 8152
+WIGNER_LIMIT, STATISTICS_LIMIT = 981, 8152
+# the most theta nodes a grid admits at --sites 2 --spins 1, set by the
+# theta rule's n_theta x n_theta companion matrix
+GRID_THETA_LIMIT = 11183
 
 
 @pytest.mark.parametrize("outputs,limit", [
@@ -195,6 +201,13 @@ def test_admission_limit_is_sharp(outputs, limit, tmp_path, capsys):
     assert captured.err.count("\n") == 1 and "GiB" in captured.err
     assert "Traceback" not in captured.err
     assert not out.exists()
+
+
+def test_grid_theta_limit_is_sharp():
+    argv = ["--sites", "2", "--spins", "1", "--grid-theta"]
+    _parse([*argv, str(GRID_THETA_LIMIT)])
+    with pytest.raises(cli.ConfigError, match="GiB"):
+        _parse([*argv, str(GRID_THETA_LIMIT + 1)])
 
 
 def test_size_limit_charges_the_d_stack_to_wigner_output_only(tmp_path,
@@ -239,21 +252,25 @@ def test_large_spin_statistics_are_admitted_up_to_the_memory_limit(
 
 
 def test_readme_states_the_admission_limits():
-    # README's two limits at the default sites and steps are the sharp
-    # ones of `test_admission_limit_is_sharp`
+    # README's limits are the sharp ones of `test_admission_limit_is_sharp`
+    # and `test_grid_theta_limit_is_sharp`
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     text = " ".join(readme.split())
     limits = {r"the N <= (\d+) limit at the default resolution":
                   WIGNER_LIMIT,
               r"Without `wigner` output, the estimate admits N <= (\d+)":
-                  STATISTICS_LIMIT}
+                  STATISTICS_LIMIT,
+              r"admits at most ([\d,]+) theta nodes":
+                  GRID_THETA_LIMIT}
     for pattern, limit in limits.items():
-        assert int(re.search(pattern, text).group(1)) == limit
+        assert int(re.search(pattern, text).group(1).replace(",", "")) \
+            == limit
 
 
 # Small runs, each estimated under 100 MB: the long runs, the wide rings,
-# the wide marginal, the wide grid and N = 800 stress the per-step,
-# per-site-row, FFT, per-cell and kernel-build terms; the 500-step run's
+# the wide marginal, the wide grid, the 2000-node theta rule and N = 800
+# stress the per-step, per-site-row, FFT, per-cell, theta-rule and
+# kernel-build terms; the 500-step run's
 # statistics would exceed its estimate if P(phi) were held for every step,
 # and the last run's if the walk's amplitudes were held twice.
 GUARDED_RUNS = [
@@ -266,6 +283,8 @@ GUARDED_RUNS = [
     ["--sites", "4000", "--spins", "1", "--steps", "999", "--outputs", "sigma"],
     ["--sites", "2", "--spins", "1", "--grid-phi", "5000", "--grid-theta",
      "160", "--outputs", "wigner"],
+    ["--sites", "2", "--spins", "1", "--grid-theta", "2000",
+     "--outputs", "wigner", "--no-svg"],
     ["--sites", "7", "--spins", "31", "--steps", "3", "--grid-phi", "50"],
     ["--sites", "12", "--spins", "30", "--steps", "5"],
     ["--sites", "12", "--spins", "30", "--steps", "5", "--coin", "custom",
@@ -505,6 +524,22 @@ def test_unnormalized_marginal_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "marginal_phi", leaky)
     assert main(_tiny_args(tmp_path / "bad", ["--outputs", "sites"])) == 3
     assert "marginal integrates" in capsys.readouterr().err
+
+
+def test_unnormalized_ideal_walk_exits_3(tmp_path, capsys, monkeypatch):
+    # a custom coin's unitary drifts the ideal walk's totals by about 2e-16
+    # a step; past ideal_sigma's 1e-9 the run stops before writing a file
+    exact = cli.ideal_walk
+    monkeypatch.setattr(cli, "ideal_walk",
+                        lambda *args: exact(*args) * (1.0 + 2e-9))
+    out = tmp_path / "bad"
+    assert main(_tiny_args(out, ["--outputs", "sigma"])) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("blochwalk: numerical invariant violated: step 0: "
+                          "the ideal walk's site probabilities sum to ")
+    assert err.count("\n") == 1
+    assert not any(out.iterdir())
+    assert main(_tiny_args(tmp_path / "ideal", ["--outputs", "ideal"])) == 0
 
 
 def test_statistics_come_from_one_marginal_call(tmp_path, monkeypatch):

@@ -156,16 +156,14 @@ def _split_cells(path):
     return cells, other
 
 
-@pytest.mark.parametrize("with_ticks", [True, False])
-def test_svg_matches_per_cell_reference(case, with_ticks, tmp_path):
+def test_svg_matches_per_cell_reference(case, tmp_path):
     """Expanded back into cells, the run rects cover every (theta, phi)
     cell of the per-cell reference exactly once, in its fill and at its
     x, y and height; each run is maximal and n dx + 0.05 wide, and every
     line that is not a cell rect is byte-identical to the reference."""
     idx, grid = case
-    ticks = idx if with_ticks else None
-    render_heatmap_svg(grid, tmp_path / "new.svg", ticks)
-    render_heatmap_svg_per_cell(grid, tmp_path / "ref.svg", ticks)
+    render_heatmap_svg(grid, tmp_path / "new.svg", idx)
+    render_heatmap_svg_per_cell(grid, tmp_path / "ref.svg", idx)
     runs, other = _split_cells(tmp_path / "new.svg")
     ref_cells, ref_other = _split_cells(tmp_path / "ref.svg")
     assert other == ref_other
@@ -333,10 +331,11 @@ def test_colour_edges_hit_half_steps():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_svg_rejects_non_finite_values(bad, tmp_path):
-    _, grid = _small_grid()
+    idx, grid = _small_grid()
     values = grid.values.copy()
     values[3, 7] = bad
     path = tmp_path / "bad.svg"
     with pytest.raises(ValueError, match="non-finite"):
-        render_heatmap_svg(dataclasses.replace(grid, values=values), path)
+        render_heatmap_svg(dataclasses.replace(grid, values=values), path,
+                           idx)
     assert not path.exists()

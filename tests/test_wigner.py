@@ -656,6 +656,8 @@ def test_marginal_input_validation():
     idx, state = _final_state(6, 10, 1)
     with pytest.raises(ValueError, match="n_phi"):
         marginal_phi(state, idx)
+    with pytest.raises(ValueError, match="n_phi"):
+        marginal_phi(wigner_grid(state, (12, 24)), idx, 24)
     with pytest.raises(TypeError):
         marginal_phi(np.eye(11), idx, 24)
 
