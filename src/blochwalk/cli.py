@@ -172,7 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-phi", type=int, dest="grid_phi",
                    help="phi nodes of the Wigner grid and the marginal "
                         "CSV (default: the smallest multiple of L above 2J, "
-                        "at least 8L)")
+                        "at least 8L, and an even one at odd L)")
     p.add_argument("--outputs", type=_parse_outputs,
                    default=frozenset(ALL_OUTPUTS),
                    help="comma list of " + ",".join(ALL_OUTPUTS))
@@ -203,8 +203,11 @@ def _estimated_bytes(config: RunConfig) -> int:
     kept = bool(config.outputs & {"ideal", "sigma"})
     kept += "sites" in config.outputs
     total += 128 * config.sites + 8 * kept * rows
-    # a Wigner CSV chunk holds at least one row of grid_phi cells
-    total += 160 * max(_CHUNK_CELLS, wigner * config.grid_phi)
+    # a CSV chunk, or a block of SVG rows at up to one rect a cell, holds at
+    # least one row of grid_phi cells
+    svg = wigner and config.svg
+    total += (224 if svg else 160) * max(_CHUNK_CELLS,
+                                         wigner * config.grid_phi)
     if kernel:
         total += 32 * dim * dim + 2000 * dim             # K build
         total += 64 * (config.grid_phi + config.sites + 2 * dim)   # FFTs
@@ -213,7 +216,7 @@ def _estimated_bytes(config: RunConfig) -> int:
         total += 17 * config.grid_theta ** 2
         total += 8 * math.prod(_stack_shape(config.spins, config.grid_theta))
         total += 64 * dim * config.grid_theta + 32 * dim * dim   # harmonics
-        total += 104 * config.grid_theta * config.grid_phi  # W, FFT, colours
+        total += 32 * config.grid_theta * config.grid_phi   # W and its FFT
     return total
 
 
@@ -244,8 +247,12 @@ def parse_config(argv=None) -> RunConfig:
     grid_phi = ns.grid_phi
     if grid_phi is None:
         # n_phi > 2J integrates W exactly in phi; a multiple of L puts a
-        # node on every site center when L or the multiple is even
-        grid_phi = max(8 * sites, sites * (spins // sites + 1))
+        # node on every site center when L or the multiple is even, so an
+        # odd ring takes the next even multiple
+        multiple = max(8, spins // sites + 1)
+        if sites % 2:
+            multiple += multiple % 2
+        grid_phi = sites * multiple
     if grid_phi < sites:
         raise ConfigError(f"--grid-phi must be >= sites, got {grid_phi}")
     if "\0" in ns.out:

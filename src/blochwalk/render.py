@@ -20,6 +20,22 @@ __all__ = ["render_heatmap_svg", "write_hashed"]
 _NEG = (33.0, 102.0, 172.0)
 _MID = (247.0, 247.0, 247.0)
 _POS = (178.0, 24.0, 43.0)
+# cells per block of theta rows whose rects are built at once (at least one
+# row), as many as in a chunk of the CSV writer
+_BLOCK_CELLS = 4096
+_PAD = b"\0"
+# the three hex digits of each 12-bit half of a 0xRRGGBB fill, in order
+_HEX3 = np.stack(np.meshgrid(*[np.frombuffer(b"0123456789abcdef", np.uint8)]
+                             * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+def _table(texts) -> np.ndarray:
+    """The ASCII texts as the rows of a uint8 array, each padded to the
+    longest with _PAD bytes."""
+    texts = [text.encode() for text in texts]
+    width = max(map(len, texts))
+    return np.frombuffer(b"".join(text.ljust(width, _PAD) for text in texts),
+                         np.uint8).reshape(len(texts), width)
 
 
 def write_hashed(path, chunks) -> str:
@@ -32,6 +48,7 @@ def write_hashed(path, chunks) -> str:
             data = chunk.encode() if isinstance(chunk, str) else chunk
             fh.write(data)
             digest.update(data)
+            del chunk, data     # not held while the next chunk is built
     return digest.hexdigest()
 
 
@@ -64,9 +81,12 @@ def render_heatmap_svg(grid: WignerGrid, path, indexing: SiteIndexing) -> str:
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
     n_theta, n_phi = grid.values.shape
-    if not np.isfinite(grid.values).all():
+    # max and min propagate NaN and reach +/-inf, so no whole-grid mask or
+    # |W| copy is made; abs() turns a -0.0 maximum into 0.0
+    top, bottom = float(grid.values.max()), float(grid.values.min())
+    if not (math.isfinite(top) and math.isfinite(bottom)):
         raise ValueError("Wigner grid holds non-finite values")
-    vmax = float(np.abs(grid.values).max())
+    vmax = abs(max(top, -bottom))
 
     # cell edges: uniform in phi; theta cells split midway between nodes
     mids = 0.5 * (grid.theta_nodes[:-1] + grid.theta_nodes[1:])
@@ -103,27 +123,38 @@ def render_heatmap_svg(grid: WignerGrid, path, indexing: SiteIndexing) -> str:
              f'W range +/- {vmax:.6e}</text>', "</svg>"]
 
     # one <rect> per run of equal colour along a theta row: a run of n cells
-    # from column k has that column's x and the width n dx + 0.05.  The x
-    # attributes are formatted once per column and the widths once per run
-    # length; a row joins its runs into a template filled by one %-format.
-    colors = _cell_colors(grid.values, vmax)
+    # from column k has that column's x and the width n dx + 0.05.  Each
+    # piece of a rect's line is formatted once, per column, run length or
+    # row, into a padded byte table; a block of rows gathers its rects'
+    # lines from the tables and is written with the pad bytes deleted.
     dx = plot_w / n_phi
-    x_attrs = [f'<rect x="{margin_l + k * dx:.2f}" y="' for k in range(n_phi)]
-    w_attrs = [f'" width="{n * dx + 0.05:.2f}" height="'
-               for n in range(n_phi + 1)]
-    starts = np.flatnonzero(np.diff(colors, prepend=-1))   # flat cell index
-    runs = list(zip((starts % n_phi).tolist(),
-                    np.diff(starts, append=colors.size).tolist()))
-    fills = np.take(colors, starts).tolist()
-    rows = np.searchsorted(starts, n_phi * np.arange(n_theta + 1)).tolist()
+    pieces = [
+        _table(f'<rect x="{margin_l + k * dx:.2f}" y="' for k in range(n_phi)),
+        _table(f"{y0:.2f}" for y0 in ys[:-1]),
+        _table(f'" width="{n * dx + 0.05:.2f}" height="'
+               for n in range(n_phi + 1)),
+        _table(f'{y1 - y0 + 0.05:.2f}" fill="#' for y0, y1 in zip(ys, ys[1:])),
+        _HEX3, _HEX3, _table(['"/>\n'])]
+    edges = np.cumsum([0] + [table.shape[1] for table in pieces])
+    step = max(1, _BLOCK_CELLS // n_phi)
+
+    def rect_lines(rows: slice) -> np.ndarray:
+        colors = _cell_colors(grid.values[rows], vmax)
+        starts = np.flatnonzero(np.diff(colors, prepend=-1))  # in the block
+        fills = np.take(colors, starts)
+        row = rows.start + starts // n_phi
+        keys = (starts % n_phi, row, np.diff(starts, append=colors.size), row,
+                fills >> 12, fills & 0xFFF, 0)
+        lines = np.empty((len(starts), edges[-1]), np.uint8)
+        for table, key, a, b in zip(pieces, keys, edges, edges[1:]):
+            lines[:, a:b] = table[key]
+        return lines
 
     def chunks():
         yield "\n".join(head) + "\n"
-        for a, b, y0, y1 in zip(rows, rows[1:], ys, ys[1:]):
-            y, h = f'{y0:.2f}', f'{y1 - y0 + 0.05:.2f}" fill="#%06x"/>\n'
-            row = "".join([x_attrs[k] + y + w_attrs[n] + h
-                           for k, n in runs[a:b]])
-            yield row % tuple(fills[a:b])
+        for i in range(0, n_theta, step):
+            rows = slice(i, min(i + step, n_theta))
+            yield rect_lines(rows).tobytes().translate(None, _PAD)
         yield "\n".join(tail) + "\n"
 
     return write_hashed(path, chunks())

@@ -178,10 +178,10 @@ def test_size_limit_admits_the_ballistic_run():
 # resolution: the grid's kernel stack of ceil(n_theta/2)
 # (floor((N+1)/2) + 1) (N+1) doubles sets the first, the build of the
 # theta kernel the second
-WIGNER_LIMIT, STATISTICS_LIMIT = 981, 8152
+WIGNER_LIMIT, STATISTICS_LIMIT = 992, 8152
 # the most theta nodes a grid admits at --sites 2 --spins 1, set by the
 # theta rule's n_theta x n_theta companion matrix
-GRID_THETA_LIMIT = 11183
+GRID_THETA_LIMIT = 11216
 
 
 @pytest.mark.parametrize("outputs,limit", [
@@ -235,6 +235,27 @@ def test_estimate_charges_the_stack_as_built(spins, grid_theta,
     monkeypatch.setattr(cli, "_stack_shape", lambda two_j, n_theta: (0,))
     assert with_stack - cli._estimated_bytes(config) \
         == wigner._theta_frame_stack(spins, grid_theta).nbytes
+
+
+def test_estimate_bounds_an_svg_with_a_rect_per_cell(tmp_path):
+    # the worst case for the SVG block: a new colour at every cell of rows
+    # wider than a block, rendered within the estimate of a run at that
+    # resolution (whose grid itself is already allocated here)
+    argv = ["--sites", "2", "--spins", "1", "--grid-theta", "3",
+            "--grid-phi", "20000", "--outputs", "wigner"]
+    idx, state = SiteIndexing(2), SpinQuantum(1)
+    grid = wigner.wigner_grid(initial_state(idx, state), (3, 20000))
+    grid = dataclasses.replace(
+        grid, values=np.resize(np.linspace(-1.0, 1.0, 511), (3, 20000)))
+    path = tmp_path / "fine.svg"
+    tracemalloc.start()
+    try:
+        cli.render_heatmap_svg(grid, path, idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes().count(b"<rect") > 0.9 * grid.values.size
+    assert peak <= cli._estimated_bytes(_parse(argv))
 
 
 def test_large_spin_statistics_are_admitted_up_to_the_memory_limit(
@@ -337,6 +358,20 @@ def test_memory_estimate_bounds_the_measured_peak(argv, tmp_path,
     assert code == 0
     assert peak <= estimate
     _assert_fields_finite(tmp_path)
+
+
+@pytest.mark.parametrize("sites,spins", [(3, 50), (5, 50), (7, 60), (9, 50)])
+def test_default_grid_phi_puts_a_node_on_every_site_center(sites, spins,
+                                                           tmp_path):
+    # an odd ring's default n_phi is an even multiple of L: an odd one left
+    # every site field of every marginal CSV blank
+    assert main(["--sites", str(sites), "--spins", str(spins), "--steps", "1",
+                 "--outputs", "marginal", "--out", str(tmp_path)]) == 0
+    paths = sorted(tmp_path.glob("marginal_k*.csv"))
+    assert len(paths) == 2
+    for path in paths:
+        lines = path.read_text().splitlines()[1:]
+        assert sum(not line.endswith(",,") for line in lines) == sites
 
 
 def test_wraparound_warning():

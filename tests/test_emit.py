@@ -6,6 +6,7 @@ its per-cell reference, on real and constructed grids."""
 import dataclasses
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +69,13 @@ def _phi_not_multiple_of_sites():
     return idx, wigner_grid(state, (12, 50))
 
 
+def _spin_half_fine():
+    """A spin-1/2 grid fine enough that its colour changes every one or two
+    cells, in blocks of 5 rows and a short last one of 3."""
+    idx, state = _state(2, 1, 1)
+    return idx, wigner_grid(state, (163, 800))
+
+
 def _with_neighbours(values):
     values = np.asarray(values, float)
     return np.concatenate((values, np.nextafter(values, 0.0),
@@ -124,7 +132,8 @@ def _format_edges():
 
 GRIDS = {"ballistic_N200": _ballistic, "all_zero": _all_zero,
          "colour_edges": _colour_edges,
-         "n_phi_50_L6": _phi_not_multiple_of_sites}
+         "n_phi_50_L6": _phi_not_multiple_of_sites,
+         "spin_half_fine": _spin_half_fine}
 # the SVG emitter refuses non-finite values, so the formatter's edges go to
 # the CSV emitter only
 CSV_GRIDS = {**GRIDS, "format_edges": _format_edges}
@@ -190,6 +199,20 @@ def test_svg_matches_per_cell_reference(case, tmp_path):
             assert (y, col) not in painted
             painted[y, col] = (height, fill)
     assert painted == ref
+
+
+def test_svg_holds_one_block_of_rows(tmp_path):
+    """Rendering a grid whose colour changes every one or two cells
+    allocates at most 16 bytes a cell: the rects are built a block of rows
+    at a time, with no Python object per rect and no whole-grid colours."""
+    idx, grid = _spin_half_fine()
+    tracemalloc.start()
+    try:
+        render_heatmap_svg(grid, tmp_path / "fine.svg", idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * grid.values.size
 
 
 @pytest.mark.parametrize("sites", [2, 3, 6, 40, 148, 150, 151, 300, 334,
