@@ -243,8 +243,8 @@ def test_estimate_bounds_an_svg_with_a_rect_per_cell(tmp_path):
     # resolution (whose grid itself is already allocated here)
     argv = ["--sites", "2", "--spins", "1", "--grid-theta", "3",
             "--grid-phi", "20000", "--outputs", "wigner"]
-    idx, state = SiteIndexing(2), SpinQuantum(1)
-    grid = wigner.wigner_grid(initial_state(idx, state), (3, 20000))
+    idx = SiteIndexing(2)
+    grid = wigner.wigner_grid(initial_state(idx, SpinQuantum(1)), (3, 20000))
     grid = dataclasses.replace(
         grid, values=np.resize(np.linspace(-1.0, 1.0, 511), (3, 20000)))
     path = tmp_path / "fine.svg"
