@@ -31,8 +31,9 @@ from .su2 import SpinQuantum
 from .walk import (CoinPulse, WalkSchedule, coin_unitary, evolve,
                    ideal_sigma, ideal_walk, initial_state)
 # unused here, but perfbench/tracer.py binds blochwalk.cli.kernel_weights
-from .wigner import (NumericalInvariantError, _stack_shape, kernel_weights,
-                     marginal_phi, sigma_from_marginal, wigner_grid)
+from .wigner import (_SITE_CHUNK_CELLS, NumericalInvariantError,
+                     _stack_shape, kernel_weights, marginal_phi,
+                     sigma_from_marginal, wigner_grid)
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run_experiment",
            "main"]
@@ -43,6 +44,10 @@ ALL_OUTPUTS = ("wigner", "marginal", "sites", "sigma", "ideal")
 KERNEL_OUTPUTS = frozenset({"wigner", "marginal", "sites", "sigma"})
 # a run whose estimated working set exceeds this is refused up front
 MAX_RUN_BYTES = 2 * 1024 ** 3
+# the most theta nodes a `wigner` run takes, a bound on time: the theta
+# rule's O(n_theta^2) Newton iteration takes about 2 s there on one core of
+# a 2-core Xeon VM
+MAX_GRID_THETA = 11216
 
 # keys a --config file may set; each names the flag it stands for
 _CONFIG_KEYS = ("sites", "spins", "steps", "coin", "theta0", "grid-theta",
@@ -78,7 +83,8 @@ class RunConfig:
                 "outputs": sorted(self.outputs), "out": str(self.out)}
 
 
-def _parse_coin(tokens) -> tuple:
+def _parse_coin(spec: str) -> tuple:
+    tokens = spec.split()
     if len(tokens) == 1 and tokens[0] == "hadamard":
         return ("hadamard",)
     if len(tokens) == 4 and tokens[0] == "custom":
@@ -99,6 +105,22 @@ def _parse_coin(tokens) -> tuple:
 class _CoinAction(argparse.Action):
     def __call__(self, parser, namespace, values, option_string=None):
         setattr(namespace, self.dest, _parse_coin(values))
+
+
+def _joined_coin_specs(argv) -> list:
+    """argv with each `--coin custom hx hy hz` (or `--coin hadamard`) joined
+    into one token `--coin=custom hx hy hz`.  argparse takes a token that
+    starts with "-" and is not a plain decimal (-1e-12, -1E5, -inf) for an
+    option, so the components are taken here, whatever they look like."""
+    argv, joined = list(argv), []
+    while argv:
+        token = argv.pop(0)
+        if token == "--coin" and argv:
+            count = 4 if argv[0] == "custom" else 1
+            token = "--coin=" + " ".join(argv[:count])
+            del argv[:count]
+        joined.append(token)
+    return joined
 
 
 def _parse_outputs(text: str) -> frozenset:
@@ -131,9 +153,7 @@ def _read_config_file(parser: argparse.ArgumentParser,
         key, val = key.strip(), val.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key == "coin":
-            tokens = ["--coin", *val.split()]
-        elif key == "svg":
+        if key == "svg":
             # any other value reaches argparse as `--svg=VALUE`, an error
             tokens = [_SVG_FLAGS.get(val.lower(), f"--svg={val}")]
         else:
@@ -162,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spins", type=int, default=50,
                    help="spins N in the walker cluster")
     p.add_argument("--steps", type=int, default=2, help="walk steps k")
-    p.add_argument("--coin", nargs="+", metavar="SPEC", action=_CoinAction,
+    p.add_argument("--coin", metavar="SPEC", action=_CoinAction,
                    default=("hadamard",),
                    help="'hadamard' or 'custom hx hy hz'")
     p.add_argument("--theta0", type=float, default=math.pi / 2.0,
@@ -211,18 +231,23 @@ def _estimated_bytes(config: RunConfig) -> int:
     if kernel:
         total += 32 * dim * dim + 2000 * dim             # K build
         total += 64 * (config.grid_phi + config.sites + 2 * dim)   # FFTs
+    if "sites" in config.outputs:
+        # one chunk of site bins: its FFT buffer and its laps added, or
+        # their real part and its gathered rows
+        total += 32 * max(_SITE_CHUNK_CELLS, dim + config.sites)
     if wigner:
-        # the theta rule: leggauss's dense companion matrix and eigvalsh
-        total += 17 * config.grid_theta ** 2
         total += 8 * math.prod(_stack_shape(config.spins, config.grid_theta))
-        total += 64 * dim * config.grid_theta + 32 * dim * dim   # harmonics
-        total += 32 * config.grid_theta * config.grid_phi   # W and its FFT
+        # one grid's FFT buffer of ceil(dim / grid_phi) laps of its rows,
+        # with its laps added or with W
+        laps = -(-dim // config.grid_phi)
+        total += 16 * (laps + 1) * config.grid_theta * config.grid_phi
     return total
 
 
 def parse_config(argv=None) -> RunConfig:
     """CLI flags override config-file keys override built-in defaults."""
     parser = _build_parser()
+    argv = _joined_coin_specs(sys.argv[1:] if argv is None else argv)
     ns = parser.parse_args(argv)
     if ns.config is not None:
         # argparse sets a default only on an attribute that is unset, so
@@ -269,6 +294,9 @@ def parse_config(argv=None) -> RunConfig:
             f"the run needs about {need / 2 ** 30:.1f} GiB of memory, above "
             f"the {MAX_RUN_BYTES / 2 ** 30:.0f} GiB limit; lower --spins, "
             "--steps, --sites or the grid resolution")
+    if "wigner" in config.outputs and grid_theta > MAX_GRID_THETA:
+        raise ConfigError(f"--grid-theta must be <= {MAX_GRID_THETA}, got "
+                          f"{grid_theta}")
     if steps >= sites / 2 and "sigma" in config.outputs:
         warnings.warn(
             f"steps k={steps} reaches the wrap-around regime (k >= L/2); "
@@ -328,12 +356,12 @@ def _sci_cells(x: np.ndarray) -> np.ndarray:
     13 digits are those of n = rint(m) (n = 1e13 carries into e).  The
     scale 10^(12 - e) is a correctly rounded table entry and the product
     is rounded once, so |m - exact| <= 2u m < 2^-52 1e13 < 0.0023; n is the
-    exactly rounded mantissa whenever m lies at least 0.01 from a
-    half-integer.  Exact float floor divisions split n into digit groups,
-    which index tables of their text.  Every other value (zero, NaN,
-    +-inf, subnormals, values beyond 1e+-280 and near-halves) is formatted
-    by Python's `%`.  The sign is taken from the sign bit, so -0.0 keeps
-    its minus sign.
+    exactly rounded mantissa whenever m lies at least 0.0023 from a
+    half-integer, which the check |m - n| <= 0.4977 admits.  Exact float
+    floor divisions split n into digit groups, which index tables of their
+    text.  Every other value (zero, NaN, +-inf, subnormals, values beyond
+    1e+-280 and near-halves) is formatted by Python's `%`.  The sign is
+    taken from the sign bit, so -0.0 keeps its minus sign.
     """
     x = np.ravel(x)
     a = np.abs(x)
@@ -344,7 +372,7 @@ def _sci_cells(x: np.ndarray) -> np.ndarray:
     e += np.where(m < 1e12, -1, m >= 1e13)
     m = a * _SCALE[e - _E_MIN]
     n = np.rint(m)
-    fast &= np.abs(m - n) <= 0.49
+    fast &= np.abs(m - n) <= 0.4977
     carry = n >= 1e13
     e += carry
     n[carry] = 1e12

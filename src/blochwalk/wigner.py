@@ -3,7 +3,7 @@ azimuthal marginal with its site-binned probabilities and its spread.
 
 Both go through the same harmonics.  With K = d(theta) diag(Delta)
 d(theta)^T, W(theta, phi) = sum_{a,b} K[a, b] rho[a, b] e^{i q phi}
-(q = b - a), so each theta gives a trigonometric polynomial in phi whose
+(q = b - a), so each theta gives a finite Fourier series in phi whose
 harmonics are the diagonal sums of K o rho.  Every kernel is real
 symmetric, so its diagonals q and n - q (n = 2J + 1) share one row of
 length n: each is kept as its n//2 + 1 wrapped diagonals kw[p, a] =
@@ -14,20 +14,22 @@ which a pure state's amplitudes give the harmonics of every step at once;
 its site bins and spread are closed-form sums over them.
 
 The grid serves `wigner` output only: Gauss-Legendre nodes in cos(theta)
-crossed with a uniform phi grid on [-pi, pi).  The cos-theta rule is exact
-only for the even-q harmonics of W, which are polynomials of degree 2J in
-cos theta; an odd-q harmonic carries a factor sin theta and converges only
-algebraically in n_theta.  The kernels K_i are cached per spin and
-resolution, for half the nodes only: the nodes are symmetric about pi/2 and
-K(pi - theta) = J K(theta) J with J the index reversal, so the row at
-pi - theta_i takes K_i against J rho^T J.  rho and J rho^T J are read on
-the same index pairs (a pure state's straight from its amplitudes,
-`_rho_entries`), so the harmonics of every row come from one batched real
-product of the stacked kw with the heads of those rows and, apart, their
-tails (`_grid_harmonics`; a density matrix's marginal takes it with K as
-a one-node stack), and a grid costs that product plus one inverse FFT of
-length n_phi per row.  P(phi) and the site bins are periodic sums of
-harmonics too, summed the same way (`_periodic_sum`).
+(`_gauss_legendre`, by Newton iteration in theta) crossed with a uniform
+phi grid on [-pi, pi).  The cos-theta rule is exact only for the even-q
+harmonics of W, which have degree 2J in cos theta; an odd-q harmonic
+carries a factor sin theta and converges only algebraically in n_theta.
+The kernels K_i are cached per spin and resolution, for half the nodes
+only: the nodes are symmetric about pi/2 and K(pi - theta) = J K(theta) J
+with J the index reversal, so the row at pi - theta_i takes K_i against
+J rho^T J.  rho and J rho^T J are read on the same index pairs (a pure
+state's straight from its amplitudes, `_rho_entries`), so the harmonics of
+every row come from real products of the stacked kw with the heads of
+those rows and, apart, their tails, a block of wrapped diagonals at a
+time, written straight into the grid's FFT buffer (`_grid_harmonics`; a
+density matrix's marginal takes it with K as a one-node stack), and a grid
+costs those products plus one inverse FFT of length n_phi per row.  P(phi)
+and the site bins are periodic sums of harmonics too, summed the same way
+(`_periodic_sum`).
 """
 
 from __future__ import annotations
@@ -119,10 +121,51 @@ class WignerGrid:
 @functools.lru_cache(maxsize=4)
 def _gauss_legendre(n_theta: int):
     """(theta_nodes, weights) of the n_theta-node Gauss-Legendre rule in
-    cos(theta), theta ascending in (0, pi), both read-only."""
-    x, w = np.polynomial.legendre.leggauss(n_theta)
-    theta = np.arccos(x[::-1])
-    w = w[::-1].copy()
+    cos(theta), theta ascending in (0, pi), both read-only.
+
+    The nodes theta <= pi/2 come from Newton iteration in theta on
+    P_n(cos theta) (n = n_theta; Hale and Townsend, SIAM J. Sci. Comput. 35,
+    A652 (2013)), started from Tricomi's estimates, with P_n and P_{n-1}
+    from the three-term recurrence written in u = 1 - cos theta =
+    2 sin^2(theta/2) and the differences D_k = P_k - P_{k-1}, so that the
+    end nodes keep their digits.  The rest are pi - theta, exactly
+    mirrored, as `_theta_frame_stack` assumes; at odd n the middle node is
+    pi/2, the zero of P_n(0).  The weights are
+    2 sin^2(theta) / (n (P_{n-1} - cos theta P_n))^2 at the converged
+    nodes.  Three Newton steps reach the rounding level from the estimates,
+    and a fourth evaluation gives the weights: O(n) memory, O(n^2) time.
+    """
+    n = n_theta
+    k = np.arange(1, (n + 1) // 2 + 1)
+    theta = (4.0 * k - 1.0) * math.pi / (4.0 * n + 2.0)
+    theta += (n - 1.0) / (8.0 * n ** 3) / np.tan(theta)
+    if n % 2:
+        theta[-1] = 0.5 * math.pi
+    converged = False
+    while True:
+        u = np.sin(0.5 * theta)
+        u *= u
+        u *= 2.0
+        p, d = 1.0 - u, -u                  # P_1, D_1
+        for j in range(1, n):
+            # D_{j+1} = (j D_j - (2j + 1) u P_j) / (j + 1)
+            d *= j
+            d -= (2 * j + 1) * u * p
+            d /= j + 1
+            p += d
+        dp = u * p - d                      # P_{n-1} - cos(theta) P_n
+        if converged:
+            break
+        step = np.sin(theta) * p / (n * dp)
+        if n % 2:
+            step[-1] = 0.0
+        theta += step
+        converged = np.abs(step).max() < 1e-10
+    w = np.sin(theta) / (n * dp)
+    w *= w
+    w *= 2.0
+    theta = np.concatenate((theta, math.pi - theta[:n // 2][::-1]))
+    w = np.concatenate((w, w[:n // 2][::-1]))
     for a in (theta, w):
         a.flags.writeable = False       # cached: every grid shares these
     return theta, w
@@ -232,27 +275,56 @@ def _rho_entries(state, rows, cols) -> np.ndarray:
     return state.entries.take(rows * state.spin.dim + cols)
 
 
-def _grid_harmonics(state, kw: np.ndarray, n_theta: int) -> np.ndarray:
-    """The harmonics g_i[q] = sum_a K_i[a, a+q] rho[a, a+q], (n, n_theta)
-    with n = 2J + 1, of every row from the stack's wrapped diagonals kw;
-    the mirrored row pi - theta_i takes K_i against J rho^T J, whose
-    [a, b] is rho[n-1-b, n-1-a].  rho is Hermitian, so its upper entry of
-    each index pair serves head and tail.  Heads and tails go in separate
-    product columns, so each head sums as the unfolded diagonal did."""
-    n = kw.shape[-1]
-    lo, hi = np.divmod(_wrapped_index(n), n)
-    # [head | tail, p, a, rho | J rho^T J], each half zero in the other
-    cols = np.empty((2, len(lo), n, 2), complex)
-    cols[..., 0] = _rho_entries(state, lo, hi)
-    cols[..., 1] = _rho_entries(state, n - 1 - hi, n - 1 - lo)
-    tail = (lo < np.arange(n))[..., None]
-    np.copyto(cols[0], 0.0, where=tail)
-    np.copyto(cols[1], 0.0, where=~tail)
-    g = (kw @ cols.view(float)).view(complex)     # (half, p, node, 2)
-    # rows p = (n-1)//2 .. 1 of the tails are harmonics n - p ascending
-    g = np.concatenate((g[0], g[1, (n - 1) // 2:0:-1]))
-    mirrored = g[:, :n_theta - kw.shape[1], 1]
-    return np.concatenate((g[:, :, 0], mirrored[:, ::-1]), axis=1)
+# a block of `_grid_harmonics` takes b rows p of the stack, the most with
+# b (n + ceil(n_theta/2)) <= 4096 (at least one), so that its column table
+# and its product hold at most about 256 kB
+_BLOCK_CELLS = 4096
+
+
+def _grid_harmonics(state, kw: np.ndarray, n_theta: int,
+                    n_phi: int) -> np.ndarray:
+    """The inverse-FFT buffer of the grid rows, (n_phi, n_theta), laid out
+    as `_periodic_sum` lays out the harmonics that `_phi_node_sum` weights:
+    row q holds (-1)^q g_i[q], row 0 halved, of the harmonics
+    g_i[q] = sum_a K_i[a, a+q] rho[a, a+q] (n = 2J + 1 of them) of every
+    row, in a buffer of ceil(n / n_phi) laps of n_phi rows, zero past
+    q = n - 1, whose laps are then added in the same order.
+
+    The stack's wrapped diagonals kw are taken a block of p at a time; the
+    mirrored row pi - theta_i takes K_i against J rho^T J, whose [a, b] is
+    rho[n-1-b, n-1-a].  rho is Hermitian, so its upper entry of each index
+    pair serves head and tail.  Heads (harmonic p) and tails (harmonic
+    n - p) go in separate product columns, so each head sums as the
+    unfolded diagonal did, and each product is the one a product of the
+    whole stack would take for its p."""
+    n_p, half, n = kw.shape
+    buf = np.zeros((-(-n // n_phi) * n_phi, n_theta), complex)
+    a = np.arange(n)
+    size = max(1, _BLOCK_CELLS // (n + half))
+    for p0 in range(0, n_p, size):
+        p = np.arange(p0, min(p0 + size, n_p))
+        b = (a + p[:, None]) % n
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        # [head | tail, p, a, rho | J rho^T J], each half zero in the other
+        cols = np.empty((2, len(p), n, 2), complex)
+        cols[..., 0] = _rho_entries(state, lo, hi)
+        cols[..., 1] = _rho_entries(state, n - 1 - hi, n - 1 - lo)
+        tail = (b < a)[..., None]
+        np.copyto(cols[0], 0.0, where=tail)
+        np.copyto(cols[1], 0.0, where=~tail)
+        g = (kw[p0:p0 + len(p)] @ cols.view(float)).view(complex)
+        # (-1)^q of the heads' harmonics p and the tails' n - p
+        sign = np.where((p + np.array([[0], [n]])) % 2, -1.0, 1.0)
+        g *= sign[..., None, None]
+        # tails of p = 1 .. (n-1)//2 are harmonics n - p, descending
+        t0, t1 = max(p0, 1), min(p0 + len(p), (n + 1) // 2)
+        for rows, part in ((slice(p0, p0 + len(p)), g[0]),
+                           (slice(n - t1 + 1, n - t0 + 1),
+                            g[1, t0 - p0:t1 - p0][::-1])):
+            buf[rows, :half] = part[..., 0]
+            buf[rows, half:] = part[:, :n_theta - half, 1][:, ::-1]
+    buf[0] *= 0.5
+    return _laps_added(buf, n_phi)
 
 
 def wigner_grid(state, resolution: tuple[int, int]) -> WignerGrid:
@@ -278,7 +350,8 @@ def wigner_grid(state, resolution: tuple[int, int]) -> WignerGrid:
 
     theta, w_theta = _gauss_legendre(n_theta)
     kw = _theta_frame_stack(spin.two_j, n_theta)
-    values = _phi_node_sum(_grid_harmonics(state, kw, n_theta), n_phi).T
+    h = _grid_harmonics(state, kw, n_theta, n_phi)
+    values = (2.0 * np.fft.ifft(h, axis=0, norm="forward", out=h).real).T
     grid = WignerGrid(spin, theta, w_theta, _phi_nodes(n_phi), values, state)
     residual = abs(grid.normalization() - 1.0)
     if not residual <= 1e-4:
@@ -287,6 +360,10 @@ def wigner_grid(state, resolution: tuple[int, int]) -> WignerGrid:
             f"grid resolution (n_theta >= 2J+2 and n_phi > 2J recommended)",
             stacklevel=2)
     return grid
+
+
+# cells of one FFT buffer of `PhiDistribution.site_probabilities`
+_SITE_CHUNK_CELLS = 2 ** 12
 
 
 @dataclass(frozen=True)
@@ -315,13 +392,14 @@ class PhiDistribution:
         """The probability of each site bin [phi_n - pi/L, phi_n + pi/L),
         (..., L): a bin integrates e^{iq phi} to e^{iq phi_n} (2 pi/L)
         sinc(q/L), a periodic sum over the site numbers n mod L, folded
-        into FFT buffers of at most 2^16 cells."""
+        into FFT buffers of at most max(_SITE_CHUNK_CELLS, 2J + 1 + L)
+        cells, a chunk of steps at a time."""
         n_sites, dim = len(self.site_numbers), self.harmonics.shape[-1]
         bin_integrals = (2.0 * math.pi / n_sites) * np.sinc(
             np.arange(dim) / n_sites)
         terms = (self.harmonics * bin_integrals).reshape(-1, dim)
         probs = np.empty((len(terms), n_sites))
-        chunk = max(1, 2 ** 16 // (dim + n_sites))     # steps a buffer
+        chunk = max(1, _SITE_CHUNK_CELLS // (dim + n_sites))   # steps
         rows = self.site_numbers % n_sites
         for i in range(0, len(terms), chunk):
             probs[i:i + chunk] = _periodic_sum(terms[i:i + chunk].T,
@@ -343,9 +421,16 @@ def _periodic_sum(h: np.ndarray, period: int) -> np.ndarray:
     folded = np.zeros((laps * period, *h.shape[1:]), complex)
     folded[:len(h)] = h
     folded[0] = 0.5 * h[0]
-    if laps > 1:
-        folded = folded.reshape(laps, period, *h.shape[1:]).sum(axis=0)
+    folded = _laps_added(folded, period)
     return 2.0 * np.fft.ifft(folded, axis=0, norm="forward", out=folded).real
+
+
+def _laps_added(folded: np.ndarray, period: int) -> np.ndarray:
+    """`folded`, whose first axis is a whole number of periods long, with
+    those laps added in order into one period (itself if it is one)."""
+    if len(folded) == period:
+        return folded
+    return folded.reshape(-1, period, *folded.shape[1:]).sum(axis=0)
 
 
 def _phi_node_sum(h: np.ndarray, n_phi: int) -> np.ndarray:
@@ -388,8 +473,11 @@ def marginal_phi(source, indexing: SiteIndexing,
             g[..., q] = sum(np.vecdot(u[..., q:], k * u[..., :n - q])
                             for u in (source.up, source.down))
     else:
-        # the integrated kernel is a one-node stack with no mirrored rows
-        g = _grid_harmonics(source, kw[:, None], 1)[:, 0]
+        # the integrated kernel is a one-node stack with no mirrored rows;
+        # undoing the buffer's signs and halving is exact
+        g = _grid_harmonics(source, kw[:, None], 1, spin.dim)[:, 0]
+        g[1::2] *= -1.0
+        g[0] *= 2.0
     g *= spin.dim / (4.0 * math.pi)
     return PhiDistribution(_phi_nodes(n_phi), indexing.site_numbers, g)
 

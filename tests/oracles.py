@@ -9,13 +9,16 @@ closed-form walk references take their site states from `site_state` and
 check the evolution.  The amplitude-based grid evaluator (one d-matrix per
 theta node, rho split into weighted vectors) is the reference for
 `wigner_grid`, the unfolded diagonal-major product the reference for the
-grid harmonics from the folded kernel stack, the diagonal-major table the
-reference for the theta kernel's wrapped diagonals, the complex J_y
-eigendecomposition `small_d_by_jy` the reference for the real
-`small_d_matrix`, and the dense J_x `eigh` the reference for the recursion
-that builds its eigensystem.  The theta Gauss-Legendre kernel
-and the grid-quadrature marginal are the references for the exact marginal;
-the per-cell Wigner CSV and SVG writers and the per-node site binning last
+grid harmonics from the folded kernel stack, the whole-stack product the
+bit-for-bit reference for the grid's block-wise product, the
+diagonal-major table the reference for the theta kernel's wrapped
+diagonals, the complex J_y eigendecomposition `small_d_by_jy` the
+reference for the real `small_d_matrix`, and the dense J_x `eigh` the
+reference for the recursion that builds its eigensystem.  The theta
+Gauss-Legendre kernel and the grid-quadrature marginal are the references
+for the exact marginal, and 60-digit Newton iteration in `decimal` the
+reference for the Gauss-Legendre rule in cos theta; the per-cell Wigner
+CSV and SVG writers and the per-node site binning last
 in the file are the byte-for-byte references for the vectorized emitters
 and the grid marginal's binning.  The roots-of-unity gather at the end is
 the reference for the FFT periodic sums on the phi nodes and the site bins.
@@ -23,6 +26,7 @@ the reference for the FFT periodic sums on the phi nodes and the site bins.
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, getcontext, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -199,19 +203,19 @@ def wigner_grid_by_vectors(state, resolution) -> np.ndarray:
     return values
 
 
-def grid_harmonics_unfolded(rho: DensityMatrix, n_theta: int) -> np.ndarray:
+def grid_harmonics_unfolded(rho: DensityMatrix, theta) -> np.ndarray:
     """The harmonics g_i[q] = sum_a K_i[a, a+q] rho[a, a+q] of every grid
-    row, (2J+1, n_theta), from the unfolded diagonal-major product: one
-    real batched product of the upper diagonals kd[q, i, a] = K_i[a, a+q]
-    (zero past the end) of the kernels of the nodes theta_i <= pi/2 with
-    the diagonals of rho and of J rho^T J, which the mirrored row
-    pi - theta_i takes."""
+    row, (2J+1, n_theta), on the n_theta nodes `theta` (ascending, mirrored
+    about pi/2), from the unfolded diagonal-major product: one real batched
+    product of the upper diagonals kd[q, i, a] = K_i[a, a+q] (zero past the
+    end) of the kernels of the nodes theta_i <= pi/2 with the diagonals of
+    rho and of J rho^T J, which the mirrored row pi - theta_i takes."""
     spin, n = rho.spin, rho.spin.dim
-    x, _ = np.polynomial.legendre.leggauss(n_theta)
+    n_theta = len(theta)
     half = (n_theta + 1) // 2
     delta = kernel_weights(spin)
     kd = np.zeros((n, half, n))
-    for i, t in enumerate(np.arccos(x[::-1])[:half]):
+    for i, t in enumerate(theta[:half]):
         d = small_d_matrix(spin, float(t))
         k = (d * delta) @ d.T
         for q in range(n):
@@ -223,6 +227,38 @@ def grid_harmonics_unfolded(rho: DensityMatrix, n_theta: int) -> np.ndarray:
     g = (kd @ cols.view(float)).view(complex)
     return np.concatenate((g[:, :, 0], g[:, :n_theta - half, 1][:, ::-1]),
                           axis=1)
+
+
+def grid_harmonics_whole_stack(state, kw: np.ndarray,
+                               n_theta: int) -> np.ndarray:
+    """The harmonics of every grid row, (2J+1, n_theta), from one batched
+    real product of the whole stack of wrapped diagonals kw with the heads
+    and, apart, the tails of rho and J rho^T J on the index pairs
+    (a, (a+p) mod n), and then the harmonics array of the whole grid, as
+    the grid's product was taken before it ran a block of p at a time; the
+    block-wise path into the FFT buffer is checked against it bit for
+    bit."""
+    n = kw.shape[-1]
+    a = np.arange(n)
+    b = (a + np.arange(n // 2 + 1)[:, None]) % n
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+
+    def entries(rows, cols):
+        if isinstance(state, CoinWalkerState):
+            return (state.up[rows] * np.conj(state.up[cols])
+                    + state.down[rows] * np.conj(state.down[cols]))
+        return state.entries.take(rows * n + cols)
+
+    cols = np.empty((2, len(lo), n, 2), complex)
+    cols[..., 0] = entries(lo, hi)
+    cols[..., 1] = entries(n - 1 - hi, n - 1 - lo)
+    tail = (lo < a)[..., None]
+    np.copyto(cols[0], 0.0, where=tail)
+    np.copyto(cols[1], 0.0, where=~tail)
+    g = (kw @ cols.view(float)).view(complex)     # (half, p, node, 2)
+    g = np.concatenate((g[0], g[1, (n - 1) // 2:0:-1]))
+    mirrored = g[:, :n_theta - kw.shape[1], 1]
+    return np.concatenate((g[:, :, 0], mirrored[:, ::-1]), axis=1)
 
 
 def upper_diagonals(a: np.ndarray) -> np.ndarray:
@@ -496,6 +532,47 @@ class GridMarginal:
     @property
     def phi_spacing(self) -> float:
         return 2.0 * math.pi / len(self.phi_nodes)
+
+
+# pi to 64 digits, for the mirrored nodes pi - theta
+DECIMAL_PI = Decimal(
+    "3.141592653589793238462643383279502884197169399375105820974944592")
+
+
+def _decimal_cos_sin(t: Decimal):
+    """cos t and sin t by their Taylor series, to the context's precision,
+    for 0 <= t <= pi/2."""
+    cos, sin, term_c, term_s = Decimal(0), Decimal(0), Decimal(1), t
+    tiny = Decimal(10) ** -(getcontext().prec + 2)
+    k = 0
+    while abs(term_c) > tiny or abs(term_s) > tiny:
+        cos, sin = cos + term_c, sin + term_s
+        term_c *= -t * t / ((2 * k + 1) * (2 * k + 2))
+        term_s *= -t * t / ((2 * k + 2) * (2 * k + 3))
+        k += 1
+    return cos, sin
+
+
+def gauss_legendre_node_by_decimal(n: int, theta: float):
+    """(theta_k, w_k) of the n-node Gauss-Legendre rule in cos theta at 60
+    significant digits, for the node theta_k <= pi/2 nearest `theta`:
+    Newton iteration in theta on P_n(cos theta), through the plain
+    three-term recurrence in x = cos theta, which loses no more than a few
+    of the 60 digits near the poles, and w = 2 sin^2 theta /
+    (n (P_{n-1} - x P_n))^2.  Three steps from a double-precision start
+    pass 40 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        t = Decimal(theta)
+        for newton_step in range(4):
+            x, sin = _decimal_cos_sin(t)
+            prev, p = Decimal(1), x             # P_0, P_1
+            for k in range(1, n):
+                prev, p = p, ((2 * k + 1) * x * p - k * prev) / (k + 1)
+            dp = n * (prev - x * p)             # n (P_{n-1} - x P_n)
+            if newton_step < 3:
+                t += sin * p / dp
+        return +t, +(2 * sin * sin / (dp * dp))
 
 
 def nearest_site(indexing: SiteIndexing, phi):

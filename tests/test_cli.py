@@ -19,7 +19,6 @@ import numpy as np
 # loaded on first use; imported here so that the memory-guard test's
 # tracemalloc peaks do not count the module objects
 import numpy.fft  # noqa: F401
-import numpy.polynomial  # noqa: F401
 import pytest
 
 import blochwalk.cli as cli
@@ -75,6 +74,25 @@ def test_custom_coin_parsing():
     cfg = parse_config(["--coin", "custom", str(a), "0", str(a)])
     assert cfg.coin[0] == "custom"
     assert cfg.pulse().h == pytest.approx((a, 0.0, a))
+
+
+@pytest.mark.parametrize("hz", ["-1e-12", "-1E5", "-inf"])
+def test_negative_coin_components_in_any_notation(hz, tmp_path):
+    # argparse takes "-1e-12" for an option; the coin parser takes it as
+    # hz, on the command line and in a config file, and "-inf" reaches the
+    # non-finite refusal
+    cfile = tmp_path / "run.cfg"
+    cfile.write_text(f"coin = custom 0.3 1.1 {hz}\n")
+    for argv in (["--coin", "custom", "0.3", "1.1", hz, "--steps", "1"],
+                 ["--steps", "1", "--coin", f"custom 0.3 1.1 {hz}"],
+                 ["--config", str(cfile), "--steps", "1"]):
+        if hz == "-inf":
+            with pytest.raises(ConfigError, match=r"\|h\|\^2 is not finite"):
+                parse_config(argv)
+        else:
+            cfg = parse_config(argv)
+            assert cfg.coin == ("custom", 0.3, 1.1, float(hz))
+            assert cfg.steps == 1
 
 
 def test_config_file_and_precedence(tmp_path):
@@ -156,11 +174,12 @@ def test_bad_arguments_exit_2(argv, capsys):
 @pytest.mark.parametrize("argv", [
     ["--sites", "1000000000", "--outputs", "ideal"],
     ["--steps", "100000000", "--outputs", "ideal"],
-    ["--spins", "1000"],
+    ["--spins", "1100"],
     ["--spins", "100", "--grid-theta", "1000000"],
-    # the theta rule's companion matrix alone is 3.2 GB
-    ["--sites", "2", "--spins", "1", "--grid-theta", "20000",
-     "--outputs", "wigner", "--no-svg"],
+    # at the most theta nodes a grid takes, its FFT buffer and W alone
+    # are 3.6 GB
+    ["--sites", "2", "--spins", "1", "--grid-theta", "11216",
+     "--grid-phi", "10000", "--outputs", "wigner", "--no-svg"],
 ])
 def test_oversized_runs_exit_2(argv, tmp_path, capsys):
     # refused from the size estimate, before anything is allocated or any
@@ -178,9 +197,9 @@ def test_size_limit_admits_the_ballistic_run():
 # resolution: the grid's kernel stack of ceil(n_theta/2)
 # (floor((N+1)/2) + 1) (N+1) doubles sets the first, the build of the
 # theta kernel the second
-WIGNER_LIMIT, STATISTICS_LIMIT = 992, 8152
-# the most theta nodes a grid admits at --sites 2 --spins 1, set by the
-# theta rule's n_theta x n_theta companion matrix
+WIGNER_LIMIT, STATISTICS_LIMIT = 1010, 8151
+# the most theta nodes a grid takes (`cli.MAX_GRID_THETA`), a bound on the
+# theta rule's O(n_theta^2) time, not on memory
 GRID_THETA_LIMIT = 11216
 
 
@@ -206,8 +225,9 @@ def test_admission_limit_is_sharp(outputs, limit, tmp_path, capsys):
 def test_grid_theta_limit_is_sharp():
     argv = ["--sites", "2", "--spins", "1", "--grid-theta"]
     _parse([*argv, str(GRID_THETA_LIMIT)])
-    with pytest.raises(cli.ConfigError, match="GiB"):
-        _parse([*argv, str(GRID_THETA_LIMIT + 1)])
+    for n_theta in (GRID_THETA_LIMIT + 1, 20000):
+        with pytest.raises(cli.ConfigError, match="--grid-theta must be <="):
+            _parse([*argv, str(n_theta)])
 
 
 def test_size_limit_charges_the_d_stack_to_wigner_output_only(tmp_path,
@@ -219,7 +239,7 @@ def test_size_limit_charges_the_d_stack_to_wigner_output_only(tmp_path,
             "--outputs", "sites,sigma,ideal", "--no-svg"])
     _parse(["--spins", "1000", "--outputs", "marginal"])
     out = tmp_path / "big"
-    assert main(["--spins", "1000", "--outputs", "wigner",
+    assert main(["--spins", "1100", "--outputs", "wigner",
                  "--out", str(out)]) == 2
     assert "GiB" in capsys.readouterr().err
     assert not out.exists()
@@ -289,11 +309,12 @@ def test_readme_states_the_admission_limits():
 
 
 # Small runs, each estimated under 100 MB: the long runs, the wide rings,
-# the wide marginal, the wide grid, the 2000-node theta rule and N = 800
-# stress the per-step, per-site-row, FFT, per-cell, theta-rule and
-# kernel-build terms; the 500-step run's
+# the wide marginal, the wide grid, the 2000-node theta rule, N = 800 and
+# the two `sites` runs of 400 and 1000 steps stress the per-step,
+# per-site-row, FFT, per-cell, grid-buffer, kernel-build and site-bin
+# chunk terms; the 500-step run's
 # statistics would exceed its estimate if P(phi) were held for every step,
-# and the last run's if the walk's amplitudes were held twice.
+# and the 5000-step run's if the walk's amplitudes were held twice.
 GUARDED_RUNS = [
     [],
     ["--sites", "2", "--spins", "1", "--steps", "0"],
@@ -322,6 +343,10 @@ GUARDED_RUNS = [
     ["--sites", "2", "--spins", "4", "--steps", "500", "--grid-phi", "20000",
      "--outputs", "sigma"],
     ["--sites", "2", "--spins", "100", "--steps", "5000", "--outputs", "sigma"],
+    ["--sites", "150", "--spins", "4", "--steps", "400", "--outputs", "sites",
+     "--no-svg"],
+    ["--sites", "600", "--spins", "4", "--steps", "1000",
+     "--outputs", "sites,sigma,ideal", "--no-svg"],
 ]
 
 

@@ -102,6 +102,28 @@ def _halves(count=2000, seed=7):
     return halves
 
 
+def _near_halves(count=4000, seed=13):
+    """Values whose scaled mantissa m (in [1e12, 1e13), as `_sci_cells`
+    forms it) lies between 0.49 and 0.4977 from its nearest integer: the
+    band that the fast path's bound |m - rint(m)| <= 0.4977 admits beyond
+    0.49, where the rounding of m still decides the 13 digits."""
+    rng = np.random.default_rng(seed)
+    n = rng.integers(10 ** 12, 10 ** 13 - 1, count)
+    offset = rng.choice([-1.0, 1.0], count) * rng.uniform(0.0023, 0.0099,
+                                                          count)
+    values = (n + 0.5 + offset) * 10.0 ** rng.integers(-25, 26, count)
+    a = np.abs(values)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    m = a * cli._SCALE[e - cli._E_MIN]
+    e += np.where(m < 1e12, -1, m >= 1e13)
+    m = a * cli._SCALE[e - cli._E_MIN]
+    gap = np.abs(m - np.rint(m))
+    band = values[(gap > 0.49) & (gap <= 0.4977)]
+    assert len(band) > count // 2
+    band[::2] *= -1.0
+    return band
+
+
 def _specials():
     tiny, huge = np.finfo(float).smallest_normal, np.finfo(float).max
     return np.array([0.0, -0.0, 5e-324, -5e-324, tiny, -tiny, huge, -huge,
@@ -304,7 +326,8 @@ def test_readme_rebuilds_the_long_wigner_table(csv_case, tmp_path):
 
 
 @pytest.mark.parametrize("values", [_random_bits, _powers_of_ten, _halves,
-                                    _specials], ids=lambda f: f.__name__[1:])
+                                    _near_halves, _specials],
+                         ids=lambda f: f.__name__[1:])
 def test_sci_cells_match_python_formatting(values):
     values = values()
     cells = _sci_cells(values)
@@ -320,8 +343,8 @@ def test_sci_cells_match_python_formatting(values):
 def test_fast_path_formats_the_ballistic_grid(monkeypatch, tmp_path):
     """Every field of the ballistic k=9 grid goes through the vectorized
     formatter, and Python's `%` formats at most 5% of them: a value falls
-    back when its mantissa lies within 0.01 of a rounding half, 2% of
-    evenly spread mantissas (2.05% of these W values, measured)."""
+    back when its mantissa lies within 0.0023 of a rounding half, 0.46%
+    of evenly spread mantissas (0.53% of these W values, measured)."""
     _, grid = _ballistic()
     formatted, by_python = [], []
 

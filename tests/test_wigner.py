@@ -4,6 +4,7 @@ marginal, its site bins and its spread."""
 import math
 import tracemalloc
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -19,10 +20,11 @@ from blochwalk.wigner import (_gauss_legendre, _grid_harmonics, _phi_node_sum,
                               _rho_entries, _theta_frame_stack, _theta_kernel,
                               _wrapped_index)
 
-from oracles import (grid_harmonics_unfolded, grid_marginal, grid_sigma,
-                     phi_node_sum_by_gather, site_bins_by_gather,
-                     theta_kernel_gl, tv_distance, upper_diagonals, wigner_at,
-                     wigner_grid_by_vectors)
+from oracles import (DECIMAL_PI, gauss_legendre_node_by_decimal,
+                     grid_harmonics_unfolded, grid_harmonics_whole_stack,
+                     grid_marginal, grid_sigma, phi_node_sum_by_gather,
+                     site_bins_by_gather, theta_kernel_gl, tv_distance,
+                     upper_diagonals, wigner_at, wigner_grid_by_vectors)
 
 
 def _evolved(sites, two_j, steps):
@@ -283,7 +285,8 @@ def test_stack_holds_the_wrapped_kernel_diagonals(n):
 def test_grid_harmonics_match_the_unfolded_product(two_j, n_theta, kind):
     """The folded stack gives the unfolded product's harmonics q <= n//2
     bit for bit; the tails, summed at other positions of the same
-    product, within 1e-15 of the largest."""
+    product, within 1e-15 of the largest.  The grid's buffer holds them
+    times (-1)^q, row 0 halved, which undoes exactly."""
     spin = SpinQuantum(two_j)
     if kind == "walk":
         idx = SiteIndexing(6, 1.1)
@@ -296,12 +299,89 @@ def test_grid_harmonics_match_the_unfolded_product(two_j, n_theta, kind):
             + 1j * rng.normal(size=(spin.dim,) * 2)
         rho = a @ a.conj().T
         state = rho = DensityMatrix(spin, rho / np.trace(rho).real)
-    g = _grid_harmonics(state, _theta_frame_stack(two_j, n_theta), n_theta)
-    ref = grid_harmonics_unfolded(rho, n_theta)
+    g = _grid_harmonics(state, _theta_frame_stack(two_j, n_theta), n_theta,
+                        spin.dim)
+    g[1::2] *= -1.0
+    g[0] *= 2.0
+    ref = grid_harmonics_unfolded(rho, _gauss_legendre(n_theta)[0])
     head = spin.dim // 2 + 1
     assert g.shape == ref.shape == (spin.dim, n_theta)
     assert np.array_equal(g[:head], ref[:head])
     assert np.abs(g - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("two_j,n_theta,n_phi", [
+    (200, 202, 320), (200, 201, 37), (31, 33, 7), (30, 31, 12), (1, 2, 1),
+    (2, 3, 2), (25, 28, 26), (26, 27, 64),
+], ids=lambda v: str(v))
+def test_grid_is_the_whole_stack_product_bit_for_bit(two_j, n_theta, n_phi):
+    """The block-wise product written into the FFT buffer gives the grid
+    that the product of the whole stack, its harmonics array and
+    `_phi_node_sum` gave, to the last bit, signed zeros included: odd and
+    even 2J + 1 and n_theta, and n_phi <= 2J, whose laps add up in one
+    buffer row."""
+    spin = SpinQuantum(two_j)
+    idx = SiteIndexing(6, 1.1)
+    walk = evolve(initial_state(idx, spin), CoinPulse.hadamard(),
+                  WalkSchedule.site_aligned(idx, 3))
+    rng = np.random.default_rng(two_j)
+    a = rng.normal(size=(spin.dim,) * 2) + 1j * rng.normal(size=(spin.dim,) * 2)
+    mixed = DensityMatrix(spin, a @ a.conj().T / np.trace(a @ a.conj().T).real)
+    kw = _theta_frame_stack(two_j, n_theta)
+    for state in (walk[3], reduce_walker(walk[3]), mixed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")      # n_phi <= 2J
+            got = wigner_grid(state, (n_theta, n_phi)).values
+        want = _phi_node_sum(grid_harmonics_whole_stack(state, kw, n_theta),
+                             n_phi).T
+        assert got.shape == want.shape == (n_theta, n_phi)
+        assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                              np.ascontiguousarray(want).view(np.uint64))
+
+
+@pytest.mark.parametrize("kind", ["walk", "density_matrix"])
+def test_second_ballistic_grid_stays_under_its_charge(kind):
+    """With the kernel stack cached, a ballistic-shaped grid (N = 200,
+    202 x 320) holds less than the 32 n_theta n_phi bytes that
+    `cli._estimated_bytes` charges for one grid's FFT buffer and values
+    above what was live before the call: no harmonics array of the whole
+    grid and no column table of the whole stack."""
+    _, _, walk = _evolved(40, 200, 9)
+    state = walk[9] if kind == "walk" else reduce_walker(walk[9])
+    wigner_grid(walk[0], (202, 320))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        wigner_grid(state, (202, 320))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 32 * 202 * 320
+
+
+@pytest.mark.parametrize("n_theta", [2, 3, 202, 2000])
+def test_theta_rule_matches_forty_digit_newton(n_theta):
+    """Nodes within 5e-16 of 40-digit values and weights within 2e-13
+    relative (1e-12 at 2000 nodes), both ends and a sample of interior
+    nodes, the middle one at odd n_theta included; the weights sum to 2,
+    and the nodes and weights are exactly mirrored about pi/2."""
+    theta, w = _gauss_legendre(n_theta)
+    half = (n_theta + 1) // 2
+    assert np.all(np.diff(theta) > 0)
+    assert np.array_equal(theta[::-1][:n_theta // 2],
+                          math.pi - theta[:n_theta // 2])
+    assert n_theta % 2 == 0 or theta[half - 1] == math.pi / 2
+    assert np.array_equal(w[::-1], w)
+    assert abs(w.sum() - 2.0) <= 1e-13
+    bound = 2e-13 if n_theta <= 202 else 1e-12
+    sample = {0, 1, half // 3, half // 2, half - 2, half - 1} & set(range(half))
+    for i in sorted(sample):
+        t, weight = gauss_legendre_node_by_decimal(n_theta, float(theta[i]))
+        assert abs(float(Decimal(theta[i]) - t)) <= 5e-16, i
+        assert abs(float(Decimal(w[i]) / weight - 1)) <= bound, i
+        if i == 0:              # the end node at pi - theta_0
+            assert abs(float(Decimal(theta[-1]) - (DECIMAL_PI - t))) \
+                <= 5e-16
 
 
 @pytest.mark.parametrize("call", ["grid", "marginal"])
