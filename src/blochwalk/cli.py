@@ -45,8 +45,8 @@ KERNEL_OUTPUTS = frozenset({"wigner", "marginal", "sites", "sigma"})
 # a run whose estimated working set exceeds this is refused up front
 MAX_RUN_BYTES = 2 * 1024 ** 3
 # the most theta nodes a `wigner` run takes, a bound on time: the theta
-# rule's O(n_theta^2) Newton iteration takes about 2 s there on one core of
-# a 2-core Xeon VM
+# rule's O(n_theta^2) Newton iteration takes about 0.9 s there on one core
+# of a 2-core Xeon VM
 MAX_GRID_THETA = 11216
 
 # keys a --config file may set; each names the flag it stands for
@@ -111,11 +111,12 @@ def _joined_coin_specs(argv) -> list:
     """argv with each `--coin custom hx hy hz` (or `--coin hadamard`) joined
     into one token `--coin=custom hx hy hz`.  argparse takes a token that
     starts with "-" and is not a plain decimal (-1e-12, -1E5, -inf) for an
-    option, so the components are taken here, whatever they look like."""
+    option, so the components are taken here, whatever they look like;
+    `--coi` is the one abbreviation argparse would also accept."""
     argv, joined = list(argv), []
     while argv:
         token = argv.pop(0)
-        if token == "--coin" and argv:
+        if token in ("--coin", "--coi") and argv:
             count = 4 if argv[0] == "custom" else 1
             token = "--coin=" + " ".join(argv[:count])
             del argv[:count]

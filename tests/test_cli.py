@@ -84,6 +84,7 @@ def test_negative_coin_components_in_any_notation(hz, tmp_path):
     cfile = tmp_path / "run.cfg"
     cfile.write_text(f"coin = custom 0.3 1.1 {hz}\n")
     for argv in (["--coin", "custom", "0.3", "1.1", hz, "--steps", "1"],
+                 ["--coi", "custom", "0.3", "1.1", hz, "--steps", "1"],
                  ["--steps", "1", "--coin", f"custom 0.3 1.1 {hz}"],
                  ["--config", str(cfile), "--steps", "1"]):
         if hz == "-inf":

@@ -325,8 +325,10 @@ def test_grid_is_the_whole_stack_product_bit_for_bit(two_j, n_theta, n_phi):
     walk = evolve(initial_state(idx, spin), CoinPulse.hadamard(),
                   WalkSchedule.site_aligned(idx, 3))
     rng = np.random.default_rng(two_j)
-    a = rng.normal(size=(spin.dim,) * 2) + 1j * rng.normal(size=(spin.dim,) * 2)
-    mixed = DensityMatrix(spin, a @ a.conj().T / np.trace(a @ a.conj().T).real)
+    a = rng.normal(size=(spin.dim,) * 2) \
+        + 1j * rng.normal(size=(spin.dim,) * 2)
+    rho = a @ a.conj().T
+    mixed = DensityMatrix(spin, rho / np.trace(rho).real)
     kw = _theta_frame_stack(two_j, n_theta)
     for state in (walk[3], reduce_walker(walk[3]), mixed):
         with warnings.catch_warnings():
@@ -374,7 +376,8 @@ def test_theta_rule_matches_forty_digit_newton(n_theta):
     assert np.array_equal(w[::-1], w)
     assert abs(w.sum() - 2.0) <= 1e-13
     bound = 2e-13 if n_theta <= 202 else 1e-12
-    sample = {0, 1, half // 3, half // 2, half - 2, half - 1} & set(range(half))
+    sample = {0, 1, half // 3, half // 2, half - 2, half - 1}
+    sample &= set(range(half))
     for i in sorted(sample):
         t, weight = gauss_legendre_node_by_decimal(n_theta, float(theta[i]))
         assert abs(float(Decimal(theta[i]) - t)) <= 5e-16, i
