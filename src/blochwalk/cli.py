@@ -1,12 +1,6 @@
-"""Command-line front end: parse a run configuration, execute the walk, and
-emit deterministic CSV / JSON / SVG artifacts.
+"""Command-line front end: parse a run configuration, estimate its memory,
+execute the walk and have `render` write its CSV / JSON / SVG artifacts.
 
-Output conventions: CSV with one header line, %.12e numbers, comma
-separator, LF endings, written in chunks of fixed-width cells by one writer
-(`_write_csv`); JSON manifest with sorted keys, written last, listing every
-emitted file with the sha256 its emitter took of the bytes written.  Every
-CSV number is an exact vectorized %.12e (`_sci_cells`): the same bytes as
-Python's `%`, which formats the values it cannot certify.
 Exit codes: 0 success, 2 configuration error, 3 numerical-invariant
 violation, 4 I/O failure.
 """
@@ -15,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 import time
@@ -26,7 +19,9 @@ import numpy as np
 
 from . import __version__
 from .coherent import SiteIndexing
-from .render import render_heatmap_svg, write_hashed
+from .render import (_BLOCK_CELLS, render_heatmap_svg, write_manifest,
+                     write_marginal_csv, write_sigma_csv, write_sites_csv,
+                     write_wigner_csv)
 from .su2 import SpinQuantum
 from .walk import (CoinPulse, WalkSchedule, coin_unitary, evolve,
                    ideal_sigma, ideal_walk, initial_state)
@@ -224,10 +219,10 @@ def _estimated_bytes(config: RunConfig) -> int:
     kept = bool(config.outputs & {"ideal", "sigma"})
     kept += "sites" in config.outputs
     total += 128 * config.sites + 8 * kept * rows
-    # a CSV chunk, or a block of SVG rows at up to one rect a cell, holds at
-    # least one row of grid_phi cells
+    # a block of CSV lines, or of SVG rows at up to one rect a cell, holds
+    # at least one row of grid_phi cells
     svg = wigner and config.svg
-    total += (224 if svg else 160) * max(_CHUNK_CELLS,
+    total += (224 if svg else 160) * max(_BLOCK_CELLS,
                                          wigner * config.grid_phi)
     if kernel:
         total += 32 * dim * dim + 2000 * dim             # K build
@@ -304,189 +299,6 @@ def parse_config(argv=None) -> RunConfig:
             "the reported standard deviation uses unwrapped angles and is "
             "only meaningful for short times", stacklevel=2)
     return config
-
-
-# ---------------------------------------------------------------------------
-# CSV emitters
-# ---------------------------------------------------------------------------
-
-def _words(texts) -> np.ndarray:
-    """The 4-byte ASCII texts as uint32 words, in order."""
-    return np.frombuffer("".join(texts).encode(), np.uint32)
-
-
-def _digit_text(places: int) -> np.ndarray:
-    """(10^places, places) uint8: the zero-padded ASCII digits of
-    0 .. 10^places - 1, the Cartesian power of the digits in order."""
-    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
-    grids = np.meshgrid(*[digits] * places, indexing="ij")
-    return np.stack(grids, axis=-1).reshape(-1, places)
-
-
-# A `%.12e` cell is 20 bytes, five 4-byte words: [sign d0 . d1] [d2..d5]
-# [d6..d9] [d10 d11 d12 e] [exponent sign, 2 or 3 digits]; bytes a value
-# does not use hold _PAD and are never written.
-_CELL = 20
-_PAD = "\0"
-_LEAD = _words(f"{sign}{k // 10}.{k % 10}" for sign in (_PAD, "-")
-               for k in range(100))
-_FOUR = _digit_text(4).view(np.uint32).ravel()
-_THREE = np.c_[_digit_text(3),
-               np.full(1000, ord("e"), np.uint8)].view(np.uint32).ravel()
-# the fast path's decimal exponents, and 10^(12 - e) for each, correctly
-# rounded
-_E_MIN, _E_MAX = -281, 281
-_EXP = _words(f"{e:+03d}".ljust(4, _PAD) for e in range(_E_MIN, _E_MAX + 1))
-_SCALE = np.array([float(f"1e{12 - e}") for e in range(_E_MIN, _E_MAX + 1)])
-# cells per chunk of the CSV writer (at least one row)
-_CHUNK_CELLS = 4096
-
-
-def _python_cells(values: np.ndarray, fmt: str = "%.12e") -> np.ndarray:
-    """`fmt` of every value by Python's own formatting, as cells."""
-    text = "".join((fmt % v).ljust(_CELL, _PAD) for v in values.tolist())
-    return np.frombuffer(text.encode(), np.uint8).reshape(-1, _CELL)
-
-
-def _sci_cells(x: np.ndarray) -> np.ndarray:
-    """`%.12e` of every value of x as a (x.size, 20) uint8 array of ASCII
-    cells, unused bytes _PAD; exactly the bytes `b"%.12e" % v` gives.
-
-    Fast path, for 1e-280 < |x| < 1e280: with e = floor(log10 |x|),
-    corrected once so that m = |x| 10^(12 - e) lies in [1e12, 1e13), the
-    13 digits are those of n = rint(m) (n = 1e13 carries into e).  The
-    scale 10^(12 - e) is a correctly rounded table entry and the product
-    is rounded once, so |m - exact| <= 2u m < 2^-52 1e13 < 0.0023; n is the
-    exactly rounded mantissa whenever m lies at least 0.0023 from a
-    half-integer, which the check |m - n| <= 0.4977 admits.  Exact float
-    floor divisions split n into digit groups, which index tables of their
-    text.  Every other value (zero, NaN, +-inf, subnormals, values beyond
-    1e+-280 and near-halves) is formatted by Python's `%`.  The sign is
-    taken from the sign bit, so -0.0 keeps its minus sign.
-    """
-    x = np.ravel(x)
-    a = np.abs(x)
-    fast = (a > 1e-280) & (a < 1e280)
-    a = np.where(fast, a, 1.0)
-    e = np.floor(np.log10(a)).astype(np.intp)
-    m = a * _SCALE[e - _E_MIN]
-    e += np.where(m < 1e12, -1, m >= 1e13)
-    m = a * _SCALE[e - _E_MIN]
-    n = np.rint(m)
-    fast &= np.abs(m - n) <= 0.4977
-    carry = n >= 1e13
-    e += carry
-    n[carry] = 1e12
-    # n = lead 10^11 + b 10^7 + c 10^3 + d, every quotient exact
-    lead = np.floor(n / 1e11)
-    n -= 1e11 * lead
-    b = np.floor(n / 1e7)
-    n -= 1e7 * b
-    c = np.floor(n / 1e3)
-    n -= 1e3 * c
-    words = np.stack((_LEAD[lead.astype(np.intp) + 100 * np.signbit(x)],
-                      _FOUR[b.astype(np.intp)], _FOUR[c.astype(np.intp)],
-                      _THREE[n.astype(np.intp)], _EXP[e - _E_MIN]), axis=1)
-    cells = words.view(np.uint8)
-    slow = np.flatnonzero(~fast)
-    if slow.size:
-        cells[slow] = _python_cells(x[slow])
-    return cells
-
-
-def _csv_lines(n_rows: int, *blocks) -> bytes:
-    """n_rows CSV lines from blocks of fixed-width cells, each a whole
-    number of cells per row, row-major: each cell followed by a comma, the
-    last of a row by an LF, the pad bytes deleted."""
-    blocks = [b.reshape(n_rows, -1, _CELL) for b in blocks]
-    fields = sum(b.shape[1] for b in blocks)
-    lines = np.empty((n_rows, fields, _CELL + 1), np.uint8)
-    np.concatenate(blocks, axis=1, out=lines[..., :-1])
-    lines[..., -1] = ord(",")
-    lines[:, -1, -1] = ord("\n")
-    return lines.tobytes().translate(None, _PAD.encode())
-
-
-def _write_csv(path, header, n_rows: int, fields: int, cells) -> str:
-    """Write the header line (with its LF), then n_rows lines of `fields`
-    cells, `cells(rows)` giving the blocks of a slice of at most
-    _CHUNK_CELLS cells (at least one row); returns the sha256."""
-    step = max(1, _CHUNK_CELLS // fields)
-
-    def chunks():
-        yield header
-        for i in range(0, n_rows, step):
-            rows = slice(i, min(i + step, n_rows))
-            yield _csv_lines(rows.stop - i, *cells(rows))
-
-    return write_hashed(path, chunks())
-
-
-def write_wigner_csv(grid, path) -> str:
-    """A `theta,weight_theta,<phi_0>,...,<phi_{n-1}>` header, then one line
-    per theta node: theta, its weight and the row's W at every phi node.
-    Every number is the exact `%.12e` of `_sci_cells`, so the long
-    `theta,phi,weight_theta,W` table rebuilds exactly.  Returns the
-    sha256."""
-    n_theta, n_phi = grid.values.shape
-    heads = _sci_cells(np.c_[grid.theta_nodes, grid.theta_weights]).reshape(
-        n_theta, 2, _CELL)
-    phis = _csv_lines(1, _sci_cells(grid.phi_nodes))
-    return _write_csv(path, b"theta,weight_theta," + phis, n_theta, 2 + n_phi,
-                      lambda r: (heads[r], _sci_cells(grid.values[r])))
-
-
-def write_marginal_csv(dist, indexing: SiteIndexing, path) -> str:
-    """One `phi,P,site_index,site_prob` line per phi node, the site fields
-    blank off the site centers; returns the sha256.  Site n's center
-    2 pi n/L is node j = n_phi (L + 2n)/(2L) mod n_phi of the nodes
-    -pi + 2 pi j/n_phi exactly when 2L divides n_phi (L + 2n)."""
-    density = dist.density              # a PhiDistribution sums it anew
-    n_phi, sites = len(dist.phi_nodes), indexing.sites
-    node, off = np.divmod(n_phi * (sites + 2 * dist.site_numbers), 2 * sites)
-    node %= n_phi
-    # the centered sites by node, ascending (only n = L/2 wraps, to node 0)
-    order = np.flatnonzero(off == 0)[np.argsort(node[off == 0])]
-    node = node[order]
-    site_cells = np.stack((_python_cells(dist.site_numbers[order], "%d"),
-                           _sci_cells(dist.site_probabilities[order])), axis=1)
-
-    def cells(rows):
-        lo, hi = np.searchsorted(node, (rows.start, rows.stop))
-        fields = np.zeros((rows.stop - rows.start, 2, _CELL), np.uint8)
-        fields[node[lo:hi] - rows.start] = site_cells[lo:hi]  # blank: _PAD
-        return _sci_cells(np.c_[dist.phi_nodes[rows], density[rows]]), fields
-
-    return _write_csv(path, "phi,P,site_index,site_prob\n",
-                      len(dist.phi_nodes), 4, cells)
-
-
-def write_sigma_csv(table, path) -> str:
-    """One `k,sigma_coherent,sigma_ideal` line per row of the (steps, 3)
-    table; returns the sha256."""
-    table = np.asarray(table, float)    # %d prints each k < 2^53 exactly
-    return _write_csv(path, "k,sigma_coherent,sigma_ideal\n", len(table), 3,
-                      lambda part: (_python_cells(table[part, 0], "%d"),
-                                    _sci_cells(table[part, 1:])))
-
-
-def write_sites_csv(probabilities, indexing: SiteIndexing, path,
-                    header="k,site_index,phi,site_prob") -> str:
-    """One line per site of every step k, from the (steps, sites) array of
-    probabilities; returns the sha256."""
-    flat = np.reshape(probabilities, -1)
-    site_cells = np.stack((_python_cells(indexing.site_numbers, "%d"),
-                           _sci_cells(indexing.site_numbers
-                                      * indexing.delta_phi)), axis=1)
-
-    def cells(rows):
-        step, site = divmod(np.arange(rows.start, rows.stop), indexing.sites)
-        # the k cells of the chunk's steps only, each formatted once
-        step_cells = _python_cells(np.arange(step[0], step[-1] + 1), "%d")
-        return (step_cells[step - step[0]], site_cells[site],
-                _sci_cells(flat[rows]))
-
-    return _write_csv(path, header + "\n", len(flat), 4, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -578,9 +390,7 @@ def run_experiment(config: RunConfig) -> dict:
             "normalization_residuals": residuals,
             "files": written,
         }
-        (out / "manifest.json").write_text(
-            json.dumps(manifest, sort_keys=True, indent=2) + "\n",
-            newline="\n")
+        write_manifest(manifest, out / "manifest.json")
     except OSError as exc:
         raise OSError(f"failed writing outputs: {exc}") from exc
     return manifest

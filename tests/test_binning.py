@@ -10,8 +10,8 @@ import pytest
 
 from blochwalk import (CoinPulse, SiteIndexing, SpinQuantum, WalkSchedule,
                        evolve, initial_state, marginal_phi, wigner_grid)
-from blochwalk import cli
-from blochwalk.cli import write_marginal_csv
+from blochwalk import render
+from blochwalk.render import write_marginal_csv
 from oracles import (grid_marginal, marginal_phi_per_node, nearest_site,
                      write_marginal_csv_per_row)
 
@@ -49,7 +49,7 @@ def _zero_columns():
 def _several_chunks():
     """L = 6, n_phi = 1500: the marginal CSV takes 1024 rows a chunk, so it
     is written in two chunks, the last one short."""
-    rows = cli._CHUNK_CELLS // 4
+    rows = render._BLOCK_CELLS // 4
     assert 1500 > rows and 1500 % rows != 0
     return _grid(6, 10, 2, 1500)
 

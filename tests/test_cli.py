@@ -8,7 +8,9 @@ import importlib.util
 import json
 import math
 import os
+import random
 import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -184,7 +186,10 @@ def test_bad_arguments_exit_2(argv, capsys):
 ])
 def test_oversized_runs_exit_2(argv, tmp_path, capsys):
     # refused from the size estimate, before anything is allocated or any
-    # warning about the run is given
+    # warning about the run is given; parsed first, so that a shrunk
+    # estimate fails here instead of running the whole job
+    with pytest.raises(ConfigError, match="GiB"):
+        _parse(argv)
     assert main([*argv, "--out", str(tmp_path / "big")]) == 2
     assert "GiB" in capsys.readouterr().err
     assert not (tmp_path / "big").exists()
@@ -212,6 +217,8 @@ def test_admission_limit_is_sharp(outputs, limit, tmp_path, capsys):
     # reached through the size estimate alone: N = limit is admitted, and
     # N + 1 is refused with one error line before anything is written
     _parse(["--spins", str(limit), "--outputs", outputs])
+    with pytest.raises(ConfigError, match="GiB"):
+        _parse(["--spins", str(limit + 1), "--outputs", outputs])
     out = tmp_path / "big"
     assert main(["--spins", str(limit + 1), "--outputs", outputs,
                  "--out", str(out)]) == 2
@@ -239,6 +246,8 @@ def test_size_limit_charges_the_d_stack_to_wigner_output_only(tmp_path,
     _parse(["--sites", "40", "--spins", "800", "--steps", "9",
             "--outputs", "sites,sigma,ideal", "--no-svg"])
     _parse(["--spins", "1000", "--outputs", "marginal"])
+    with pytest.raises(ConfigError, match="GiB"):
+        _parse(["--spins", "1100", "--outputs", "wigner"])
     out = tmp_path / "big"
     assert main(["--spins", "1100", "--outputs", "wigner",
                  "--out", str(out)]) == 2
@@ -286,6 +295,8 @@ def test_large_spin_statistics_are_admitted_up_to_the_memory_limit(
     # The kernel build, 32 (N+1)^2 + 2000 (N+1) bytes, sets the limit.
     # (`test_admission_limit_is_sharp` pins the limit itself)
     _parse(["--sites", "40", "--spins", "1600", "--outputs", "sites"])
+    with pytest.raises(ConfigError, match="GiB"):
+        _parse(["--spins", "9000", "--outputs", "sites"])
     out = tmp_path / "big"
     assert main(["--spins", "9000", "--outputs", "sites",
                  "--out", str(out)]) == 2
@@ -398,6 +409,99 @@ def test_default_grid_phi_puts_a_node_on_every_site_center(sites, spins,
     for path in paths:
         lines = path.read_text().splitlines()[1:]
         assert sum(not line.endswith(",,") for line in lines) == sites
+
+
+# custom coin components: zero, tiny (1e-300 squares to zero), huge, negative
+# in scientific and plain notation, and multiples of pi
+_SWEEP_COMPONENTS = (0.0, 1e-300, -1e-300, 1e150, -1e150, -1e-12, 1e-12,
+                     math.pi, -2.0 * math.pi, 0.3, -0.7)
+
+
+def _log_uniform(rng, low, high):
+    """An integer in [low, high] whose logarithm is about uniform, so most
+    draws are small and the largest still occur."""
+    return int(low * ((high + 1) / low) ** rng.random())
+
+
+def _sweep_argv(rng):
+    """A small random configuration, and whether it names its own grid."""
+    sites = _log_uniform(rng, 2, 61)
+    argv = ["--sites", str(sites), "--spins", str(_log_uniform(rng, 1, 120)),
+            "--steps", str(_log_uniform(rng, 1, 31) - 1),
+            "--outputs", ",".join(rng.sample(ALL_OUTPUTS, rng.randint(1, 5)))]
+    if rng.random() < 0.5:
+        argv += ["--coin", "custom",
+                 *(repr(rng.choice(_SWEEP_COMPONENTS)
+                        if rng.random() < 0.7 else rng.uniform(-5.0, 5.0))
+                   for _ in range(3))]
+    if rng.random() < 0.5:
+        argv += ["--theta0", repr(rng.choice(
+            [1e-12, math.pi - 1e-12, rng.uniform(1e-12, math.pi - 1e-12)]))]
+    named_grid = False
+    if rng.random() < 0.2:
+        argv += ["--grid-theta", str(rng.randint(2, 130))]
+        named_grid = True
+    if rng.random() < 0.2:
+        argv += ["--grid-phi", str(rng.randint(sites - 1, 9 * sites))]
+        named_grid = True
+    if rng.random() < 0.5:
+        argv.append("--no-svg")
+    return argv, named_grid
+
+
+def test_seeded_sweep_of_small_configs(tmp_path, cleared_caches):
+    """300 random small configs through `main()`: each exits 0, 2, 3 or 4
+    with no exception; a run that exits 0 lists every file with its sha256,
+    writes only finite fields and, at the default resolution, a site field
+    for every site in each marginal CSV; only a config that names its own
+    grid exits 3; and on every tenth admitted config the size estimate
+    bounds the `tracemalloc` peak.  No config is dropped or re-drawn."""
+    rng = random.Random(2027)
+    admitted = 0
+    for i in range(300):
+        argv, named_grid = _sweep_argv(rng)
+        out = tmp_path / "run"
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    estimate = cli._estimated_bytes(parse_config(argv))
+                except ConfigError:
+                    estimate = None
+                traced = estimate is not None and admitted % 10 == 9
+                admitted += estimate is not None
+                if traced:
+                    for cache in cleared_caches:
+                        cache.cache_clear()
+                    tracemalloc.start()
+                try:
+                    code = main([*argv, "--out", str(out)])
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert code in (0, 2, 3, 4)
+            assert (code == 2) == (estimate is None)
+            assert code != 3 or named_grid
+            if traced:
+                assert peak <= estimate
+            if code == 0:
+                manifest = json.loads((out / "manifest.json").read_text())
+                assert set(manifest["files"]) \
+                    == {p.name for p in out.iterdir()} - {"manifest.json"}
+                for name, digest in manifest["files"].items():
+                    assert hashlib.sha256((out / name).read_bytes()) \
+                        .hexdigest() == digest, name
+                _assert_fields_finite(out)
+                sites = int(argv[1])
+                for path in out.glob("marginal_k*.csv"):
+                    lines = path.read_text().splitlines()[1:]
+                    assert (sum(not line.endswith(",,") for line in lines)
+                            == sites or "--grid-phi" in argv), path.name
+        except Exception as exc:
+            raise AssertionError(f"config {i}: blochwalk "
+                                 f"{' '.join(argv)}") from exc
+        shutil.rmtree(out, ignore_errors=True)
+    assert admitted > 200
 
 
 def test_wraparound_warning():

@@ -15,8 +15,8 @@ import pytest
 from blochwalk import (CoinPulse, SiteIndexing, SpinQuantum, WalkSchedule,
                        coin_unitary, evolve, ideal_walk, initial_state,
                        marginal_phi, wigner_grid)
-from blochwalk import cli
-from blochwalk.cli import _sci_cells, write_wigner_csv
+from blochwalk import render
+from blochwalk.render import _sci_cells, write_wigner_csv
 from blochwalk.render import render_heatmap_svg
 from oracles import (render_heatmap_svg_per_cell, write_sigma_csv_per_field,
                      write_sites_csv_per_field, write_wigner_csv_per_field)
@@ -114,9 +114,9 @@ def _near_halves(count=4000, seed=13):
     values = (n + 0.5 + offset) * 10.0 ** rng.integers(-25, 26, count)
     a = np.abs(values)
     e = np.floor(np.log10(a)).astype(np.intp)
-    m = a * cli._SCALE[e - cli._E_MIN]
+    m = a * render._SCALE[e - render._E_MIN]
     e += np.where(m < 1e12, -1, m >= 1e13)
-    m = a * cli._SCALE[e - cli._E_MIN]
+    m = a * render._SCALE[e - render._E_MIN]
     gap = np.abs(m - np.rint(m))
     band = values[(gap > 0.49) & (gap <= 0.4977)]
     assert len(band) > count // 2
@@ -144,7 +144,7 @@ def _format_edges():
     idx, grid = _small_grid()
     edges = np.concatenate((_specials(), _powers_of_ten(), _halves(5)))
     n_theta, n_phi = 40, 250            # chunks of 16, 16 and 8 rows
-    assert n_theta % (cli._CHUNK_CELLS // n_phi) != 0
+    assert n_theta % (render._BLOCK_CELLS // n_phi) != 0
     return idx, dataclasses.replace(
         grid, theta_nodes=np.resize(edges[::-1], n_theta),
         theta_weights=np.resize(edges[7:], n_theta),
@@ -288,7 +288,8 @@ def test_site_and_sigma_csvs_match_per_field_references(tmp_path):
     # 4500 rows in chunks of 1024: within a step, across steps, and short
     wide = _random_bits(4500).reshape(3, -1)
     for ring, probs in ((idx, table), (SiteIndexing(1500), wide)):
-        cli.write_sites_csv(probs, ring, tmp_path / "new.csv", header="h")
+        render.write_sites_csv(probs, ring, tmp_path / "new.csv",
+                               header="h")
         write_sites_csv_per_field(enumerate(probs), ring,
                                   tmp_path / "ref.csv", "h")
         assert ((tmp_path / "new.csv").read_bytes()
@@ -298,9 +299,9 @@ def test_site_and_sigma_csvs_match_per_field_references(tmp_path):
                             [1.0 / 3.0, np.float64(2.0) ** -1074]))
     # 3000 rows in chunks of 1365, the last one short
     long = _random_bits(6000, seed=5)
-    assert len(long) // 2 % (cli._CHUNK_CELLS // 3) != 0
+    assert len(long) // 2 % (render._BLOCK_CELLS // 3) != 0
     for pairs in (short.reshape(-1, 2), long.reshape(-1, 2)):
-        cli.write_sigma_csv(np.c_[np.arange(len(pairs)), pairs],
+        render.write_sigma_csv(np.c_[np.arange(len(pairs)), pairs],
                             tmp_path / "new.csv")
         write_sigma_csv_per_field([(k, *pair) for k, pair in enumerate(pairs)],
                                   tmp_path / "ref.csv")
@@ -352,13 +353,14 @@ def test_fast_path_formats_the_ballistic_grid(monkeypatch, tmp_path):
         formatted.append(np.size(x))
         return sci(x)
 
-    def python_cells(values):
-        by_python.append(values.size)
-        return python(values)
+    def python_cells(texts, width=0):
+        cells = table(texts, width)
+        by_python.append(len(cells))
+        return cells
 
-    sci, python = cli._sci_cells, cli._python_cells
-    monkeypatch.setattr(cli, "_sci_cells", sci_cells)
-    monkeypatch.setattr(cli, "_python_cells", python_cells)
+    sci, table = render._sci_cells, render._table
+    monkeypatch.setattr(render, "_sci_cells", sci_cells)
+    monkeypatch.setattr(render, "_table", python_cells)
     write_wigner_csv(grid, tmp_path / "w.csv")
     n_theta, n_phi = grid.values.shape
     assert sum(formatted) == grid.values.size + 2 * n_theta + n_phi
