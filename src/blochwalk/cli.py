@@ -19,16 +19,17 @@ import numpy as np
 
 from . import __version__
 from .coherent import SiteIndexing
-from .render import (_BLOCK_CELLS, render_heatmap_svg, write_manifest,
+from .render import (emit_bytes, render_heatmap_svg, write_manifest,
                      write_marginal_csv, write_sigma_csv, write_sites_csv,
                      write_wigner_csv)
 from .su2 import SpinQuantum
 from .walk import (CoinPulse, WalkSchedule, coin_unitary, evolve,
-                   ideal_sigma, ideal_walk, initial_state)
+                   evolve_bytes, ideal_sigma, ideal_walk, ideal_walk_bytes,
+                   initial_state)
 # unused here, but perfbench/tracer.py binds blochwalk.cli.kernel_weights
-from .wigner import (_SITE_CHUNK_CELLS, NumericalInvariantError,
-                     _stack_shape, kernel_weights, marginal_phi,
-                     sigma_from_marginal, wigner_grid)
+from .wigner import (NumericalInvariantError, grid_bytes, kernel_weights,
+                     marginal_bytes, marginal_phi, sigma_from_marginal,
+                     wigner_grid)
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run_experiment",
            "main"]
@@ -39,6 +40,11 @@ ALL_OUTPUTS = ("wigner", "marginal", "sites", "sigma", "ideal")
 KERNEL_OUTPUTS = frozenset({"wigner", "marginal", "sites", "sigma"})
 # a run whose estimated working set exceeds this is refused up front
 MAX_RUN_BYTES = 2 * 1024 ** 3
+# what a run holds resident that no layer's arrays account for: the memory
+# numpy, its FFT and the BLAS take on first use, which tracemalloc does not
+# see (a ru_maxrss rise of about 2.9 MB over a bare import on a steps-0,
+# N = 1 run, whose arrays hold 0.05 MB), rounded up
+RESIDENT_FLOOR = 4 * 1024 ** 2
 # the most theta nodes a `wigner` run takes, a bound on time: the theta
 # rule's O(n_theta^2) Newton iteration takes about 0.9 s there on one core
 # of a 2-core Xeon VM
@@ -86,20 +92,15 @@ def _parse_coin(spec: str) -> tuple:
         try:
             hx, hy, hz = (float(t) for t in tokens[1:])
         except ValueError as exc:
-            raise ConfigError(f"--coin custom: malformed number in "
-                              f"{tokens[1:]!r}") from exc
+            raise argparse.ArgumentTypeError(
+                f"custom: malformed number in {tokens[1:]!r}") from exc
         # |h|^2 as coin_unitary forms it: NaN, inf and overflow all fail
         if not math.isfinite(hx * hx + hy * hy + hz * hz):
-            raise ConfigError(f"--coin custom: |h|^2 is not finite for "
-                              f"{tokens[1:]!r}")
+            raise argparse.ArgumentTypeError(
+                f"custom: |h|^2 is not finite for {tokens[1:]!r}")
         return ("custom", hx, hy, hz)
-    raise ConfigError(
-        f"--coin expects 'hadamard' or 'custom hx hy hz', got {tokens!r}")
-
-
-class _CoinAction(argparse.Action):
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, _parse_coin(values))
+    raise argparse.ArgumentTypeError(
+        f"expected 'hadamard' or 'custom hx hy hz', got {tokens!r}")
 
 
 def _joined_coin_specs(argv) -> list:
@@ -178,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spins", type=int, default=50,
                    help="spins N in the walker cluster")
     p.add_argument("--steps", type=int, default=2, help="walk steps k")
-    p.add_argument("--coin", metavar="SPEC", action=_CoinAction,
+    p.add_argument("--coin", metavar="SPEC", type=_parse_coin,
                    default=("hadamard",),
                    help="'hadamard' or 'custom hx hy hz'")
     p.add_argument("--theta0", type=float, default=math.pi / 2.0,
@@ -203,40 +204,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _estimated_bytes(config: RunConfig) -> int:
-    """Rough peak memory of the run: the sum of what it holds, term by
-    term as the comments name them, each a tracemalloc measurement rounded
-    up, though the terms are never all held at once."""
-    dim, rows = config.spins + 1, (config.steps + 1) * config.sites
-    wigner = "wigner" in config.outputs
-    files = ("marginal" in config.outputs) + wigner * (1 + config.svg)
-    total = 256 * 1024                                   # floor
-    kernel = bool(config.outputs & KERNEL_OUTPUTS)
-    # per step of a kernel output: the walk's stacked amplitudes, the
-    # harmonics and one weighted slice of them; the step's residual; and
-    # the manifest entries of its files
-    total += kernel * (config.steps + 1) * (64 * dim + 150 + 700 * files)
-    # the ideal walk, and per step the site probabilities it and `sites` keep
-    kept = bool(config.outputs & {"ideal", "sigma"})
-    kept += "sites" in config.outputs
-    total += 128 * config.sites + 8 * kept * rows
-    # a block of CSV lines, or of SVG rows at up to one rect a cell, holds
-    # at least one row of grid_phi cells
-    svg = wigner and config.svg
-    total += (224 if svg else 160) * max(_BLOCK_CELLS,
-                                         wigner * config.grid_phi)
-    if kernel:
-        total += 32 * dim * dim + 2000 * dim             # K build
-        total += 64 * (config.grid_phi + config.sites + 2 * dim)   # FFTs
-    if "sites" in config.outputs:
-        # one chunk of site bins: its FFT buffer and its laps added, or
-        # their real part and its gathered rows
-        total += 32 * max(_SITE_CHUNK_CELLS, dim + config.sites)
+    """Rough peak resident memory of the run: RESIDENT_FLOOR plus what each
+    layer charges for what it builds, though not all of it is held at once."""
+    outputs, steps, phi = config.outputs, config.steps, config.grid_phi
+    wigner = "wigner" in outputs
+    # the steps whose residuals and files the manifest lists
+    listed = bool(outputs & KERNEL_OUTPUTS) * (steps + 1)
+    files = ("marginal" in outputs) + wigner * (1 + config.svg)
+    total = RESIDENT_FLOOR + emit_bytes(wigner * phi, wigner and config.svg,
+                                        listed * files, listed)
+    if outputs & {"ideal", "sigma"}:
+        total += ideal_walk_bytes(config.sites, steps)
+    if listed:
+        total += evolve_bytes(config.spins, steps) + marginal_bytes(
+            config.spins, steps, phi, config.sites, "sites" in outputs)
     if wigner:
-        total += 8 * math.prod(_stack_shape(config.spins, config.grid_theta))
-        # one grid's FFT buffer of ceil(dim / grid_phi) laps of its rows,
-        # with its laps added or with W
-        laps = -(-dim // config.grid_phi)
-        total += 16 * (laps + 1) * config.grid_theta * config.grid_phi
+        total += grid_bytes(config.spins, config.grid_theta, phi)
     return total
 
 
@@ -301,10 +284,6 @@ def parse_config(argv=None) -> RunConfig:
     return config
 
 
-# ---------------------------------------------------------------------------
-# Experiment runner
-# ---------------------------------------------------------------------------
-
 def _residuals(totals: np.ndarray, bound: float, what: str) -> np.ndarray:
     """|total - 1| per step; NumericalInvariantError names the first step
     whose total misses 1 by more than bound, or is NaN."""
@@ -320,8 +299,10 @@ def run_experiment(config: RunConfig) -> dict:
     """Evolve the walk and write every requested artifact.
 
     Deterministic: identical configs produce byte-identical CSV/SVG files
-    and identical checksums in the manifest.  Returns the manifest that is
-    written to manifest.json.
+    and identical checksums in the manifest at a fixed BLAS thread count
+    (`OPENBLAS_NUM_THREADS`); another count splits the matrix products'
+    sums differently and can change the last digits.  Returns the manifest
+    that is written to manifest.json.
     """
     start = time.monotonic()
     out = config.out

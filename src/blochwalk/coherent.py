@@ -14,11 +14,7 @@ import numpy as np
 
 from .su2 import SpinQuantum
 
-__all__ = [
-    "SiteIndexing",
-    "coherent_state",
-    "site_state",
-]
+__all__ = ["SiteIndexing", "coherent_state", "site_state"]
 
 
 @dataclass(frozen=True)
@@ -73,13 +69,12 @@ def coherent_state(spin: SpinQuantum, theta: float, phi: float) -> np.ndarray:
     s = math.sin(theta / 2.0)
     log_c = math.log(c) if c > 0.0 else -math.inf
     log_s = math.log(s) if s > 0.0 else -math.inf
-    exp_cos = tj - k                 # J + m
-    exp_sin = k                      # J - m
-    # 0 * log(0) counts as 0 so the pole states come out exact
+    # powers J + m = 2J - k of cos and J - m = k of sin; 0 * log(0) counts
+    # as 0 so the pole states come out exact
     log_mag = log_binom.copy()
     with np.errstate(invalid="ignore"):
-        log_mag += np.where(exp_cos > 0, exp_cos * log_c, 0.0)
-        log_mag += np.where(exp_sin > 0, exp_sin * log_s, 0.0)
+        log_mag += np.where(tj - k > 0, (tj - k) * log_c, 0.0)
+        log_mag += np.where(k > 0, k * log_s, 0.0)
     mag = np.exp(log_mag)
     mag /= math.sqrt(math.fsum(mag * mag))
     return mag * np.exp(1j * k * phi)

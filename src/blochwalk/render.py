@@ -78,6 +78,21 @@ def _write_rows(path, head, n_rows: int, row_cells: int, lines,
     return write_hashed(path, chunks())
 
 
+# fitted to tracemalloc peaks: what a block holds per cell while it is laid
+# out and written (a CSV cell, and an SVG cell at one rect a cell), and what
+# the manifest holds, with its JSON text, per file and per step
+_CSV_CELL_BYTES, _SVG_CELL_BYTES = 160, 224
+_FILE_ENTRY_BYTES, _STEP_ENTRY_BYTES = 700, 150
+
+
+def emit_bytes(n_phi: int, svg: bool, files: int, steps: int) -> int:
+    """The widest block of a run whose grids have n_phi columns (0 without),
+    _BLOCK_CELLS cells or one Wigner CSV line, and its manifest's entries."""
+    cell = _SVG_CELL_BYTES if svg else _CSV_CELL_BYTES
+    return (cell * max(_BLOCK_CELLS, 2 + n_phi) + _FILE_ENTRY_BYTES * files
+            + _STEP_ENTRY_BYTES * steps)
+
+
 def write_manifest(manifest: dict, path) -> None:
     """The manifest as JSON: sorted keys, two-space indent, LF endings."""
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n",
@@ -247,10 +262,8 @@ _HEX3 = _power_table(b"0123456789abcdef", 3)
 def _cell_colors(values: np.ndarray, vmax: float) -> np.ndarray:
     """0xRRGGBB per cell: MID blended toward POS (W >= 0) or NEG by
     |W|/vmax, rounded half to even as Python's round() does."""
-    if vmax <= 0.0:
-        t = np.zeros_like(values)
-    else:
-        t = np.clip(values / vmax, -1.0, 1.0)
+    t = (np.clip(values / vmax, -1.0, 1.0) if vmax > 0.0
+         else np.zeros_like(values))
     up, size = t >= 0.0, np.abs(t)
     colors = np.zeros(values.shape, np.int64)
     for shift, neg, mid, pos in zip((16, 8, 0), _NEG, _MID, _POS):
@@ -272,8 +285,7 @@ def render_heatmap_svg(grid: WignerGrid, path, indexing: SiteIndexing) -> str:
     """
     width, height = 720, 400
     margin_l, margin_r, margin_t, margin_b = 50, 20, 16, 36
-    plot_w = width - margin_l - margin_r
-    plot_h = height - margin_t - margin_b
+    plot_w, plot_h = width - margin_l - margin_r, height - margin_t - margin_b
     n_theta, n_phi = grid.values.shape
     # max and min propagate NaN and reach +/-inf, so no whole-grid mask or
     # |W| copy is made; abs() turns a -0.0 maximum into 0.0

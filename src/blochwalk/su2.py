@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "SpinQuantum",
-    "cg_l0_family",
-    "small_d_matrix",
-    "rz_phases",
-]
+__all__ = ["SpinQuantum", "cg_l0_family", "small_d_matrix", "rz_phases"]
 
 
 @dataclass(frozen=True)
@@ -86,10 +81,6 @@ def cg_l0_family(two_j: int) -> np.ndarray:
     h /= h[0]
     return h.T
 
-
-# ---------------------------------------------------------------------------
-# Wigner small-d rotation matrices
-# ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=4)
 def _jy_eigensystem(two_j: int):

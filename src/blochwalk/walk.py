@@ -17,18 +17,9 @@ import numpy as np
 from .coherent import SiteIndexing, site_state
 from .su2 import SpinQuantum, rz_phases
 
-__all__ = [
-    "CoinWalkerState",
-    "CoinPulse",
-    "WalkSchedule",
-    "DensityMatrix",
-    "coin_unitary",
-    "evolve",
-    "reduce_walker",
-    "initial_state",
-    "ideal_walk",
-    "ideal_sigma",
-]
+__all__ = ["CoinWalkerState", "CoinPulse", "WalkSchedule", "DensityMatrix",
+           "coin_unitary", "evolve", "reduce_walker", "initial_state",
+           "ideal_walk", "ideal_sigma"]
 
 
 @dataclass(frozen=True)
@@ -123,16 +114,17 @@ def evolve(initial: CoinWalkerState, pulse: CoinPulse,
     return CoinWalkerState(initial.spin, up, down)
 
 
+def evolve_bytes(two_j: int, steps: int) -> int:
+    """The bytes of `evolve`'s (2, steps + 1, 2J + 1) complex branches."""
+    return 32 * (steps + 1) * (two_j + 1)
+
+
 def reduce_walker(state: CoinWalkerState) -> DensityMatrix:
     """Trace out the coin: rho_w = |up><up| + |down><down|."""
     rho = np.outer(state.up, state.up.conj()) + np.outer(state.down,
                                                          state.down.conj())
     return DensityMatrix(state.spin, rho)
 
-
-# ---------------------------------------------------------------------------
-# Ideal orthogonal-state walk on the cyclic lattice
-# ---------------------------------------------------------------------------
 
 def ideal_walk(sites: int, steps: int, coin: np.ndarray,
                coin_state: tuple[complex, complex] = (1.0, 0.0)
@@ -160,6 +152,12 @@ def ideal_walk(sites: int, steps: int, coin: np.ndarray,
         amp[:-1, 1], amp[-1, 1] = mixed[1:, 1], mixed[0, 1]   # down: -1 site
         probs[k] = (np.abs(amp[order]) ** 2).sum(axis=1)
     return probs
+
+
+def ideal_walk_bytes(sites: int, steps: int) -> int:
+    """What `ideal_walk` holds: its (steps + 1, sites) table, and 128 bytes
+    a site for its amplitudes and one step's products (fitted)."""
+    return 8 * (steps + 1) * sites + 128 * sites
 
 
 def ideal_sigma(probabilities: np.ndarray, indexing: SiteIndexing):

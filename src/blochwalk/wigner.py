@@ -18,18 +18,12 @@ The grid serves `wigner` output only: Gauss-Legendre nodes in cos(theta)
 phi grid on [-pi, pi).  The cos-theta rule is exact only for the even-q
 harmonics of W, which have degree 2J in cos theta; an odd-q harmonic
 carries a factor sin theta and converges only algebraically in n_theta.
-The kernels K_i are cached per spin and resolution, for half the nodes
-only: the nodes are symmetric about pi/2 and K(pi - theta) = J K(theta) J
-with J the index reversal, so the row at pi - theta_i takes K_i against
-J rho^T J.  rho and J rho^T J are read on the same index pairs (a pure
-state's straight from its amplitudes, `_rho_entries`), so the harmonics of
-every row come from real products of the stacked kw with the heads of
-those rows and, apart, their tails, a block of wrapped diagonals at a
-time, written straight into the grid's FFT buffer (`_grid_harmonics`; a
-density matrix's marginal takes it with K as a one-node stack), and a grid
-costs those products plus one inverse FFT of length n_phi per row.  P(phi)
-and the site bins are periodic sums of harmonics too, summed the same way
-(`_periodic_sum`).
+The kernels of half the nodes are cached (`_theta_frame_stack`), and a
+grid costs real products of them with the state, written straight into
+its FFT buffer (`_grid_harmonics`), plus one inverse FFT of length n_phi
+per row.  P(phi) and the site bins are periodic sums of harmonics too,
+summed the same way (`_periodic_sum`).  What each builder holds is
+charged from its shapes at the end of this module.
 """
 
 from __future__ import annotations
@@ -48,15 +42,9 @@ from .coherent import SiteIndexing
 from .su2 import SpinQuantum, _jy_eigensystem, cg_l0_family, small_d_matrix
 from .walk import CoinWalkerState, DensityMatrix
 
-__all__ = [
-    "NumericalInvariantError",
-    "WignerGrid",
-    "PhiDistribution",
-    "kernel_weights",
-    "wigner_grid",
-    "marginal_phi",
-    "sigma_from_marginal",
-]
+__all__ = ["NumericalInvariantError", "WignerGrid", "PhiDistribution",
+           "kernel_weights", "wigner_grid", "marginal_phi",
+           "sigma_from_marginal"]
 
 
 class NumericalInvariantError(RuntimeError):
@@ -228,7 +216,7 @@ def _theta_kernel(spin: SpinQuantum) -> np.ndarray:
     (cos dt + sin dt) dt: 2/(1 - d^2) for even d, d pi/2 for d = +-1 and
     0 otherwise.  G is a view of its 2n - 1 values, as s is; both apply in
     place and the last product writes into M, so a first build (R, M and one
-    product live) peaks at 24 n^2 bytes (`cli._estimated_bytes` charges 32).
+    product live) peaks at 24 n^2 bytes, as `marginal_bytes` charges it.
     """
     _, r, signs = _jy_eigensystem(spin.two_j)
     d = np.arange(spin.two_j, -spin.dim, -1.0)     # G[k, l] = g[2J - k + l]
@@ -275,10 +263,15 @@ def _rho_entries(state, rows, cols) -> np.ndarray:
     return state.entries.take(rows * state.spin.dim + cols)
 
 
-# a block of `_grid_harmonics` takes b rows p of the stack, the most with
-# b (n + ceil(n_theta/2)) <= 4096 (at least one), so that its column table
-# and its product hold at most about 256 kB
+# cells of a block's temporaries (at least one row or step), about 256 kB:
+# `_grid_harmonics` takes b rows p of the stack, b (n + ceil(n_theta/2)) of
+# them, and `_site_chunk` steps make one FFT buffer of site bins
 _BLOCK_CELLS = 4096
+
+
+def _fft_rows(n: int, period: int) -> int:
+    """Rows of a buffer that holds n harmonics in whole laps of period rows."""
+    return -(-n // period) * period
 
 
 def _grid_harmonics(state, kw: np.ndarray, n_theta: int,
@@ -298,7 +291,7 @@ def _grid_harmonics(state, kw: np.ndarray, n_theta: int,
     unfolded diagonal did, and each product is the one a product of the
     whole stack would take for its p."""
     n_p, half, n = kw.shape
-    buf = np.zeros((-(-n // n_phi) * n_phi, n_theta), complex)
+    buf = np.zeros((_fft_rows(n, n_phi), n_theta), complex)
     a = np.arange(n)
     size = max(1, _BLOCK_CELLS // (n + half))
     for p0 in range(0, n_p, size):
@@ -362,8 +355,9 @@ def wigner_grid(state, resolution: tuple[int, int]) -> WignerGrid:
     return grid
 
 
-# cells of one FFT buffer of `PhiDistribution.site_probabilities`
-_SITE_CHUNK_CELLS = 2 ** 12
+def _site_chunk(dim: int, n_sites: int) -> int:
+    """Steps per FFT buffer of `PhiDistribution.site_probabilities`."""
+    return max(1, _BLOCK_CELLS // (dim + n_sites))
 
 
 @dataclass(frozen=True)
@@ -392,14 +386,14 @@ class PhiDistribution:
         """The probability of each site bin [phi_n - pi/L, phi_n + pi/L),
         (..., L): a bin integrates e^{iq phi} to e^{iq phi_n} (2 pi/L)
         sinc(q/L), a periodic sum over the site numbers n mod L, folded
-        into FFT buffers of at most max(_SITE_CHUNK_CELLS, 2J + 1 + L)
-        cells, a chunk of steps at a time."""
+        into FFT buffers of at most max(_BLOCK_CELLS, 2J + 1 + L) cells,
+        `_site_chunk` steps at a time."""
         n_sites, dim = len(self.site_numbers), self.harmonics.shape[-1]
         bin_integrals = (2.0 * math.pi / n_sites) * np.sinc(
             np.arange(dim) / n_sites)
         terms = (self.harmonics * bin_integrals).reshape(-1, dim)
         probs = np.empty((len(terms), n_sites))
-        chunk = max(1, _SITE_CHUNK_CELLS // (dim + n_sites))   # steps
+        chunk = _site_chunk(dim, n_sites)
         rows = self.site_numbers % n_sites
         for i in range(0, len(terms), chunk):
             probs[i:i + chunk] = _periodic_sum(terms[i:i + chunk].T,
@@ -417,8 +411,7 @@ def _periodic_sum(h: np.ndarray, period: int) -> np.ndarray:
     period - 1, for harmonics h_q along the first axis of `h` (only Re h_0
     counts).  The harmonics fold modulo the period, which is exact
     aliasing, into one buffer that one inverse FFT sums in place."""
-    laps = -(-len(h) // period)
-    folded = np.zeros((laps * period, *h.shape[1:]), complex)
+    folded = np.zeros((_fft_rows(len(h), period), *h.shape[1:]), complex)
     folded[:len(h)] = h
     folded[0] = 0.5 * h[0]
     folded = _laps_added(folded, period)
@@ -498,3 +491,33 @@ def sigma_from_marginal(dist: PhiDistribution):
               + 8.0 * math.pi * np.vecdot(p[..., 1:].real, alt / (q * q))
               ) / total
     return np.sqrt(np.maximum(0.0, second - mean * mean))
+
+
+# a first `_theta_kernel` build raises ru_maxrss 6-12 n^2 bytes above its
+# three (n, n) arrays at N = 200-2000, the BLAS's share: 8 n^2 + 2000 n
+_K_BLAS_SQUARE, _K_BLAS_LINEAR = 8, 2000
+
+
+def _sum_bytes(n: int, period: int, columns: int = 1) -> int:
+    """A periodic sum of n harmonics in `columns` columns: its buffer, one
+    period more, and numpy's FFT plan and scratch, which tracemalloc does
+    not see (a ru_maxrss rise of 32-34 bytes a point from 1e5 points up)."""
+    return 16 * columns * (_fft_rows(n, period) + period) + 32 * period
+
+
+def grid_bytes(two_j: int, n_theta: int, n_phi: int) -> int:
+    """A `wigner_grid` call's cached kernel stack and its sum of rows."""
+    return (8 * math.prod(_stack_shape(two_j, n_theta))
+            + _sum_bytes(two_j + 1, n_phi, n_theta))
+
+
+def marginal_bytes(two_j: int, steps: int, n_phi: int, sites: int,
+                   bins: bool) -> int:
+    """`marginal_phi` of steps + 1 steps: the first `_theta_kernel` build,
+    the harmonics and one product of their shape, and one step's P(phi)
+    and site bins; with bins, every step's site table and one chunk."""
+    n, rows = two_j + 1, steps + 1
+    chunk = _sum_bytes(n, sites, min(rows, _site_chunk(n, sites)))
+    return ((24 + _K_BLAS_SQUARE) * n * n + _K_BLAS_LINEAR * n
+            + 32 * (rows + 1) * n + _sum_bytes(n, n_phi) + _sum_bytes(n, sites)
+            + bins * (8 * rows * sites + chunk))

@@ -202,8 +202,8 @@ def test_size_limit_admits_the_ballistic_run():
 # the largest N each kind of run admits at the default sites, steps and
 # resolution: the grid's kernel stack of ceil(n_theta/2)
 # (floor((N+1)/2) + 1) (N+1) doubles sets the first, the build of the
-# theta kernel the second
-WIGNER_LIMIT, STATISTICS_LIMIT = 1010, 8151
+# theta kernel the second, with `cli.RESIDENT_FLOOR` (4 MiB) below both
+WIGNER_LIMIT, STATISTICS_LIMIT = 1010, 8145
 # the most theta nodes a grid takes (`cli.MAX_GRID_THETA`), a bound on the
 # theta rule's O(n_theta^2) time, not on memory
 GRID_THETA_LIMIT = 11216
@@ -255,16 +255,55 @@ def test_size_limit_charges_the_d_stack_to_wigner_output_only(tmp_path,
     assert not out.exists()
 
 
+def _folded_bytes(monkeypatch, build):
+    """The largest buffer that `build()` folds into whole laps of rows, the
+    nbytes `wigner._laps_added` is handed."""
+    sizes, laps_added = [0], wigner._laps_added
+
+    def spy(folded, period):
+        sizes.append(folded.nbytes)
+        return laps_added(folded, period)
+
+    with monkeypatch.context() as m, warnings.catch_warnings():
+        m.setattr(wigner, "_laps_added", spy)
+        warnings.simplefilter("ignore")          # n_phi <= 2J
+        build()
+    return max(sizes)
+
+
 @pytest.mark.parametrize("spins,grid_theta", [
     (1, 2), (2, 5), (10, 13), (11, 12), (200, 202), (201, 203)])
 def test_estimate_charges_the_stack_as_built(spins, grid_theta,
                                              monkeypatch):
+    """Each shaped term of the estimate is the nbytes of what its builder
+    allocates: the estimate falls by exactly that when the shape the term
+    shares with its builder reads 0, for the kernel stack, for the buffers
+    of n_phi rows (a grid's and one step's P(phi)) and for those of L rows
+    (every step's site bins in chunks, and one step's)."""
+    sites, n_phi = 3, max(4, spins // 3)       # several laps of each
     config = _parse(["--spins", str(spins), "--grid-theta", str(grid_theta),
-                     "--outputs", "wigner"])
-    with_stack = cli._estimated_bytes(config)
-    monkeypatch.setattr(cli, "_stack_shape", lambda two_j, n_theta: (0,))
-    assert with_stack - cli._estimated_bytes(config) \
-        == wigner._theta_frame_stack(spins, grid_theta).nbytes
+                     "--grid-phi", str(n_phi), "--sites", str(sites),
+                     "--outputs", "wigner,marginal,sites"])
+    idx = SiteIndexing(sites)
+    states = evolve(initial_state(idx, SpinQuantum(spins)),
+                    CoinPulse.hadamard(),
+                    WalkSchedule.site_aligned(idx, config.steps))
+    dist = wigner.marginal_phi(states, idx, n_phi)
+    stack = wigner._theta_frame_stack(spins, grid_theta).nbytes
+    built = {n_phi: _folded_bytes(monkeypatch, lambda: wigner.wigner_grid(
+                 states[0], (grid_theta, n_phi)))
+             + _folded_bytes(monkeypatch, lambda: dist[0].density),
+             sites: _folded_bytes(monkeypatch, lambda: dist.site_probabilities)
+             + _folded_bytes(monkeypatch, lambda: dist[0].site_probabilities)}
+    estimate, fft_rows = cli._estimated_bytes(config), wigner._fft_rows
+    with monkeypatch.context() as m:
+        m.setattr(wigner, "_stack_shape", lambda two_j, n_theta: (0,))
+        assert estimate - cli._estimated_bytes(config) == stack
+    for period, nbytes in built.items():
+        with monkeypatch.context() as m:
+            m.setattr(wigner, "_fft_rows", lambda n, p, period=period:
+                      0 if p == period else fft_rows(n, p))
+            assert estimate - cli._estimated_bytes(config) == nbytes
 
 
 def test_estimate_bounds_an_svg_with_a_rect_per_cell(tmp_path):
@@ -373,9 +412,11 @@ def _assert_fields_finite(out_dir):
         assert np.isfinite(values).all(), path.name
 
 
-@pytest.mark.parametrize("argv", GUARDED_RUNS,
-                         ids=lambda argv: "_".join(a.removeprefix("--")
-                                                   for a in argv) or "default")
+def _run_id(argv):
+    return "_".join(a.removeprefix("--") for a in argv) or "default"
+
+
+@pytest.mark.parametrize("argv", GUARDED_RUNS, ids=_run_id)
 def test_memory_estimate_bounds_the_measured_peak(argv, tmp_path,
                                                    cleared_caches):
     argv = [*argv, "--out", str(tmp_path)]
@@ -394,7 +435,69 @@ def test_memory_estimate_bounds_the_measured_peak(argv, tmp_path,
         tracemalloc.stop()
     assert code == 0
     assert peak <= estimate
+    # and from above, where the arrays outweigh the first-use memory
+    if peak >= 4 * 10 ** 6:
+        assert estimate - cli.RESIDENT_FLOOR <= 1.5 * peak
     _assert_fields_finite(tmp_path)
+
+
+# fresh-process runs whose max RSS rise the estimate bounds: the default
+# run, the smallest run (almost all first-use memory), a custom-coin-sized
+# ring, the ballistic run, the long walk, the wide marginal, N = 800
+# statistics and the wide grid
+RESIDENT_RUNS = [
+    [],
+    ["--sites", "2", "--spins", "1", "--steps", "0"],
+    ["--sites", "12", "--spins", "30", "--steps", "5"],
+    ["--sites", "40", "--spins", "200", "--steps", "9"],
+    ["--sites", "2", "--spins", "100", "--steps", "5000", "--outputs", "sigma"],
+    ["--sites", "2", "--spins", "1", "--grid-phi", "100000",
+     "--outputs", "marginal"],
+    ["--sites", "40", "--spins", "800", "--steps", "9",
+     "--outputs", "sites,sigma,ideal", "--no-svg"],
+    ["--sites", "2", "--spins", "1", "--grid-phi", "5000", "--grid-theta",
+     "160", "--outputs", "wigner"],
+]
+
+# prints main()'s exit code and the rise of the peak RSS over the bare
+# import, in bytes.  The peak is the process's VmHWM, which starts afresh at
+# exec: its ru_maxrss also counts the peak of the process that started it,
+# as subprocess does with vfork.
+_RESIDENT_RISE = """\
+import sys, warnings
+import blochwalk.cli
+
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status
+                    if line.startswith("VmHWM:"))
+
+before = peak()
+warnings.simplefilter("ignore")
+code = blochwalk.cli.main(sys.argv[1:])
+print(code, 1024 * (peak() - before))
+"""
+
+
+@pytest.mark.parametrize("argv", RESIDENT_RUNS, ids=_run_id)
+def test_memory_estimate_bounds_the_resident_rise(argv, tmp_path):
+    """In a fresh process, the run's peak RSS rises over a bare
+    `import blochwalk.cli` by no more than the estimate: the memory that
+    numpy, its FFT and the BLAS take on first use, which tracemalloc does
+    not see, is `cli.RESIDENT_FLOOR`'s to cover."""
+    if not Path("/proc/self/status").is_file():
+        pytest.skip("reads the peak RSS from Linux's /proc/self/status")
+    argv = [*argv, "--out", str(tmp_path)]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _RESIDENT_RISE, *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    code, rise = map(int, proc.stdout.split()[-2:])
+    assert code == 0, proc.stderr
+    assert rise <= cli._estimated_bytes(_parse(argv))
 
 
 @pytest.mark.parametrize("sites,spins", [(3, 50), (5, 50), (7, 60), (9, 50)])
