@@ -493,8 +493,8 @@ def sigma_from_marginal(dist: PhiDistribution):
     return np.sqrt(np.maximum(0.0, second - mean * mean))
 
 
-# a first `_theta_kernel` build raises ru_maxrss 6-12 n^2 bytes above its
-# three (n, n) arrays at N = 200-2000, the BLAS's share: 8 n^2 + 2000 n
+# a first `_theta_kernel` build raises ru_maxrss 6-16 n^2 bytes above its
+# three (n, n) arrays at N = 2000-200, the BLAS's share: 8 n^2 + 2000 n
 _K_BLAS_SQUARE, _K_BLAS_LINEAR = 8, 2000
 
 
