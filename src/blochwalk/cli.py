@@ -311,7 +311,8 @@ def run_experiment(config: RunConfig) -> dict:
     indexing = SiteIndexing(config.sites, config.theta0)
     if config.outputs & {"ideal", "sigma"}:
         ideal = ideal_walk(config.sites, config.steps,
-                           coin_unitary(config.pulse()))
+                           coin_unitary(config.pulse()),
+                           seam=(-1) ** config.spins)
         if "sigma" in config.outputs:   # ideal_sigma's own bound
             _residuals(ideal.sum(axis=1), 1e-9,
                        "the ideal walk's site probabilities sum to")

@@ -127,9 +127,13 @@ def reduce_walker(state: CoinWalkerState) -> DensityMatrix:
 
 
 def ideal_walk(sites: int, steps: int, coin: np.ndarray,
-               coin_state: tuple[complex, complex] = (1.0, 0.0)
-               ) -> np.ndarray:
-    """Exact unitary walk with orthogonal site states, starting at site 0.
+               coin_state: tuple[complex, complex] = (1.0, 0.0),
+               seam: int = 1) -> np.ndarray:
+    """Exact unitary walk with orthogonal site states, starting at site 0,
+    on a ring whose seam multiplies the amplitudes that wrap (up from site
+    L-1 to 0, down from 0 to L-1) by `seam`.  The walker of N spins has
+    (-1)^N there: each step's phase e^{-i kappa J} gauges into the site
+    states, except the L of a lap, e^{-2 pi i J}, left at the seam.
 
     Returns the (steps + 1, sites) probabilities of steps 0 .. steps, each
     row over the balanced site range of SiteIndexing(sites).site_numbers
@@ -148,8 +152,8 @@ def ideal_walk(sites: int, steps: int, coin: np.ndarray,
     probs[0] = (np.abs(amp[order]) ** 2).sum(axis=1)
     for k in range(1, steps + 1):
         mixed = amp @ coin.T
-        amp[1:, 0], amp[0, 0] = mixed[:-1, 0], mixed[-1, 0]   # up: +1 site
-        amp[:-1, 1], amp[-1, 1] = mixed[1:, 1], mixed[0, 1]   # down: -1 site
+        amp[1:, 0], amp[0, 0] = mixed[:-1, 0], seam * mixed[-1, 0]  # up
+        amp[:-1, 1], amp[-1, 1] = mixed[1:, 1], seam * mixed[0, 1]  # down
         probs[k] = (np.abs(amp[order]) ** 2).sum(axis=1)
     return probs
 

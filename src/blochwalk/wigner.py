@@ -20,10 +20,10 @@ harmonics of W, which have degree 2J in cos theta; an odd-q harmonic
 carries a factor sin theta and converges only algebraically in n_theta.
 The kernels of half the nodes are cached (`_theta_frame_stack`), and a
 grid costs real products of them with the state, written straight into
-its FFT buffer (`_grid_harmonics`), plus one inverse FFT of length n_phi
-per row.  P(phi) and the site bins are periodic sums of harmonics too,
-summed the same way (`_periodic_sum`).  What each builder holds is
-charged from its shapes at the end of this module.
+its FFT buffer (`_grid_harmonics`).  Grid rows, P(phi) and the site bins
+are all periodic sums of harmonics, each buffer summed by one routine
+(`_periodic_sum`, one inverse FFT per column).  What each builder holds
+is charged from its shapes at the end of this module.
 """
 
 from __future__ import annotations
@@ -276,12 +276,9 @@ def _fft_rows(n: int, period: int) -> int:
 
 def _grid_harmonics(state, kw: np.ndarray, n_theta: int,
                     n_phi: int) -> np.ndarray:
-    """The inverse-FFT buffer of the grid rows, (n_phi, n_theta), laid out
-    as `_periodic_sum` lays out the harmonics that `_phi_node_sum` weights:
-    row q holds (-1)^q g_i[q], row 0 halved, of the harmonics
-    g_i[q] = sum_a K_i[a, a+q] rho[a, a+q] (n = 2J + 1 of them) of every
-    row, in a buffer of ceil(n / n_phi) laps of n_phi rows, zero past
-    q = n - 1, whose laps are then added in the same order.
+    """The harmonics g_i[q] = sum_a K_i[a, a+q] rho[a, a+q] (q = 0 .. n - 1,
+    n = 2J + 1) of every grid row i, as the rows q of a zeroed
+    (`_fft_rows`(n, n_phi), n_theta) buffer for `_periodic_sum`.
 
     The stack's wrapped diagonals kw are taken a block of p at a time; the
     mirrored row pi - theta_i takes K_i against J rho^T J, whose [a, b] is
@@ -306,9 +303,6 @@ def _grid_harmonics(state, kw: np.ndarray, n_theta: int,
         np.copyto(cols[0], 0.0, where=tail)
         np.copyto(cols[1], 0.0, where=~tail)
         g = (kw[p0:p0 + len(p)] @ cols.view(float)).view(complex)
-        # (-1)^q of the heads' harmonics p and the tails' n - p
-        sign = np.where((p + np.array([[0], [n]])) % 2, -1.0, 1.0)
-        g *= sign[..., None, None]
         # tails of p = 1 .. (n-1)//2 are harmonics n - p, descending
         t0, t1 = max(p0, 1), min(p0 + len(p), (n + 1) // 2)
         for rows, part in ((slice(p0, p0 + len(p)), g[0]),
@@ -316,8 +310,7 @@ def _grid_harmonics(state, kw: np.ndarray, n_theta: int,
                             g[1, t0 - p0:t1 - p0][::-1])):
             buf[rows, :half] = part[..., 0]
             buf[rows, half:] = part[:, :n_theta - half, 1][:, ::-1]
-    buf[0] *= 0.5
-    return _laps_added(buf, n_phi)
+    return buf
 
 
 def wigner_grid(state, resolution: tuple[int, int]) -> WignerGrid:
@@ -344,7 +337,8 @@ def wigner_grid(state, resolution: tuple[int, int]) -> WignerGrid:
     theta, w_theta = _gauss_legendre(n_theta)
     kw = _theta_frame_stack(spin.two_j, n_theta)
     h = _grid_harmonics(state, kw, n_theta, n_phi)
-    values = (2.0 * np.fft.ifft(h, axis=0, norm="forward", out=h).real).T
+    h[1:spin.dim:2] *= -1.0             # at the phi nodes, as `_phi_node_sum`
+    values = _periodic_sum(h, n_phi).T
     grid = WignerGrid(spin, theta, w_theta, _phi_nodes(n_phi), values, state)
     residual = abs(grid.normalization() - 1.0)
     if not residual <= 1e-4:
@@ -396,8 +390,8 @@ class PhiDistribution:
         chunk = _site_chunk(dim, n_sites)
         rows = self.site_numbers % n_sites
         for i in range(0, len(terms), chunk):
-            probs[i:i + chunk] = _periodic_sum(terms[i:i + chunk].T,
-                                               n_sites)[rows].T
+            probs[i:i + chunk] = _periodic_sum(
+                _harmonic_laps(terms[i:i + chunk].T, n_sites), n_sites)[rows].T
         return probs.reshape(*self.harmonics.shape[:-1], n_sites)
 
     @property
@@ -406,32 +400,35 @@ class PhiDistribution:
         return 2.0 * math.pi * self.harmonics[..., 0].real
 
 
-def _periodic_sum(h: np.ndarray, period: int) -> np.ndarray:
-    """h_0 + 2 Re sum_{q>=1} h_q e^{2 pi i q k / period} at k = 0 ..
-    period - 1, for harmonics h_q along the first axis of `h` (only Re h_0
-    counts).  The harmonics fold modulo the period, which is exact
-    aliasing, into one buffer that one inverse FFT sums in place."""
+def _harmonic_laps(h: np.ndarray, period: int) -> np.ndarray:
+    """A zeroed buffer of whole laps of period rows (`_fft_rows`) for
+    `_periodic_sum`, holding the harmonics h along its first axis."""
     folded = np.zeros((_fft_rows(len(h), period), *h.shape[1:]), complex)
     folded[:len(h)] = h
-    folded[0] = 0.5 * h[0]
-    folded = _laps_added(folded, period)
+    return folded
+
+
+def _periodic_sum(folded: np.ndarray, period: int) -> np.ndarray:
+    """h_0 + 2 Re sum_{q>=1} h_q e^{2 pi i q k / period} at k = 0 ..
+    period - 1, for harmonics h_q in the rows of `folded`, a complex buffer
+    of whole laps of period rows, zero past the last harmonic (only Re h_0
+    counts).  Row 0 is halved in place and the laps are added in order,
+    which folds the harmonics modulo the period (exact aliasing), into one
+    period that one inverse FFT sums in place."""
+    folded[0] *= 0.5
+    if len(folded) > period:
+        folded = folded.reshape(-1, period, *folded.shape[1:]).sum(axis=0)
     return 2.0 * np.fft.ifft(folded, axis=0, norm="forward", out=folded).real
-
-
-def _laps_added(folded: np.ndarray, period: int) -> np.ndarray:
-    """`folded`, whose first axis is a whole number of periods long, with
-    those laps added in order into one period (itself if it is one)."""
-    if len(folded) == period:
-        return folded
-    return folded.reshape(-1, period, *folded.shape[1:]).sum(axis=0)
 
 
 def _phi_node_sum(h: np.ndarray, n_phi: int) -> np.ndarray:
     """h_0 + 2 Re sum_{q>=1} h_q e^{i q phi} on the n_phi uniform nodes,
     for harmonics h_q along the first axis of `h`."""
-    # node j sits at -pi + 2 pi j / n_phi, and e^{-i q pi} = (-1)^q
-    alt = np.where(np.arange(len(h)) % 2, -1.0, 1.0)
-    return _periodic_sum((h.T * alt).T, n_phi)
+    folded = _harmonic_laps(h, n_phi)
+    # node j sits at -pi + 2 pi j / n_phi, and e^{-i q pi} = (-1)^q; the
+    # rows past the harmonics stay +0.0
+    folded[1:len(h):2] *= -1.0
+    return _periodic_sum(folded, n_phi)
 
 
 def marginal_phi(source, indexing: SiteIndexing,
@@ -444,8 +441,8 @@ def marginal_phi(source, indexing: SiteIndexing,
     state's amplitudes carry a leading step axis.
 
     p_q = (2J+1)/(4 pi) * sum_a K[a, a+q] rho[a, a+q] (K: `_theta_kernel`),
-    where a pure state gives rho[a, a+q] = u_a conj(u_{a+q}) +
-    d_a conj(d_{a+q}) one diagonal at a time, with no (2J+1)^2 matrix.
+    one diagonal q at a time: a density matrix's own, or a pure state's
+    u_a conj(u_{a+q}) + d_a conj(d_{a+q}), with no (2J+1)^2 matrix.
     """
     if isinstance(source, WignerGrid):
         if n_phi is not None:
@@ -457,20 +454,17 @@ def marginal_phi(source, indexing: SiteIndexing,
     if n_phi < 1:
         raise ValueError(f"n_phi must be >= 1, got {n_phi}")
     spin = _spin_of(source)
-    kw = _theta_kernel(spin)
-    if isinstance(source, CoinWalkerState):
-        n, g = spin.dim, np.empty(source.up.shape, complex)
-        for q in range(n):
-            k = kw[q, :n - q] if 2 * q <= n else kw[n - q, q:]
+    kw, n = _theta_kernel(spin), spin.dim
+    pure = isinstance(source, CoinWalkerState)
+    g = np.empty(source.up.shape if pure else n, complex)
+    for q in range(n):
+        k = kw[q, :n - q] if 2 * q <= n else kw[n - q, q:]
+        if pure:
             # vecdot conjugates its first argument
             g[..., q] = sum(np.vecdot(u[..., q:], k * u[..., :n - q])
                             for u in (source.up, source.down))
-    else:
-        # the integrated kernel is a one-node stack with no mirrored rows;
-        # undoing the buffer's signs and halving is exact
-        g = _grid_harmonics(source, kw[:, None], 1, spin.dim)[:, 0]
-        g[1::2] *= -1.0
-        g[0] *= 2.0
+        else:
+            g[q] = k @ np.diagonal(source.entries, q)
     g *= spin.dim / (4.0 * math.pi)
     return PhiDistribution(_phi_nodes(n_phi), indexing.site_numbers, g)
 

@@ -351,6 +351,24 @@ def aligned_site_state(indexing: SiteIndexing, spin: SpinQuantum,
     return phase * base
 
 
+def ideal_ring_amplitudes(sites: int, steps: int, coin: np.ndarray,
+                          coin_state, seam) -> np.ndarray:
+    """A_k(n, c) of the ideal walk on a ring of orthogonal sites,
+    (steps + 1, sites, 2) over n = 0 .. L-1, starting at site 0: each step
+    mixes the coin, then rolls the up amplitudes one site on and the down
+    ones one site back, and the two that cross the seam between sites L-1
+    and 0 take the factor `seam`."""
+    amp = np.zeros((steps + 1, sites, 2), complex)
+    amp[0, 0] = np.asarray(coin_state) / np.linalg.norm(coin_state)
+    crossing = np.ones((sites, 2))
+    crossing[0, 0] = crossing[-1, 1] = seam
+    for k in range(1, steps + 1):
+        mixed = amp[k - 1] @ coin.T
+        amp[k] = np.stack((np.roll(mixed[:, 0], 1), np.roll(mixed[:, 1], -1)),
+                          axis=1) * crossing
+    return amp
+
+
 def step1_reference(indexing: SiteIndexing, spin: SpinQuantum) -> DensityMatrix:
     """rho_w after one Hadamard step: (|phi_1><phi_1| + |phi_-1><phi_-1|)/2."""
     p1 = site_state(indexing, spin, 1)

@@ -257,15 +257,15 @@ def test_size_limit_charges_the_d_stack_to_wigner_output_only(tmp_path,
 
 def _folded_bytes(monkeypatch, build):
     """The largest buffer that `build()` folds into whole laps of rows, the
-    nbytes `wigner._laps_added` is handed."""
-    sizes, laps_added = [0], wigner._laps_added
+    nbytes `wigner._periodic_sum` is handed."""
+    sizes, periodic_sum = [0], wigner._periodic_sum
 
     def spy(folded, period):
         sizes.append(folded.nbytes)
-        return laps_added(folded, period)
+        return periodic_sum(folded, period)
 
     with monkeypatch.context() as m, warnings.catch_warnings():
-        m.setattr(wigner, "_laps_added", spy)
+        m.setattr(wigner, "_periodic_sum", spy)
         warnings.simplefilter("ignore")          # n_phi <= 2J
         build()
     return max(sizes)
@@ -435,28 +435,32 @@ def test_memory_estimate_bounds_the_measured_peak(argv, tmp_path,
         tracemalloc.stop()
     assert code == 0
     assert peak <= estimate
-    # and from above, where the arrays outweigh the first-use memory
-    if peak >= 4 * 10 ** 6:
-        assert estimate - cli.RESIDENT_FLOOR <= 1.5 * peak
     _assert_fields_finite(tmp_path)
 
 
-# fresh-process runs whose max RSS rise the estimate bounds: the default
-# run, the smallest run (almost all first-use memory), a custom-coin-sized
-# ring, the ballistic run, the long walk, the wide marginal, N = 800
-# statistics and the wide grid
+# fresh-process runs whose max RSS rise the estimate bounds, from below
+# and, where the rise reaches 4 MB, from above: the default run, the
+# smallest run (almost all first-use memory), a custom-coin-sized ring, the
+# ballistic run, the long walks, the wide marginal, N = 800 statistics, the
+# wide grid and the wide rings
 RESIDENT_RUNS = [
     [],
     ["--sites", "2", "--spins", "1", "--steps", "0"],
     ["--sites", "12", "--spins", "30", "--steps", "5"],
     ["--sites", "40", "--spins", "200", "--steps", "9"],
     ["--sites", "2", "--spins", "100", "--steps", "5000", "--outputs", "sigma"],
+    ["--sites", "2", "--spins", "4", "--steps", "20000", "--outputs", "sigma"],
     ["--sites", "2", "--spins", "1", "--grid-phi", "100000",
      "--outputs", "marginal"],
     ["--sites", "40", "--spins", "800", "--steps", "9",
      "--outputs", "sites,sigma,ideal", "--no-svg"],
     ["--sites", "2", "--spins", "1", "--grid-phi", "5000", "--grid-theta",
      "160", "--outputs", "wigner"],
+    ["--sites", "4000", "--spins", "1", "--steps", "999", "--outputs", "sigma"],
+    ["--sites", "4000", "--spins", "1", "--steps", "99",
+     "--outputs", "sites,ideal"],
+    ["--sites", "600", "--spins", "4", "--steps", "1000",
+     "--outputs", "sites,sigma,ideal", "--no-svg"],
 ]
 
 # prints main()'s exit code and the rise of the peak RSS over the bare
@@ -497,7 +501,11 @@ def test_memory_estimate_bounds_the_resident_rise(argv, tmp_path):
                           timeout=300)
     code, rise = map(int, proc.stdout.split()[-2:])
     assert code == 0, proc.stderr
-    assert rise <= cli._estimated_bytes(_parse(argv))
+    estimate = cli._estimated_bytes(_parse(argv))
+    assert rise <= estimate
+    # and from above, where the arrays outweigh the first-use memory
+    if rise >= 4 * 10 ** 6:
+        assert estimate - cli.RESIDENT_FLOOR <= 1.5 * rise
 
 
 @pytest.mark.parametrize("sites,spins", [(3, 50), (5, 50), (7, 60), (9, 50)])
@@ -726,6 +734,21 @@ def test_sites_and_ideal_csv_rows(tiny_run):
     assert len(lines) == 1 + 2 * 6
 
 
+def test_ideal_table_is_the_walkers_orthogonal_limit(tmp_path):
+    """At N = 601 six site states are orthogonal to the rounding level
+    (r = sqrt(N) pi / L = 12.8), so the walker's site bins are the ideal
+    table at every step, also past k = L/2 = 3, where an odd N's seam sign
+    (-1)^N first changes the ideal walk on an even ring."""
+    assert main(["--sites", "6", "--spins", "601", "--steps", "8",
+                 "--outputs", "sites,ideal", "--out", str(tmp_path)]) == 0
+    sites, ideal = (np.loadtxt(tmp_path / name, delimiter=",", skiprows=1)
+                    for name in ("sites.csv", "ideal.csv"))
+    assert np.array_equal(sites[:, :3], ideal[:, :3])
+    for k in range(9):
+        rows = sites[:, 0] == k
+        assert 0.5 * np.abs(sites[rows, 3] - ideal[rows, 3]).sum() <= 1e-9
+
+
 def test_svg_heatmap_content(tiny_run):
     """One <rect> per run of equal colour along each theta row, plus the
     background and the frame."""
@@ -798,8 +821,8 @@ def test_unnormalized_ideal_walk_exits_3(tmp_path, capsys, monkeypatch):
     # a custom coin's unitary drifts the ideal walk's totals by about 2e-16
     # a step; past ideal_sigma's 1e-9 the run stops before writing a file
     exact = cli.ideal_walk
-    monkeypatch.setattr(cli, "ideal_walk",
-                        lambda *args: exact(*args) * (1.0 + 2e-9))
+    monkeypatch.setattr(cli, "ideal_walk", lambda *args, **kwargs:
+                        exact(*args, **kwargs) * (1.0 + 2e-9))
     out = tmp_path / "bad"
     assert main(_tiny_args(out, ["--outputs", "sigma"])) == 3
     err = capsys.readouterr().err

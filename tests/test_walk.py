@@ -9,7 +9,8 @@ from blochwalk import (CoinPulse, CoinWalkerState, SiteIndexing, SpinQuantum,
                        WalkSchedule, coin_unitary, evolve, ideal_sigma,
                        ideal_walk, initial_state, reduce_walker, site_state)
 
-from oracles import (evolve_per_step, step1_reference, step2_reference,
+from oracles import (aligned_site_state, evolve_per_step,
+                     ideal_ring_amplitudes, step1_reference, step2_reference,
                      validate_density_matrix)
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
@@ -257,6 +258,46 @@ def test_ideal_walk_input_validation():
         ideal_walk(1, 2, HADAMARD)
     with pytest.raises(ValueError):
         ideal_walk(6, -1, HADAMARD)
+
+
+def _seam_cases(count=16, seed=31):
+    """Seeded (L, N, k, pulse, theta0, coin state), every other one an odd
+    N on an even ring, with k past L/2 where the seam sign first enters."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        sites = int(rng.integers(2, 9))
+        spins = int(rng.integers(1, 31))
+        if i % 2 == 0:
+            sites += sites % 2
+            spins += 1 - spins % 2
+        steps = int(rng.integers(sites // 2 + 1, 2 * sites + 3))
+        pulse = CoinPulse(tuple(float(h) for h in rng.uniform(-3, 3, 3)))
+        theta0 = float(rng.uniform(0.2, math.pi - 0.2))
+        coin = tuple(complex(*z) for z in rng.normal(size=(2, 2)))
+        yield pytest.param(sites, spins, steps, pulse, theta0, coin,
+                           id=f"L{sites}_N{spins}_k{steps}")
+
+
+@pytest.mark.parametrize("sites,spins,steps,pulse,theta0,coin",
+                         _seam_cases())
+def test_walker_is_the_ideal_walk_with_the_seam_sign(sites, spins, steps,
+                                                     pulse, theta0, coin):
+    """Step k of the walker is sum_n A_k(n, c) R_z(n kappa)|phi_0>|c>, where
+    A_k is the ideal ring walk whose seam carries (-1)^N: R_z(kappa) moves a
+    site state on with a phase e^{-i kappa J}, and L such phases make the
+    2 pi rotation's sign.  `ideal_walk` with that seam gives |A_k|^2."""
+    idx, spin, u = SiteIndexing(sites, theta0), SpinQuantum(spins), \
+        coin_unitary(pulse)
+    walk = evolve(initial_state(idx, spin, coin), pulse,
+                  WalkSchedule.site_aligned(idx, steps))
+    amp = ideal_ring_amplitudes(sites, steps, u, coin, (-1) ** spins)
+    basis = np.array([aligned_site_state(idx, spin, n)
+                      for n in range(sites)])
+    assert np.abs(walk.up - amp[..., 0] @ basis).max() <= 1e-13
+    assert np.abs(walk.down - amp[..., 1] @ basis).max() <= 1e-13
+    probs = (np.abs(amp) ** 2).sum(axis=2)[:, idx.site_numbers % sites]
+    assert np.abs(ideal_walk(sites, steps, u, coin, seam=(-1) ** spins)
+                  - probs).max() <= 1e-13
 
 
 def test_ideal_sigma_examples():

@@ -285,8 +285,7 @@ def test_stack_holds_the_wrapped_kernel_diagonals(n):
 def test_grid_harmonics_match_the_unfolded_product(two_j, n_theta, kind):
     """The folded stack gives the unfolded product's harmonics q <= n//2
     bit for bit; the tails, summed at other positions of the same
-    product, within 1e-15 of the largest.  The grid's buffer holds them
-    times (-1)^q, row 0 halved, which undoes exactly."""
+    product, within 1e-15 of the largest."""
     spin = SpinQuantum(two_j)
     if kind == "walk":
         idx = SiteIndexing(6, 1.1)
@@ -301,8 +300,6 @@ def test_grid_harmonics_match_the_unfolded_product(two_j, n_theta, kind):
         state = rho = DensityMatrix(spin, rho / np.trace(rho).real)
     g = _grid_harmonics(state, _theta_frame_stack(two_j, n_theta), n_theta,
                         spin.dim)
-    g[1::2] *= -1.0
-    g[0] *= 2.0
     ref = grid_harmonics_unfolded(rho, _gauss_legendre(n_theta)[0])
     head = spin.dim // 2 + 1
     assert g.shape == ref.shape == (spin.dim, n_theta)
@@ -733,6 +730,26 @@ def test_stacked_marginal_matches_each_step(sites, two_j, steps, theta0):
                           - ref.site_probabilities).max() <= 1e-14 * scale
             assert np.abs(stacked.density[k] - ref.density).max() \
                 <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("two_j", [1, 2, 25, 26])
+def test_density_matrix_marginal_at_every_harmonic(two_j):
+    """A full-rank density matrix's harmonic p_q is its diagonal sum
+    (2J+1)/(4 pi) sum_a K[a, a+q] rho[a, a+q] at every q, with K by
+    quadrature in theta."""
+    spin = SpinQuantum(two_j)
+    rng = np.random.default_rng(two_j)
+    a = rng.normal(size=(spin.dim,) * 2) \
+        + 1j * rng.normal(size=(spin.dim,) * 2)
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    got = marginal_phi(DensityMatrix(spin, rho), SiteIndexing(6), 24)
+    k = theta_kernel_gl(spin)
+    want = spin.dim / (4.0 * math.pi) * np.array(
+        [np.sum(np.diagonal(k, q) * np.diagonal(rho, q))
+         for q in range(spin.dim)])
+    assert got.harmonics.shape == want.shape
+    assert np.abs(got.harmonics - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_marginal_input_validation():
