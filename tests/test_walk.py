@@ -286,8 +286,8 @@ def test_walker_is_the_ideal_walk_with_the_seam_sign(sites, spins, steps,
     A_k is the ideal ring walk whose seam carries (-1)^N: R_z(kappa) moves a
     site state on with a phase e^{-i kappa J}, and L such phases make the
     2 pi rotation's sign.  `ideal_walk` with that seam gives |A_k|^2."""
-    idx, spin, u = SiteIndexing(sites, theta0), SpinQuantum(spins), \
-        coin_unitary(pulse)
+    idx, spin = SiteIndexing(sites, theta0), SpinQuantum(spins)
+    u = coin_unitary(pulse)
     walk = evolve(initial_state(idx, spin, coin), pulse,
                   WalkSchedule.site_aligned(idx, steps))
     amp = ideal_ring_amplitudes(sites, steps, u, coin, (-1) ** spins)
