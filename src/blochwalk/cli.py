@@ -23,9 +23,9 @@ from .render import (emit_bytes, render_heatmap_svg, write_manifest,
                      write_marginal_csv, write_sigma_csv, write_sites_csv,
                      write_wigner_csv)
 from .su2 import SpinQuantum
-from .walk import (CoinPulse, WalkSchedule, coin_unitary, evolve,
-                   evolve_bytes, ideal_sigma, ideal_walk, ideal_walk_bytes,
-                   initial_state)
+from .walk import (CoinPulse, WalkSchedule, _unit_totals, coin_unitary,
+                   evolve, evolve_bytes, ideal_sigma, ideal_walk,
+                   ideal_walk_bytes, initial_state)
 # unused here, but perfbench/tracer.py binds blochwalk.cli.kernel_weights
 from .wigner import (NumericalInvariantError, grid_bytes, kernel_weights,
                      marginal_bytes, marginal_phi, sigma_from_marginal,
@@ -284,17 +284,6 @@ def parse_config(argv=None) -> RunConfig:
     return config
 
 
-def _residuals(totals: np.ndarray, bound: float, what: str) -> np.ndarray:
-    """|total - 1| per step; NumericalInvariantError names the first step
-    whose total misses 1 by more than bound, or is NaN."""
-    residuals = np.abs(totals - 1.0)
-    bad = np.flatnonzero(~(residuals <= bound))
-    if bad.size:
-        raise NumericalInvariantError(
-            f"step {bad[0]}: {what} {float(totals[bad[0]])!r}, not 1")
-    return residuals
-
-
 def run_experiment(config: RunConfig) -> dict:
     """Evolve the walk and write every requested artifact.
 
@@ -314,8 +303,8 @@ def run_experiment(config: RunConfig) -> dict:
                            coin_unitary(config.pulse()),
                            seam=(-1) ** config.spins)
         if "sigma" in config.outputs:   # ideal_sigma's own bound
-            _residuals(ideal.sum(axis=1), 1e-9,
-                       "the ideal walk's site probabilities sum to")
+            _unit_totals(ideal.sum(axis=1), 1e-9, "the ideal walk's site "
+                         "probabilities sum to", NumericalInvariantError)
 
     written: dict[str, str] = {}        # file name -> sha256
     residuals: list[float] = []
@@ -325,20 +314,19 @@ def run_experiment(config: RunConfig) -> dict:
                       config.pulse(),
                       WalkSchedule.site_aligned(indexing, config.steps))
         dist = marginal_phi(walk, indexing, config.grid_phi)
-        residuals = _residuals(dist.total, 1e-4,
-                               "azimuthal marginal integrates to").tolist()
+        residuals = _unit_totals(dist.total, 1e-4,
+                                 "azimuthal marginal integrates to",
+                                 NumericalInvariantError).tolist()
 
     for k in range(config.steps + 1):       # the per-step files
         grid = None
         if "wigner" in config.outputs:
-            grid = wigner_grid(walk[k], (config.grid_theta, config.grid_phi))
-            grid_residual = abs(grid.normalization() - 1.0)
-            if not grid_residual <= 1e-4:
-                raise NumericalInvariantError(
-                    f"step {k}: Wigner normalization off by "
-                    f"{grid_residual:.2e} at resolution "
-                    f"({config.grid_theta}, {config.grid_phi})")
-            residuals[k] = max(residuals[k], grid_residual)
+            resolution = (config.grid_theta, config.grid_phi)
+            grid = wigner_grid(walk[k], resolution)
+            residuals[k] = max(residuals[k], float(_unit_totals(
+                grid.normalization(), 1e-4,
+                f"Wigner normalization at resolution {resolution} is",
+                NumericalInvariantError, first=k)))
         try:
             if grid is not None:
                 p = out / f"wigner_k{k}.csv"

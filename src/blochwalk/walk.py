@@ -164,14 +164,24 @@ def ideal_walk_bytes(sites: int, steps: int) -> int:
     return 8 * (steps + 1) * sites + 128 * sites
 
 
+def _unit_totals(totals, bound: float, what: str, error=ValueError,
+                 first: int = 0) -> np.ndarray:
+    """|total - 1| per step; raises `error` naming the first step (counted
+    from `first`) whose total misses 1 by more than bound, or is NaN."""
+    residuals = np.abs(totals - 1.0)
+    bad = np.flatnonzero(~(residuals <= bound))
+    if bad.size:
+        raise error(f"step {first + bad[0]}: {what} "
+                    f"{float(np.ravel(totals)[bad[0]])!r}, not 1")
+    return residuals
+
+
 def ideal_sigma(probabilities: np.ndarray, indexing: SiteIndexing):
     """sqrt(<phi^2> - <phi>^2) over unwrapped phi_n = n * delta_phi, one
-    per row of probabilities over the sites."""
+    per row (step) of probabilities over the sites; a row total more than
+    1e-9 from 1 raises ValueError naming its step."""
     p = np.asarray(probabilities, dtype=float)
-    total = p.sum(axis=-1)
-    bad = np.ravel(total)[~(np.abs(np.ravel(total) - 1.0) <= 1e-9)]
-    if bad.size:
-        raise ValueError(f"probabilities sum to {float(bad[0])!r}, not 1")
+    _unit_totals(p.sum(axis=-1), 1e-9, "probabilities sum to")
     phi = indexing.site_numbers * indexing.delta_phi
     mean = np.vecdot(p, phi)
     second = np.vecdot(p, phi * phi)

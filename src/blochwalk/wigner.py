@@ -40,7 +40,7 @@ import numpy.fft  # noqa: F401
 
 from .coherent import SiteIndexing
 from .su2 import SpinQuantum, _jy_eigensystem, cg_l0_family, small_d_matrix
-from .walk import CoinWalkerState, DensityMatrix
+from .walk import CoinWalkerState, DensityMatrix, _unit_totals
 
 __all__ = ["NumericalInvariantError", "WignerGrid", "PhiDistribution",
            "kernel_weights", "wigner_grid", "marginal_phi",
@@ -319,10 +319,10 @@ def wigner_grid(state, resolution: tuple[int, int]) -> WignerGrid:
 
     Row i is g_i[0] + 2 Re sum_q g_i[q] e^{i q phi} with the harmonics
     g_i[q] = sum_a K_i[a, a+q] rho[a, a+q] of the node's kernel K_i
-    (`_grid_harmonics`), summed on the phi nodes as `marginal_phi` sums
-    P(phi), so n_phi <= 2J aliases exactly.  Warns when the discretized
+    (`_grid_harmonics`), summed on the phi nodes by `_phi_node_sum`, as
+    P(phi) is, so n_phi <= 2J aliases exactly.  Warns when the discretized
     normalization misses 1 by more than 1e-4 (resolution too low for this
-    j).
+    j); the CLI raises on the same residual.
     """
     n_theta, n_phi = resolution
     spin = _spin_of(state)
@@ -336,9 +336,8 @@ def wigner_grid(state, resolution: tuple[int, int]) -> WignerGrid:
 
     theta, w_theta = _gauss_legendre(n_theta)
     kw = _theta_frame_stack(spin.two_j, n_theta)
-    h = _grid_harmonics(state, kw, n_theta, n_phi)
-    h[1:spin.dim:2] *= -1.0             # at the phi nodes, as `_phi_node_sum`
-    values = _periodic_sum(h, n_phi).T
+    values = _phi_node_sum(_grid_harmonics(state, kw, n_theta, n_phi),
+                           spin.dim, n_phi).T
     grid = WignerGrid(spin, theta, w_theta, _phi_nodes(n_phi), values, state)
     residual = abs(grid.normalization() - 1.0)
     if not residual <= 1e-4:
@@ -373,7 +372,8 @@ class PhiDistribution:
     @property
     def density(self) -> np.ndarray:
         """P on the phi nodes, (..., n_phi)."""
-        return _phi_node_sum(self.harmonics.T, len(self.phi_nodes)).T
+        h, n_phi = self.harmonics.T, len(self.phi_nodes)
+        return _phi_node_sum(_harmonic_laps(h, n_phi), len(h), n_phi).T
 
     @property
     def site_probabilities(self) -> np.ndarray:
@@ -421,13 +421,13 @@ def _periodic_sum(folded: np.ndarray, period: int) -> np.ndarray:
     return 2.0 * np.fft.ifft(folded, axis=0, norm="forward", out=folded).real
 
 
-def _phi_node_sum(h: np.ndarray, n_phi: int) -> np.ndarray:
-    """h_0 + 2 Re sum_{q>=1} h_q e^{i q phi} on the n_phi uniform nodes,
-    for harmonics h_q along the first axis of `h`."""
-    folded = _harmonic_laps(h, n_phi)
+def _phi_node_sum(folded: np.ndarray, n: int, n_phi: int) -> np.ndarray:
+    """h_0 + 2 Re sum_{q>=1} h_q e^{i q phi} on the n_phi uniform nodes, for
+    n harmonics h_q in the rows of `folded`, a zeroed buffer of whole laps
+    of n_phi rows (`_grid_harmonics`, `_harmonic_laps`), summed in place."""
     # node j sits at -pi + 2 pi j / n_phi, and e^{-i q pi} = (-1)^q; the
     # rows past the harmonics stay +0.0
-    folded[1:len(h):2] *= -1.0
+    folded[1:n:2] *= -1.0
     return _periodic_sum(folded, n_phi)
 
 
@@ -472,11 +472,10 @@ def marginal_phi(source, indexing: SiteIndexing,
 def sigma_from_marginal(dist: PhiDistribution):
     """sqrt(<phi^2> - <phi>^2) of P on phi in [-pi, pi), one per step, in
     closed form: over that interval e^{iq phi} integrates against phi to
-    -2 pi i (-1)^q / q and against phi^2 to 4 pi (-1)^q / q^2."""
+    -2 pi i (-1)^q / q and against phi^2 to 4 pi (-1)^q / q^2.  A total
+    more than 1e-4 from 1 raises ValueError naming its step."""
     total = dist.total
-    bad = np.ravel(total)[~(np.abs(np.ravel(total) - 1.0) <= 1e-4)]
-    if bad.size:
-        raise ValueError(f"marginal integrates to {float(bad[0])!r}, not 1")
+    _unit_totals(total, 1e-4, "marginal integrates to")
     p = dist.harmonics
     q = np.arange(1, p.shape[-1])
     alt = np.where(q % 2, -1.0, 1.0)

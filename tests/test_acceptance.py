@@ -200,7 +200,7 @@ def test_criterion_8_ballistic_spread(ballistic_run):
     _report(8, "ballistic spread",
             r2_c > 0.99 and r2_i > 0.99 and rel.max() < 0.05,
             f"R^2 coherent {r2_c:.4f}, ideal {r2_i:.4f}; "
-            f"max relative gap {rel.max():.3f} for k = 2..9")
+            f"max relative gap {rel.max():.4g} for k = 2..9")
 
 
 def test_criterion_9_convergence_to_ideal():

@@ -833,6 +833,29 @@ def test_unnormalized_ideal_walk_exits_3(tmp_path, capsys, monkeypatch):
     assert main(_tiny_args(tmp_path / "ideal", ["--outputs", "ideal"])) == 0
 
 
+def test_coarse_grid_at_a_later_step_exits_3(tmp_path, capsys, monkeypatch):
+    # only step 2's grid misses its normalization; the message counts the
+    # grid's steps from the run's first
+    exact = cli.wigner_grid
+    grids = []
+
+    def coarse_at_step_2(state, resolution):
+        grids.append(exact(state, resolution))
+        grid = grids[-1]
+        if len(grids) == 3:
+            return dataclasses.replace(grid, values=0.9 * grid.values)
+        return grid
+
+    monkeypatch.setattr(cli, "wigner_grid", coarse_at_step_2)
+    out = tmp_path / "bad"
+    assert main(_tiny_args(out, ["--steps", "3", "--outputs", "wigner"])) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("blochwalk: numerical invariant violated: step 2: "
+                          "Wigner normalization at resolution (12, 48) is ")
+    assert err.count("\n") == 1
+    assert len(grids) == 3 and not (out / "manifest.json").exists()
+
+
 def test_statistics_come_from_one_marginal_call(tmp_path, monkeypatch):
     """Every step's site bins and spread come from one marginal call on the
     stacked walk that `evolve` returns, and every grid from a step of that

@@ -326,7 +326,7 @@ def test_ideal_sigma_rejects_unnormalized():
     # one bad row among good ones
     probs = ideal_walk(6, 2, HADAMARD)
     probs[1, 0] += 1e-6
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^step 1: probabilities sum to "):
         ideal_sigma(probs, idx)
 
 

@@ -1,6 +1,7 @@
 """Phase-space kernel weights, the theta kernel, Wigner grids, the exact
 marginal, its site bins and its spread."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -16,8 +17,9 @@ from blochwalk import (CoinPulse, CoinWalkerState, DensityMatrix,
                        marginal_phi, reduce_walker, sigma_from_marginal,
                        small_d_matrix, wigner_grid)
 from blochwalk.su2 import _jy_eigensystem
-from blochwalk.wigner import (_gauss_legendre, _grid_harmonics, _phi_node_sum,
-                              _rho_entries, _theta_frame_stack, _theta_kernel,
+from blochwalk.wigner import (_gauss_legendre, _grid_harmonics,
+                              _harmonic_laps, _phi_node_sum, _rho_entries,
+                              _theta_frame_stack, _theta_kernel,
                               _wrapped_index)
 
 from oracles import (DECIMAL_PI, gauss_legendre_node_by_decimal,
@@ -331,8 +333,8 @@ def test_grid_is_the_whole_stack_product_bit_for_bit(two_j, n_theta, n_phi):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")      # n_phi <= 2J
             got = wigner_grid(state, (n_theta, n_phi)).values
-        want = _phi_node_sum(grid_harmonics_whole_stack(state, kw, n_theta),
-                             n_phi).T
+        h = grid_harmonics_whole_stack(state, kw, n_theta)
+        want = _phi_node_sum(_harmonic_laps(h, n_phi), len(h), n_phi).T
         assert got.shape == want.shape == (n_theta, n_phi)
         assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
                               np.ascontiguousarray(want).view(np.uint64))
@@ -668,8 +670,16 @@ def test_flat_distribution_spread():
 
 
 def test_sigma_rejects_unnormalized_marginal():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^step 0: marginal integrates to "):
         sigma_from_marginal(_flat_distribution(0.01))
+    # one bad step among good ones: steps 0 .. 2 stacked, step 1 leaks
+    good = _flat_distribution(1.0 / (2.0 * math.pi))
+    stacked = dataclasses.replace(
+        good, harmonics=np.stack([good.harmonics, 0.99 * good.harmonics,
+                                  good.harmonics]))
+    with pytest.raises(ValueError, match="^step 1: marginal integrates to "
+                                         "0.99"):
+        sigma_from_marginal(stacked)
 
 
 def test_sigma_rejects_nan_marginal():
@@ -836,7 +846,7 @@ def test_phi_node_sum_matches_gathered_roots(columns, two_j, n_phi):
     h = rng.normal(size=(two_j + 1, *columns)) \
         + 1j * rng.normal(size=(two_j + 1, *columns))
     ref = phi_node_sum_by_gather(h, n_phi)
-    got = _phi_node_sum(h, n_phi)
+    got = _phi_node_sum(_harmonic_laps(h, n_phi), len(h), n_phi)
     assert got.shape == ref.shape == (n_phi, *columns)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
