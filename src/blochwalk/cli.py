@@ -27,9 +27,9 @@ from .walk import (CoinPulse, WalkSchedule, _unit_totals, coin_unitary,
                    evolve, evolve_bytes, ideal_sigma, ideal_walk,
                    ideal_walk_bytes, initial_state)
 # unused here, but perfbench/tracer.py binds blochwalk.cli.kernel_weights
-from .wigner import (NumericalInvariantError, grid_bytes, kernel_weights,
-                     marginal_bytes, marginal_phi, sigma_from_marginal,
-                     wigner_grid)
+from .wigner import (_GRID_ADVICE, NumericalInvariantError, grid_bytes,
+                     kernel_weights, marginal_bytes, marginal_phi,
+                     sigma_from_marginal, wigner_grid)
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run_experiment",
            "main"]
@@ -322,11 +322,14 @@ def run_experiment(config: RunConfig) -> dict:
         grid = None
         if "wigner" in config.outputs:
             resolution = (config.grid_theta, config.grid_phi)
-            grid = wigner_grid(walk[k], resolution)
+            with warnings.catch_warnings():
+                # the check below exits 3 on the same residual
+                warnings.filterwarnings("ignore", "Wigner grid normalization")
+                grid = wigner_grid(walk[k], resolution)
             residuals[k] = max(residuals[k], float(_unit_totals(
                 grid.normalization(), 1e-4,
                 f"Wigner normalization at resolution {resolution} is",
-                NumericalInvariantError, first=k)))
+                NumericalInvariantError, first=k, advice=_GRID_ADVICE)))
         try:
             if grid is not None:
                 p = out / f"wigner_k{k}.csv"

@@ -165,14 +165,16 @@ def ideal_walk_bytes(sites: int, steps: int) -> int:
 
 
 def _unit_totals(totals, bound: float, what: str, error=ValueError,
-                 first: int = 0) -> np.ndarray:
+                 first: int = 0, advice: str = "") -> np.ndarray:
     """|total - 1| per step; raises `error` naming the first step (counted
-    from `first`) whose total misses 1 by more than bound, or is NaN."""
+    from `first`) whose total misses 1 by more than bound, or is NaN, with
+    the advice, if any, after it."""
     residuals = np.abs(totals - 1.0)
     bad = np.flatnonzero(~(residuals <= bound))
     if bad.size:
+        suffix = f"; {advice}" if advice else ""
         raise error(f"step {first + bad[0]}: {what} "
-                    f"{float(np.ravel(totals)[bad[0]])!r}, not 1")
+                    f"{float(np.ravel(totals)[bad[0]])!r}, not 1{suffix}")
     return residuals
 
 

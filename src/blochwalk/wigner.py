@@ -51,6 +51,12 @@ class NumericalInvariantError(RuntimeError):
     """A numerical identity that should hold to tolerance was violated."""
 
 
+# what a grid whose normalization misses 1 needs: `wigner_grid` warns with
+# it, and the CLI's exit-3 line carries it
+_GRID_ADVICE = ("increase the grid resolution (n_theta >= 2J+2 and "
+                "n_phi > 2J recommended)")
+
+
 # four spins, as `_theta_kernel` and `_jy_eigensystem` keep
 @functools.lru_cache(maxsize=4)
 def kernel_weights(spin: SpinQuantum) -> np.ndarray:
@@ -211,23 +217,83 @@ def _theta_kernel(spin: SpinQuantum) -> np.ndarray:
 
     With the signed real form of `small_d_matrix`,
     d(t) = s o (R diag(cos lam t + sin lam t) R^T), the integral is
-    K = s o (R (M o G) R^T) with the real M = R^T diag(Delta) R and
+    K = s o (R B R^T), B = M o G, with the real M = R^T diag(Delta) R and
     G_kl = g(lam_k - lam_l) = g(k - l), g(d) = integral_0^pi sin(t)
     (cos dt + sin dt) dt: 2/(1 - d^2) for even d, d pi/2 for d = +-1 and
-    0 otherwise.  G is a view of its 2n - 1 values, as s is; both apply in
-    place and the last product writes into M, so a first build (R, M and one
-    product live) peaks at 24 n^2 bytes, as `marginal_bytes` charges it.
+    0 otherwise.  R's columns have the reversal parity
+    R[N-a, k] = (-1)^(N-k) R[a, k], and G vanishes at odd k - l but for
+    |k - l| = 1, so B is built from the top t = ceil(n/2) rows of R alone,
+    split into the columns E (N - k even) and O (N - k odd): its
+    same-parity blocks B_EE = R_E^T diag(w) R_E o g(2(i - j)), and likewise
+    B_OO, with w_a = Delta_a + Delta_{N-a} (Delta_a alone on the middle row
+    of odd n, where R_O is zero), and its cross entries
+    B[k+1, k] = -B[k, k+1] = (pi/2) sum_a R[a, k] (Delta_a - Delta_{N-a})
+    R[a, k+1], one dot product each.  Three half-size products,
+    P_E = R_E B_EE R_E^T, P_O = R_O B_OO R_O^T and X = (R_E B_EO) R_O^T,
+    whose factor R_E B_EO takes two columns of R per column, give R B R^T
+    by quadrants (a, b < t): P_E + P_O + X - X^T at (a, b),
+    P_E - P_O + X + X^T at (N-a, b), P_E - P_O - X - X^T at (a, N-b) and
+    P_E + P_O - X + X^T at (N-a, N-b), the flipped index below h = n//2 so
+    that they tile K.  That is about 1.75 n^3 flops against the 6 n^3 of
+    full products: 0.15 s against 0.22 s cold at N = 1000, and 2.0 s
+    against 4.2 s at N = 3000, on one core of a 2-core Xeon VM.
+
+    The quadrant array comes first, and each half-size block (2 n^2 bytes)
+    is added into it and freed as soon as it is made, so no more than four
+    live beside it; s and G are views of their 2n - 1 values.  A first
+    build thus peaks at 24 n^2 bytes under tracemalloc when R, the quadrant
+    array, the gather's index and its result are live, as `marginal_bytes`
+    charges it.
     """
     _, r, signs = _jy_eigensystem(spin.two_j)
-    d = np.arange(spin.two_j, -spin.dim, -1.0)     # G[k, l] = g[2J - k + l]
-    g = np.where(np.abs(d) == 1, 0.5 * math.pi * d, 0.0)
-    even = d % 2 == 0
-    g[even] = 2.0 / (1.0 - d[even] ** 2)
-    m = (r.T * kernel_weights(spin)) @ r
-    m *= np.lib.stride_tricks.sliding_window_view(g, spin.dim)[::-1]
-    np.matmul(r @ m, r.T, out=m)
-    m *= signs
-    kw = m.take(_wrapped_index(spin.dim))
+    delta = kernel_weights(spin)
+    n, e0 = spin.dim, spin.two_j % 2        # column e0 is E's first
+    h, t = n // 2, n - n // 2
+    top, flip = r[:t], delta[::-1][:t]
+    w = delta[:t] + flip
+    if n % 2:
+        w[-1] = delta[h]
+    u = 2.0 * np.arange(1 - t, t)           # G[i, j] = g(2 (i - j))
+    g = np.lib.stride_tricks.sliding_window_view(2.0 / (1.0 - u * u), t)[::-1]
+    k = np.empty((n, n))
+    # the quadrants (a, b), (N-a, b), (a, N-b) and (N-a, N-b), a flipped
+    # index below h so that they tile K, with the ufuncs that add P_O, X
+    # and X^T to each
+    quadrants = ((k[:t, :t], np.add, np.add, np.subtract),
+                 (k[::-1][:h, :t], np.subtract, np.add, np.add),
+                 (k[:, ::-1][:t, :h], np.subtract, np.subtract, np.subtract),
+                 (k[::-1, ::-1][:h, :h], np.add, np.subtract, np.add))
+    r_e = top[:, e0::2].copy()
+    p = (r_e.T * w) @ r_e
+    p *= g
+    np.matmul(r_e @ p, r_e.T, out=p)
+    for quadrant, *_ in quadrants:
+        rows, cols = quadrant.shape
+        quadrant[...] = p[:rows, :cols]
+    del r_e, p
+    r_o = top[:, 1 - e0::2].copy()
+    p = (r_o.T * w) @ r_o
+    p *= g[:h, :h]
+    p = (r_o @ p) @ r_o.T
+    for quadrant, add, *_ in quadrants:
+        rows, cols = quadrant.shape
+        add(quadrant, p[:rows, :cols], out=quadrant)
+    del p
+    # R_E B_EO, whose O column l is B[l+1, l] R[:, l+1] + B[l-1, l] R[:, l-1]
+    # with the cross entries B[k+1, k] = -B[k, k+1]
+    cross = np.einsum("ak,a,ak->k", top[:, :-1], delta[:t] - flip, top[:, 1:])
+    cross *= 0.5 * math.pi
+    x = top[:, 2 - e0::2] * cross[1 - e0::2]
+    x[:, e0:] -= top[:, e0:-1:2] * cross[e0::2]
+    x = x @ r_o.T
+    del r_o
+    for quadrant, _, add, add_t in quadrants:
+        rows, cols = quadrant.shape
+        add(quadrant, x[:rows, :cols], out=quadrant)
+        add_t(quadrant, x.T[:rows, :cols], out=quadrant)
+    del x
+    k *= signs
+    kw = k.take(_wrapped_index(spin.dim))
     kw.flags.writeable = False          # cached: every marginal shares it
     return kw
 
@@ -322,7 +388,7 @@ def wigner_grid(state, resolution: tuple[int, int]) -> WignerGrid:
     (`_grid_harmonics`), summed on the phi nodes by `_phi_node_sum`, as
     P(phi) is, so n_phi <= 2J aliases exactly.  Warns when the discretized
     normalization misses 1 by more than 1e-4 (resolution too low for this
-    j); the CLI raises on the same residual.
+    j); the CLI silences the warning and exits 3 on the same residual.
     """
     n_theta, n_phi = resolution
     spin = _spin_of(state)
@@ -341,10 +407,8 @@ def wigner_grid(state, resolution: tuple[int, int]) -> WignerGrid:
     grid = WignerGrid(spin, theta, w_theta, _phi_nodes(n_phi), values, state)
     residual = abs(grid.normalization() - 1.0)
     if not residual <= 1e-4:
-        warnings.warn(
-            f"Wigner grid normalization off by {residual:.2e}; increase the "
-            f"grid resolution (n_theta >= 2J+2 and n_phi > 2J recommended)",
-            stacklevel=2)
+        warnings.warn(f"Wigner grid normalization off by {residual:.2e}; "
+                      f"{_GRID_ADVICE}", stacklevel=2)
     return grid
 
 
@@ -486,9 +550,12 @@ def sigma_from_marginal(dist: PhiDistribution):
     return np.sqrt(np.maximum(0.0, second - mean * mean))
 
 
-# a first `_theta_kernel` build raises ru_maxrss 6-16 n^2 bytes above its
-# three (n, n) arrays at N = 2000-200, the BLAS's share: 8 n^2 + 2000 n
-_K_BLAS_SQUARE, _K_BLAS_LINEAR = 8, 2000
+# in a fresh process, a first `_theta_kernel` build raises the peak RSS over
+# a bare import by 0.7-3.2 n^2 bytes more than the 24 n^2 it holds at
+# N = 3000-800, and by 9.7 n^2 more at N = 400, where the BLAS's first use,
+# which the resident floor covers, is most of it: the BLAS's share,
+# 3 n^2 + 2000 n
+_K_BLAS_SQUARE, _K_BLAS_LINEAR = 3, 2000
 
 
 def _sum_bytes(n: int, period: int, columns: int = 1) -> int:

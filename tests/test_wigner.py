@@ -69,8 +69,49 @@ def test_projection_flip_alternates_coupling_signs(two_j, two_m):
 # ---------------------------------------------------------------------------
 
 def _theta_kernel_in_full(spin):
-    """K with the arithmetic `_theta_kernel` gathers its wrapped diagonals
-    from, the reference for that layout bit for bit."""
+    """K with the parity-block arithmetic `_theta_kernel` gathers its
+    wrapped diagonals from, each quadrant written through index arrays
+    into a whole (n, n) array: the reference for that layout bit for bit."""
+    lam, r, signs = _jy_eigensystem(spin.two_j)
+    delta = kernel_weights(spin)
+    n = spin.dim
+    rows = np.arange(n - n // 2)            # a < ceil(n/2), and N - a
+    top, mirror = r[rows], delta[spin.two_j - rows]
+    even = (spin.two_j - np.arange(n)) % 2 == 0
+    e, o = np.flatnonzero(even), np.flatnonzero(~even)
+    # the middle row of odd n pairs with itself
+    w = np.where(rows == spin.two_j - rows, delta[rows], delta[rows] + mirror)
+    # B[k+1, k] = -B[k, k+1] = (pi/2) m_k; O column l of R_E B_EO takes
+    # B[l+1, l] R[:, l+1] - B[l, l-1] R[:, l-1]
+    m = np.einsum("ak,a,ak->k", top[:, :-1], delta[rows] - mirror,
+                  top[:, 1:])
+    m *= 0.5 * math.pi
+    x = np.empty((len(rows), len(o)))
+    for j, col in enumerate(o):
+        x[:, j] = top[:, col + 1] * m[col]
+        if col:
+            x[:, j] -= top[:, col - 1] * m[col - 1]
+    # row-major blocks of R, as `_theta_kernel` copies them: a product
+    # of a column-major one may round differently
+    products = []
+    for cols in (e, o):
+        block = np.ascontiguousarray(top[:, cols])
+        d = lam[cols, None] - lam[None, cols]     # even differences only
+        b = (block.T * w) @ block * (2.0 / (1.0 - d * d))
+        products.append((block @ b) @ block.T)
+    p_e, p_o = products
+    x = x @ block.T                         # the O block, built last
+    full = np.empty((n, n))
+    flipped = spin.two_j - rows
+    full[np.ix_(rows, rows)] = p_e + p_o + x - x.T
+    full[np.ix_(flipped, rows)] = p_e - p_o + x + x.T
+    full[np.ix_(rows, flipped)] = p_e - p_o - x - x.T
+    full[np.ix_(flipped, flipped)] = p_e + p_o - x + x.T
+    return signs * full
+
+
+def _theta_kernel_by_full_products(spin):
+    """K = s o (R (M o G) R^T) from three full (n, n) products."""
     lam, r, signs = _jy_eigensystem(spin.two_j)
     n = lam[:, None] - lam[None, :]
     g = np.zeros(n.shape)
@@ -98,7 +139,8 @@ def test_theta_kernel_first_build_peaks_under_28_n_squared_bytes(
     assert peak <= 28 * spin.dim ** 2
 
 
-@pytest.mark.parametrize("two_j", [1, 2, 7, 30, 31, 80, 200, 201])
+@pytest.mark.parametrize("two_j", [0, 1, 2, 3, 4, 5, 6, 7, 30, 31, 80, 200,
+                                   201])
 def test_theta_kernel_matches_quadrature(two_j):
     # the cache holds K's wrapped diagonals, kw[p, a] = K[a, (a+p) mod n]
     spin = SpinQuantum(two_j)
@@ -107,6 +149,9 @@ def test_theta_kernel_matches_quadrature(two_j):
     assert kw.dtype == np.float64 and kw.shape == (n // 2 + 1, n)
     lo, hi = np.divmod(_wrapped_index(n), n)
     assert np.abs(kw - theta_kernel_gl(spin)[lo, hi]).max() < 1e-13
+    # the parity blocks agree with the full products to the rounding level
+    assert np.abs(kw - _theta_kernel_by_full_products(spin)[lo, hi]).max() \
+        < 1e-15
     # heads and tails are, bit for bit, diagonals p and n - p of the
     # closed-form K's diagonal-major table
     kd = upper_diagonals(_theta_kernel_in_full(spin))
